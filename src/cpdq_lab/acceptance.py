@@ -48,8 +48,7 @@ from . import (
     variational_ground_state,
     wkb_regime_metrics,
 )
-
-LN2 = math.log(2.0)
+from .info import LN2
 
 
 @dataclass(frozen=True)

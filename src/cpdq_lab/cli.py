@@ -1,8 +1,11 @@
 """Scenario-driven command line: validate a JSON config, run it, report.
 
+Each scenario kind is one entry of KINDS: the schema of its params and a
+runner that returns its checks and artifacts without doing any I/O.
+
 Reports are byte-deterministic: fixed key ordering, shortest round-trip
-float repr in JSON, %.17g in CSV, and no timestamps -- wall-clock timing
-goes to a sibling timing.json that is excluded from determinism claims.
+float repr in strict JSON, %.17g in CSV, and no timestamps -- wall-clock
+timing goes to a sibling timing.json excluded from determinism claims.
 
 Exit codes: 0 all checks pass, 1 computation error, 2 parse or schema
 error, 3 at least one check failed.
@@ -11,21 +14,19 @@ error, 3 at least one check failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import __version__
-from .acceptance import CRITERIA, Check, REGIME_EXPECTED, regime_fixture_metrics
-from .core import Potential, natural_units, si_units
+from .acceptance import Check, REGIME_EXPECTED, regime_fixture_metrics, run_criteria
+from .core import Potential, PotentialKind, natural_units, si_units
 from .dynamics import IntegratorConfig, cpdq_diagnostics, energy_budget, integrate_hamilton
 from .info import LN2, info_ledger, rate_bounds, regime_classify
 from .quantum import (
@@ -45,273 +46,115 @@ EXIT_COMPUTE = 1
 EXIT_SCHEMA = 2
 EXIT_CHECK = 3
 
-_POTENTIAL_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["free", "linear", "harmonic", "infinite_well",
-                          "soft_well"]},
-        "f0": {"type": "number"},
-        "m": {"type": "number", "exclusiveMinimum": 0},
-        "omega": {"type": "number", "exclusiveMinimum": 0},
-        "width": {"type": "number", "exclusiveMinimum": 0},
-        "v0": {"type": "number", "exclusiveMinimum": 0},
-        "a": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NON_NEGATIVE = {"type": "number", "minimum": 0}
+_FRACTION = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 
-_GRID_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["x_min", "x_max", "n"],
-    "properties": {
-        "x_min": {"type": "number"},
-        "x_max": {"type": "number"},
-        "n": {"type": "integer", "minimum": 64},
-    },
-}
 
-_PARAMS_SCHEMAS = {
-    "trajectory": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["potential", "q0", "p0", "dt", "n_steps"],
-        "properties": {
-            "potential": _POTENTIAL_SCHEMA,
-            "q0": {"type": "number"},
-            "p0": {"type": "number"},
-            "dt": {"type": "number", "exclusiveMinimum": 0},
-            "n_steps": {"type": "integer", "minimum": 4},
-            "energy_drift_tol": {"type": "number", "exclusiveMinimum": 0},
-            "pzie_tol_bits": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-    "piston": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "l0": {"type": "number", "exclusiveMinimum": 0},
-            "v0": {"type": "number", "exclusiveMinimum": 0},
-            "u": {"type": "number"},
-            "m": {"type": "number", "exclusiveMinimum": 0},
-            "mode": {"enum": ["constant_speed", "sudden_jump"]},
-            "l_end": {"type": "number", "exclusiveMinimum": 0},
-            "t_end": {"type": "number", "exclusiveMinimum": 0},
-            "t_jump": {"type": "number", "exclusiveMinimum": 0},
-            "scan": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["ratios"],
-                "properties": {
-                    "ratios": {"type": "array", "minItems": 2,
-                               "items": {"type": "number",
-                                         "exclusiveMinimum": 0,
-                                         "exclusiveMaximum": 1}},
-                    "expansion": {"type": "number", "exclusiveMinimum": 1},
-                },
-            },
-        },
-    },
-    "tise": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["potential", "grid", "n_states"],
-        "properties": {
-            "potential": _POTENTIAL_SCHEMA,
-            "grid": _GRID_SCHEMA,
-            "n_states": {"type": "integer", "minimum": 1},
-            "expected_energies": {"type": "array",
-                                  "items": {"type": "number"}},
-            "energy_rel_tol": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-    "variational": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["potential", "grid"],
-        "properties": {
-            "potential": _POTENTIAL_SCHEMA,
-            "grid": _GRID_SCHEMA,
-            "max_iters": {"type": "integer", "minimum": 1},
-            "tol": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-    "wkb": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["potential", "energy", "grid"],
-        "properties": {
-            "potential": _POTENTIAL_SCHEMA,
-            "energy": {"type": "number"},
-            "grid": _GRID_SCHEMA,
-            "kinetic_fraction": {"type": "number", "exclusiveMinimum": 0,
-                                 "exclusiveMaximum": 1},
-            "with_bohm_report": {"type": "boolean"},
-        },
-    },
-    "dispersion": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["k", "m0"],
-        "properties": {
-            "k": {"type": "number"},
-            "m0": {"type": "number", "minimum": 0},
-            "c": {"type": "number", "exclusiveMinimum": 0},
-            "f": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-    "bounds": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["energy", "theta"],
-        "properties": {
-            "energy": {"type": "number", "exclusiveMinimum": 0},
-            "theta": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-    "regime": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "fixture": {"enum": sorted(REGIME_EXPECTED)},
-            "metrics": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["mean_abs_d_i", "max_step_d_i_q",
-                             "max_step_d_i_p"],
-                "properties": {
-                    "mean_abs_d_i": {"type": "number", "minimum": 0},
-                    "max_step_d_i_q": {"type": "number", "minimum": 0},
-                    "max_step_d_i_p": {"type": "number", "minimum": 0},
-                },
-            },
-            "thresholds": {"type": "array", "minItems": 2, "maxItems": 2,
-                           "items": {"type": "number",
-                                     "exclusiveMinimum": 0}},
-        },
-    },
-    "suite": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "filter": {"type": "string"},
-        },
-    },
-}
+def _object(properties: dict, required: tuple = ()) -> dict:
+    """Schema of a JSON object that rejects unknown keys."""
+    schema = {"type": "object", "additionalProperties": False}
+    if required:
+        schema["required"] = list(required)
+    schema["properties"] = properties
+    return schema
 
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "cpdq-lab scenario",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind", "params"],
-    "properties": {
-        "kind": {"enum": sorted(_PARAMS_SCHEMAS)},
-        "units": {"enum": ["natural", "si"]},
-        "constants": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {name: {"type": "number", "exclusiveMinimum": 0}
-                           for name in ("f", "hbar", "k_boltz", "mass", "c",
-                                        "f_ref", "p_floor")},
-        },
-        "params": {"type": "object"},
-        "out_dir": {"type": "string"},
-    },
-}
 
+_POTENTIAL_SCHEMA = _object({
+    "kind": {"enum": [k.value for k in PotentialKind]},
+    "f0": _NUMBER,
+    "m": _POSITIVE,
+    "omega": _POSITIVE,
+    "width": _POSITIVE,
+    "v0": _POSITIVE,
+    "a": _POSITIVE,
+}, required=("kind",))
+
+_GRID_SCHEMA = _object({
+    "x_min": _NUMBER,
+    "x_max": _NUMBER,
+    "n": {"type": "integer", "minimum": 64},
+}, required=("x_min", "x_max", "n"))
 
 class ScenarioError(ValueError):
     """Config failed validation; message names the offending key."""
 
 
-@dataclass
-class RunReport:
-    scenario: dict
-    checks: list
-    artifacts: list
-    elapsed_s: float
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def deterministic_dict(self) -> dict:
-        return {
-            "version": __version__,
-            "scenario": self.scenario,
-            "checks": [{"name": c.name, "value": float(c.value),
-                        "tolerance": float(c.tolerance),
-                        "comparator": c.comparator, "pass": c.passed}
-                       for c in self.checks],
-            "artifacts": sorted(self.artifacts),
-        }
-
-
-def _schema_error_message(err) -> str:
-    if err.validator == "additionalProperties":
-        known = set(err.schema.get("properties", {}))
-        offending = sorted(set(err.instance) - known)
-        where = "/".join(str(p) for p in err.absolute_path) or "top level"
-        return f"unknown key(s) {offending} at {where}"
+def _check_schema(schema: dict, instance, prefix: str = "") -> None:
+    """Raise ScenarioError naming the first offending key, if any."""
+    err = min(Draft202012Validator(schema).iter_errors(instance),
+              key=lambda e: list(e.absolute_path), default=None)
+    if err is None:
+        return
     where = "/".join(str(p) for p in err.absolute_path) or "top level"
-    return f"{err.message} at {where}"
+    if err.validator == "additionalProperties":
+        offending = sorted(set(err.instance) - set(err.schema["properties"]))
+        raise ScenarioError(f"{prefix}unknown key(s) {offending} at {where}")
+    raise ScenarioError(f"{prefix}{err.message} at {where}")
 
 
 def validate_scenario(cfg: dict) -> None:
-    errors = sorted(Draft202012Validator(SCHEMA).iter_errors(cfg),
-                    key=lambda e: list(e.absolute_path))
-    if errors:
-        raise ScenarioError(_schema_error_message(errors[0]))
-    kind = cfg["kind"]
-    sub = Draft202012Validator(_PARAMS_SCHEMAS[kind])
-    errors = sorted(sub.iter_errors(cfg["params"]),
-                    key=lambda e: list(e.absolute_path))
-    if errors:
-        raise ScenarioError(f"params for kind {kind!r}: "
-                            f"{_schema_error_message(errors[0])}")
-    if kind == "regime":
-        p = cfg["params"]
-        if ("fixture" in p) == ("metrics" in p):
-            raise ScenarioError("regime needs exactly one of fixture/metrics")
-    if kind == "piston" and "scan" not in cfg["params"]:
-        if "l0" not in cfg["params"] or "v0" not in cfg["params"]:
-            raise ScenarioError("piston without scan needs l0 and v0")
-
-
-def _constants(cfg: dict):
-    base = si_units() if cfg.get("units") == "si" else natural_units()
-    overrides = cfg.get("constants", {})
-    return base.with_overrides(**overrides) if overrides else base
+    _check_schema(SCHEMA, cfg)
+    kind, params = cfg["kind"], cfg["params"]
+    _check_schema(KINDS[kind][0], params, f"params for kind {kind!r}: ")
+    if kind == "regime" and ("fixture" in params) == ("metrics" in params):
+        raise ScenarioError("regime needs exactly one of fixture/metrics")
+    if kind == "tise":
+        expected = params.get("expected_energies", [])
+        if len(expected) > params["n_states"] or 0 in expected:
+            raise ScenarioError("expected_energies takes at most n_states "
+                                "values, none of them zero")
+    if kind == "piston" and "scan" in params:
+        extra = [k for k in ("u", "mode", "l_end", "t_end", "t_jump")
+                 if k in params]
+        if extra:
+            raise ScenarioError(f"piston scan takes no single-run "
+                                f"key(s) {extra}")
+    elif kind == "piston":
+        try:
+            PistonConfig(**params)
+        except TypeError:
+            raise ScenarioError("piston without scan needs l0 and v0") from None
+        except ValueError as exc:
+            raise ScenarioError(f"piston: {exc}") from None
 
 
 def _potential(spec: dict) -> Potential:
-    kind = spec["kind"]
-    if kind == "free":
-        return Potential.free()
-    if kind == "linear":
-        return Potential.linear(spec.get("f0", 1.0))
-    if kind == "harmonic":
-        return Potential.harmonic(spec.get("m", 1.0), spec.get("omega", 1.0))
-    if kind == "infinite_well":
-        return Potential.infinite_well(spec.get("width", 1.0))
-    return Potential.soft_well(spec.get("v0", 1.0), spec.get("a", 1.0))
+    return Potential(**{**spec, "kind": PotentialKind(spec["kind"])})
 
 
-def _grid(spec: dict) -> Grid1D:
-    return Grid1D(spec["x_min"], spec["x_max"], spec["n"])
+def _given(params: dict, *keys: str) -> dict:
+    """The keys a config sets; the model's defaults stand for the rest."""
+    return {k: params[k] for k in keys if k in params}
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = zip(*columns)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for row in zip(*columns):
             fh.write(",".join("%.17g" % float(x) for x in row) + "\n")
 
 
-def _run_trajectory(params, consts, out: Path):
+def _write_artifacts(out: Path, artifacts: dict) -> None:
+    """Write a dict as strict sorted JSON, (header, columns) as CSV."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in artifacts.items():
+        if isinstance(content, dict):
+            (out / name).write_text(json.dumps(
+                content, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        else:
+            write_csv(out / name, *content)
+
+
+def _check_rows(checks: list[Check]) -> list[dict]:
+    return [{"name": c.name, "value": float(c.value),
+             "tolerance": float(c.tolerance),
+             "comparator": c.comparator, "pass": c.passed}
+            for c in checks]
+
+
+def _run_trajectory(params, consts):
     pot = _potential(params["potential"])
     cfg = IntegratorConfig(dt=params["dt"], n_steps=params["n_steps"])
     rec = integrate_hamilton(pot, params["q0"], params["p0"], cfg, consts)
@@ -326,32 +169,23 @@ def _run_trajectory(params, consts, out: Path):
               params.get("pzie_tol_bits", 1e-6)),
     ]
     t = rec.traj
-    series = out / "series.csv"
-    write_csv(series, ["t", "q", "p", "delta_q", "f", "T", "V", "E"],
+    series = (["t", "q", "p", "delta_q", "f", "T", "V", "E"],
               [t.t, t.q, t.p, rec.delta_q_series, rec.f_series,
                rec.energy_t, rec.energy_v, rec.energy_e])
-    return checks, [series.name]
+    return checks, {"series.csv": series}
 
 
-def _run_piston(params, consts, out: Path):
+def _run_piston(params, consts):
     if "scan" in params:
-        scan_spec = params["scan"]
-        scan = adiabatic_scan(scan_spec["ratios"], consts,
-                              l0=params.get("l0", 1.0),
-                              v0=params.get("v0", 1.0),
-                              m=params.get("m", 1.0),
-                              expansion=scan_spec.get("expansion", 2.0))
-        path = out / "scan.csv"
-        write_csv(path, ["ratio", "delta_ln_pL", "delta_S_over_k"],
-                  [scan.ratios, scan.delta_ln_pl, scan.delta_s_over_k])
+        scan = adiabatic_scan(consts=consts, **params["scan"],
+                              **_given(params, "l0", "v0", "m"))
         worst = float(np.min(np.diff(scan.delta_ln_pl)))
-        return [Check("scan_monotonicity_min_step", -worst, 1e-12)], [path.name]
+        table = (["ratio", "delta_ln_pL", "delta_S_over_k"],
+                 [scan.ratios, scan.delta_ln_pl, scan.delta_s_over_k])
+        return ([Check("scan_monotonicity_min_step", -worst, 1e-12)],
+                {"scan.csv": table})
 
-    cfg = PistonConfig(l0=params["l0"], v0=params["v0"],
-                       u=params.get("u", 0.0), m=params.get("m", 1.0),
-                       mode=params.get("mode", "constant_speed"),
-                       l_end=params.get("l_end"), t_end=params.get("t_end"),
-                       t_jump=params.get("t_jump"))
+    cfg = PistonConfig(**params)
     rec = piston_simulate(cfg, consts)
     _, log_res = heat_theorem_residual(rec, consts)
     ledger = info_ledger(rec, consts)
@@ -365,32 +199,28 @@ def _run_piston(params, consts, out: Path):
         checks.append(Check("sudden_jump_dS_over_k",
                             abs(ds_over_k - math.log(cfg.l_end / cfg.l0)),
                             1e-9))
-    events = out / "events.csv"
-    write_csv(events, ["t", "speed", "L", "event", "f", "S"],
-              [rec.t, rec.speed, rec.box_l, rec.event.astype(float),
-               rec.f_values, rec.entropy])
-    artifacts = [events.name]
+    artifacts = {"events.csv": (
+        ["t", "speed", "L", "event", "f", "S"],
+        [rec.t, rec.speed, rec.box_l, rec.event.astype(float),
+         rec.f_values, rec.entropy])}
     try:
         ts = extended_quantities(rec, consts)
-        cycles = out / "cycles.csv"
-        write_csv(cycles, ["dt", "dE", "dS", "dVol", "theta", "P",
-                           "dL_ext", "f_dot", "s_dot_based"],
-                  [ts.dt, ts.d_e, ts.d_s, ts.d_vol, ts.theta, ts.pressure,
-                   ts.d_l_ext, ts.f_dot, ts.s_dot_based])
-        artifacts.append(cycles.name)
+        artifacts["cycles.csv"] = (
+            ["dt", "dE", "dS", "dVol", "theta", "P", "dL_ext", "f_dot",
+             "s_dot_based"],
+            [ts.dt, ts.d_e, ts.d_s, ts.d_vol, ts.theta, ts.pressure,
+             ts.d_l_ext, ts.f_dot, ts.s_dot_based])
     except ValueError:
         pass  # too few collisions for cycle series; event log still written
     return checks, artifacts
 
 
-def _run_tise(params, consts, out: Path):
+def _run_tise(params, consts):
     pot = _potential(params["potential"])
-    grid = _grid(params["grid"])
+    grid = Grid1D(**params["grid"])
     sol = solve_tise(pot, grid, params["n_states"], consts)
-    h = grid.h
     vals = np.stack([s.values.real for s in sol.states])
-    overlaps = vals @ vals.T * h
-    ortho = float(np.max(np.abs(overlaps - np.eye(len(sol.states)))))
+    ortho = float(np.max(np.abs(vals @ vals.T * grid.h - np.eye(len(vals)))))
     nodes_ok = 1.0
     for n, s in enumerate(sol.states):
         v = s.values.real
@@ -403,80 +233,69 @@ def _run_tise(params, consts, out: Path):
     ]
     expected = params.get("expected_energies")
     if expected:
-        tol = params.get("energy_rel_tol", 1e-3)
         worst = max(abs(sol.energies[i] - e) / abs(e)
                     for i, e in enumerate(expected))
-        checks.append(Check("expected_energy_rel_err", worst, tol))
-    en = out / "energies.csv"
-    write_csv(en, ["n", "E"],
-              [np.arange(len(sol.energies), dtype=float), sol.energies])
-    st = out / "states.csv"
+        checks.append(Check("expected_energy_rel_err", worst,
+                            params.get("energy_rel_tol", 1e-3)))
     header = ["x"]
     cols = [grid.x]
     for n, s in enumerate(sol.states):
         header += [f"re_psi_{n}", f"im_psi_{n}", f"prob_{n}"]
         cols += [s.values.real, s.values.imag, s.prob]
-    write_csv(st, header, cols)
-    return checks, [en.name, st.name]
+    return checks, {
+        "energies.csv": (["n", "E"], [np.arange(len(sol.energies), dtype=float),
+                                      sol.energies]),
+        "states.csv": (header, cols),
+    }
 
 
-def _run_variational(params, consts, out: Path):
+def _run_variational(params, consts):
     pot = _potential(params["potential"])
-    grid = _grid(params["grid"])
-    res = variational_ground_state(pot, grid, consts,
-                                   max_iters=params.get("max_iters", 5000),
-                                   tol=params.get("tol", 1e-10))
+    grid = Grid1D(**params["grid"])
+    max_iters = params.get("max_iters", 5000)
+    res = variational_ground_state(pot, grid, consts, max_iters=max_iters,
+                                   **_given(params, "tol"))
     sol = solve_tise(pot, grid, 1, consts)
     rel = abs(res.energy - sol.energies[0]) / abs(sol.energies[0])
     checks = [
         Check("variational_vs_eigensolver_rel", rel, 1e-4),
-        Check("iterations", float(res.iterations),
-              float(params.get("max_iters", 5000))),
+        Check("iterations", float(res.iterations), float(max_iters)),
     ]
-    path = out / "ground_state.csv"
-    write_csv(path, ["x", "psi"], [grid.x, res.psi.values.real])
-    return checks, [path.name]
+    return checks, {"ground_state.csv": (["x", "psi"],
+                                         [grid.x, res.psi.values.real])}
 
 
-def _run_wkb(params, consts, out: Path):
+def _run_wkb(params, consts):
     pot = _potential(params["potential"])
-    grid = _grid(params["grid"])
+    grid = Grid1D(**params["grid"])
     energy = params["energy"]
     profile = local_wkb_profile(pot, energy, grid, consts)
     residual = appendix_a_consistency(pot, energy, grid, consts,
-                                      params.get("kinetic_fraction", 0.1))
+                                      **_given(params, "kinetic_fraction"))
     checks = [Check("force_recovery_max_rel_residual", residual, 1e-3)]
-    path = out / "profile.csv"
-    write_csv(path, ["x", "k", "delta_x", "validity"],
-              [grid.x, profile.k_of_x, profile.delta_x_of_x,
-               profile.validity_metric])
-    artifacts = [path.name]
+    artifacts = {"profile.csv": (
+        ["x", "k", "delta_x", "validity"],
+        [grid.x, profile.k_of_x, profile.delta_x_of_x,
+         profile.validity_metric])}
     if params.get("with_bohm_report"):
-        rep = bohm_adiabaticity_report(pot, energy, grid, consts)
-        bpath = out / "bohm_report.json"
-        bpath.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
-        artifacts.append(bpath.name)
+        artifacts["bohm_report.json"] = bohm_adiabaticity_report(
+            pot, energy, grid, consts)
     return checks, artifacts
 
 
-def _run_dispersion(params, consts, out: Path):
-    p = DispersionParams(k=params["k"], m0=params["m0"],
-                         c=params.get("c", consts.c),
-                         f=params.get("f", consts.f))
+def _run_dispersion(params, consts):
+    p = DispersionParams(**{"c": consts.c, "f": consts.f, **params})
     res = dispersion_checks(p, consts)
     checks = [
         Check("kg_plane_wave_residual", res.kg_residual, 1e-12),
         Check("nr_plane_wave_residual", res.nr_residual, 1e-12),
     ]
-    path = out / "dispersion.json"
-    path.write_text(json.dumps(
-        {"omega_kg": res.omega_kg, "omega_nr": res.omega_nr,
-         "k": p.k, "m0": p.m0, "c": p.c, "f": p.f},
-        indent=2, sort_keys=True) + "\n")
-    return checks, [path.name]
+    payload = {"omega_kg": res.omega_kg, "omega_nr": res.omega_nr,
+               **dataclasses.asdict(p)}
+    return checks, {"dispersion.json": payload}
 
 
-def _run_bounds(params, consts, out: Path):
+def _run_bounds(params, consts):
     rb = rate_bounds(params["energy"], params["theta"], consts)
     checks = [
         Check("comparator_ordering",
@@ -488,55 +307,114 @@ def _run_bounds(params, consts, out: Path):
     if abs(consts.f - consts.hbar / 2.0) < 1e-300:
         checks.append(Check("bound_f_equals_bound_h",
                             abs(rb.bound_f / rb.bound_h - 1.0), 1e-12))
-    path = out / "bounds.json"
-    payload = asdict(rb)
-    payload["constants"] = {"f": consts.f, "hbar": consts.hbar,
-                            "h": consts.h, "k_boltz": consts.k_boltz,
-                            "c": consts.c, "mass": consts.mass}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return checks, [path.name]
+    payload = dataclasses.asdict(rb)
+    payload["constants"] = {k: getattr(consts, k) for k in
+                            ("f", "hbar", "h", "k_boltz", "c", "mass")}
+    return checks, {"bounds.json": payload}
 
 
-def _run_regime(params, consts, out: Path):
-    thresholds = tuple(params.get("thresholds", (1e-6, 0.1)))
+def _run_regime(params, consts):
+    thresholds = _given(params, "thresholds")
     if "fixture" in params:
         name = params["fixture"]
-        metrics = regime_fixture_metrics(name, consts)
-        report = regime_classify(*metrics, thresholds=thresholds)
+        report = regime_classify(*regime_fixture_metrics(name, consts),
+                                 **thresholds)
         expected = REGIME_EXPECTED[name]
         checks = [Check(f"label_is_{expected.value}",
                         float(report.label is expected), 1.0,
                         comparator="==")]
     else:
-        m = params["metrics"]
-        report = regime_classify(m["mean_abs_d_i"], m["max_step_d_i_q"],
-                                 m["max_step_d_i_p"], thresholds=thresholds)
+        report = regime_classify(**params["metrics"], **thresholds)
         checks = []
-    path = out / "regime.json"
-    path.write_text(json.dumps(
-        {"label": report.label.value,
-         "mean_abs_d_i": report.mean_abs_d_i,
-         "max_step_d_i_q": report.max_step_d_i_q,
-         "max_step_d_i_p": report.max_step_d_i_p,
-         "tol_zero": report.tol_zero, "tol_small": report.tol_small},
-        indent=2, sort_keys=True) + "\n")
-    return checks, [path.name]
+    payload = {**dataclasses.asdict(report), "label": report.label.value}
+    return checks, {"regime.json": payload}
 
 
-_RUNNERS = {
-    "trajectory": _run_trajectory,
-    "piston": _run_piston,
-    "tise": _run_tise,
-    "variational": _run_variational,
-    "wkb": _run_wkb,
-    "dispersion": _run_dispersion,
-    "bounds": _run_bounds,
-    "regime": _run_regime,
+# kind -> (params schema, runner); the suite kind runs acceptance_suite
+KINDS = {
+    "trajectory": (_object({
+        "potential": _POTENTIAL_SCHEMA,
+        "q0": _NUMBER,
+        "p0": _NUMBER,
+        "dt": _POSITIVE,
+        "n_steps": {"type": "integer", "minimum": 4},
+        "energy_drift_tol": _POSITIVE,
+        "pzie_tol_bits": _POSITIVE,
+    }, required=("potential", "q0", "p0", "dt", "n_steps")), _run_trajectory),
+    "piston": (_object({
+        "l0": _POSITIVE,
+        "v0": _POSITIVE,
+        "u": _NUMBER,
+        "m": _POSITIVE,
+        "mode": {"enum": ["constant_speed", "sudden_jump"]},
+        "l_end": _POSITIVE,
+        "t_end": _POSITIVE,
+        "t_jump": _POSITIVE,
+        "scan": _object({
+            "ratios": {"type": "array", "minItems": 2, "items": _FRACTION},
+            "expansion": {"type": "number", "exclusiveMinimum": 1},
+        }, required=("ratios",)),
+    }), _run_piston),
+    "tise": (_object({
+        "potential": _POTENTIAL_SCHEMA,
+        "grid": _GRID_SCHEMA,
+        "n_states": {"type": "integer", "minimum": 1},
+        "expected_energies": {"type": "array", "items": _NUMBER},
+        "energy_rel_tol": _POSITIVE,
+    }, required=("potential", "grid", "n_states")), _run_tise),
+    "variational": (_object({
+        "potential": _POTENTIAL_SCHEMA,
+        "grid": _GRID_SCHEMA,
+        "max_iters": {"type": "integer", "minimum": 1},
+        "tol": _POSITIVE,
+    }, required=("potential", "grid")), _run_variational),
+    "wkb": (_object({
+        "potential": _POTENTIAL_SCHEMA,
+        "energy": _NUMBER,
+        "grid": _GRID_SCHEMA,
+        "kinetic_fraction": _FRACTION,
+        "with_bohm_report": {"type": "boolean"},
+    }, required=("potential", "energy", "grid")), _run_wkb),
+    "dispersion": (_object({
+        "k": _NUMBER,
+        "m0": _NON_NEGATIVE,
+        "c": _POSITIVE,
+        "f": _POSITIVE,
+    }, required=("k", "m0")), _run_dispersion),
+    "bounds": (_object({
+        "energy": _POSITIVE,
+        "theta": _POSITIVE,
+    }, required=("energy", "theta")), _run_bounds),
+    "regime": (_object({
+        "fixture": {"enum": sorted(REGIME_EXPECTED)},
+        "metrics": _object({
+            "mean_abs_d_i": _NON_NEGATIVE,
+            "max_step_d_i_q": _NON_NEGATIVE,
+            "max_step_d_i_p": _NON_NEGATIVE,
+        }, required=("mean_abs_d_i", "max_step_d_i_q", "max_step_d_i_p")),
+        "thresholds": {"type": "array", "minItems": 2, "maxItems": 2,
+                       "items": _POSITIVE},
+    }), _run_regime),
+    "suite": (_object({"filter": {"type": "string"}}), None),
+}
+
+SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "cpdq-lab scenario",
+    **_object({
+        "kind": {"enum": sorted(KINDS)},
+        "units": {"enum": ["natural", "si"]},
+        "constants": _object(dict.fromkeys(
+            ("f", "hbar", "k_boltz", "mass", "c", "f_ref", "p_floor"),
+            _POSITIVE)),
+        "params": {"type": "object"},
+        "out_dir": {"type": "string"},
+    }, required=("kind", "params")),
 }
 
 
-def run_scenario(path: str | Path, out_dir: str | Path | None = None) -> tuple[RunReport | None, int]:
-    """Execute one scenario file; returns (report, exit_code)."""
+def run_scenario(path: str | Path, out_dir: str | Path | None = None) -> tuple[dict | None, int]:
+    """Execute one scenario file; returns (report dict, exit_code)."""
     path = Path(path)
     try:
         cfg = json.loads(path.read_text())
@@ -549,103 +427,65 @@ def run_scenario(path: str | Path, out_dir: str | Path | None = None) -> tuple[R
         print(f"error: invalid scenario {path}: {exc}", file=sys.stderr)
         return None, EXIT_SCHEMA
 
-    if out_dir is not None:
-        out = Path(out_dir)
-    elif "out_dir" in cfg:
-        out = Path(cfg["out_dir"])
-    else:
-        out = path.parent / (path.stem + "_out")
-    out.mkdir(parents=True, exist_ok=True)
-    consts = _constants(cfg)
+    if out_dir is None:
+        out_dir = cfg.get("out_dir", path.parent / (path.stem + "_out"))
+    if cfg["kind"] == "suite":
+        return None, acceptance_suite(cfg["params"].get("filter"), out_dir)
+    base = si_units() if cfg.get("units") == "si" else natural_units()
+    consts = dataclasses.replace(base, **cfg.get("constants", {}))
     started = time.perf_counter()
     try:
-        if cfg["kind"] == "suite":
-            code = acceptance_suite(cfg["params"].get("filter"), out)
-            return None, code
-        checks, artifacts = _RUNNERS[cfg["kind"]](cfg["params"], consts, out)
+        checks, artifacts = KINDS[cfg["kind"]][1](cfg["params"], consts)
+        elapsed = time.perf_counter() - started
+        report = {"version": __version__, "scenario": cfg,
+                  "checks": _check_rows(checks),
+                  "artifacts": sorted(artifacts)}
+        _write_artifacts(Path(out_dir), {
+            **artifacts, "report.json": report,
+            "timing.json": {"elapsed_s": elapsed}})
     except Exception as exc:
         print(f"error: computation failed: {exc}", file=sys.stderr)
         return None, EXIT_COMPUTE
-    report = RunReport(scenario=cfg, checks=checks, artifacts=artifacts,
-                       elapsed_s=time.perf_counter() - started)
-    (out / "report.json").write_text(
-        json.dumps(report.deterministic_dict(), indent=2, sort_keys=True)
-        + "\n")
-    (out / "timing.json").write_text(
-        json.dumps({"elapsed_s": report.elapsed_s}) + "\n")
-    for c in report.checks:
+    for c in checks:
         status = "pass" if c.passed else "FAIL"
         print(f"{status:4s}  {c.name}  value={c.value:.6g}  "
               f"{c.comparator} {c.tolerance:.6g}")
-    return report, EXIT_OK if report.all_passed else EXIT_CHECK
+    return report, EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK
 
 
 def acceptance_suite(filter_tag: str | None = None,
                      out_dir: str | Path | None = None,
                      tighten: str | None = None) -> int:
     """Run the acceptance criteria and print one row per check."""
-    selected = [(name, func) for name, tags, func in CRITERIA
-                if filter_tag is None or filter_tag in tags]
-    if not selected:
-        print(f"error: no criteria tagged {filter_tag!r}", file=sys.stderr)
-        return EXIT_SCHEMA
-
-    threads = max(1, int(os.environ.get("CPDQ_LAB_THREADS", "1")))
     started = time.perf_counter()
     try:
-        if threads > 1:
-            # criteria are pure compute on independent fixtures; output
-            # values cannot depend on scheduling
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [(name, pool.submit(func)) for name, func in selected]
-                results = [(name, fut.result()) for name, fut in futures]
-        else:
-            results = [(name, func()) for name, func in selected]
+        results = run_criteria(filter_tag, tighten)
+        elapsed = time.perf_counter() - started
+        if results and out_dir is not None:
+            report = {"version": __version__, "criteria": [
+                {"name": name, "checks": _check_rows(checks)}
+                for name, checks in results]}
+            _write_artifacts(Path(out_dir), {
+                "acceptance_report.json": report,
+                "timing.json": {"elapsed_s": elapsed}})
     except Exception as exc:
         print(f"error: computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    if tighten is not None:
-        for name, checks in results:
-            if name != tighten:
-                continue
-            for i, c in enumerate(checks):
-                if c.comparator == "<=" and c.value > 0.0:
-                    checks[i] = Check(name=c.name, value=c.value,
-                                      tolerance=0.0)
-                    break
-    elapsed = time.perf_counter() - started
+    if not results:
+        print(f"error: no criteria tagged {filter_tag!r}", file=sys.stderr)
+        return EXIT_SCHEMA
 
     width = max(len(c.name) for _, checks in results for c in checks)
-    failures = 0
+    failures = sum(not c.passed for _, checks in results for c in checks)
     print(f"{'criterion/check':{width}s}  {'measured':>13s}  "
           f"{'tolerance':>13s}  status")
-    for crit_name, checks in results:
+    for _, checks in results:
         for c in checks:
-            ok = c.passed
-            failures += 0 if ok else 1
             print(f"{c.name:{width}s}  {c.value:13.6g}  "
                   f"{c.comparator}{c.tolerance:12.6g}  "
-                  f"{'pass' if ok else 'FAIL'}")
+                  f"{'pass' if c.passed else 'FAIL'}")
     print(f"# {len(results)} criteria, {failures} failing checks, "
           f"{elapsed:.1f}s")
-
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": __version__,
-            "criteria": [{
-                "name": crit_name,
-                "checks": [{"name": c.name, "value": float(c.value),
-                            "tolerance": float(c.tolerance),
-                            "comparator": c.comparator, "pass": c.passed}
-                           for c in checks],
-            } for crit_name, checks in results],
-        }
-        (out / "acceptance_report.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        (out / "timing.json").write_text(
-            json.dumps({"elapsed_s": elapsed}) + "\n")
     return EXIT_OK if failures == 0 else EXIT_CHECK
 
 
@@ -669,8 +509,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        _, code = run_scenario(args.config, args.out)
-        return code
+        return run_scenario(args.config, args.out)[1]
     if args.command == "suite":
         return acceptance_suite(args.filter, args.out, args.tighten)
     print(json.dumps(SCHEMA, indent=2, sort_keys=True))

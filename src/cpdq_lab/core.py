@@ -9,7 +9,7 @@ an enclosed (thermodynamic) degree of freedom carries f = f_ref * exp(S/k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -62,9 +62,6 @@ class Constants:
     @property
     def h(self) -> float:
         return 2.0 * math.pi * self.hbar
-
-    def with_overrides(self, **kwargs) -> "Constants":
-        return replace(self, **kwargs)
 
 
 def natural_units(f: float | None = None, mass: float = 1.0,

@@ -22,15 +22,12 @@ from .variational import Trajectory, _tderiv
 class IntegratorConfig:
     dt: float
     n_steps: int
-    scheme: str = "leapfrog"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.n_steps < 4:
             raise ValueError("need at least 4 steps")
-        if self.scheme != "leapfrog":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)

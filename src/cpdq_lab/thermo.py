@@ -77,6 +77,10 @@ class PistonConfig:
             if self.l_end is not None and self.u != 0.0:
                 if (self.l_end - self.l0) * self.u <= 0:
                     raise ValueError("l_end unreachable for this wall speed")
+            if self.u < 0.0 and self.t_end is not None:
+                if self.t_end >= self.l0 / -self.u:
+                    raise ModelViolationError(
+                        "box closes before t_end: need t_end < l0/|u|")
         else:
             if self.l_end is None or self.l_end <= self.l0:
                 raise ValueError("sudden_jump needs l_end > l0 (expansion)")
@@ -260,7 +264,6 @@ class ThermoSeries:
     d_l_ext: np.ndarray          # pdot*dq + p*dqdot with interval averages
     f_dot: np.ndarray            # d(pL)/dt
     s_dot_based: np.ndarray      # (f/k)*Sdot with log-mean f
-    d_h_ext_bar: np.ndarray      # reversible-heat route, f*Sdot/k
     action_entropy_lhs: float    # sum of dLe*dt/f over the record
     delta_s_over_k: float        # matching entropy change / k
 
@@ -305,7 +308,7 @@ def extended_quantities(rec: PistonRecord, consts: Constants) -> ThermoSeries:
     return ThermoSeries(dt=dt, d_e=d_e, d_s=d_s, d_vol=d_vol,
                         theta=theta_mid, pressure=pressure_mid,
                         d_l_ext=d_l_ext, f_dot=f_dot,
-                        s_dot_based=s_dot_based, d_h_ext_bar=s_dot_based.copy(),
+                        s_dot_based=s_dot_based,
                         action_entropy_lhs=lhs, delta_s_over_k=ds_total)
 
 

@@ -7,12 +7,34 @@ import pytest
 from cpdq_lab import cli
 
 
+SCENARIOS = Path(str(resources.files("cpdq_lab") / "scenarios"))
+
+
 def scenario_path(name: str) -> Path:
-    return Path(str(resources.files("cpdq_lab") / "scenarios" / name))
+    return SCENARIOS / name
 
 
 def run(name, out):
     return cli.main(["run", str(scenario_path(name)), "--out", str(out)])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def strict_json(path: Path):
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+# every bundled scenario but the negative fixture and the suite kind,
+# which TestSuite covers
+RUNNABLE_SCENARIOS = sorted(
+    p.name for p in SCENARIOS.glob("*.json")
+    if p.name != "bad_schema.json"
+    and json.loads(p.read_text())["kind"] != "suite")
+
+TISE_WELL = {"potential": {"kind": "infinite_well"},
+             "grid": {"x_min": 0.0, "x_max": 1.0, "n": 200}}
 
 
 class TestValidation:
@@ -45,21 +67,47 @@ class TestValidation:
         bad.write_text(json.dumps({"kind": "regime", "params": {}}))
         assert cli.main(["run", str(bad)]) == cli.EXIT_SCHEMA
 
+    @pytest.mark.parametrize("kind,params,named", [
+        ("tise", dict(TISE_WELL, n_states=1,
+                      expected_energies=[4.93, 19.7]), "expected_energies"),
+        ("tise", dict(TISE_WELL, n_states=1,
+                      expected_energies=[0.0]), "expected_energies"),
+        ("piston", {"v0": 1.0, "u": 0.1, "l_end": 2.0}, "l0 and v0"),
+        ("piston", {"l0": 1.0, "v0": 1.0, "u": 0.1, "l_end": 0.5}, "l_end"),
+        ("piston", {"l0": 1.0, "v0": 1.0, "u": -0.5, "t_end": 10.0},
+         "t_end < l0/|u|"),
+        ("piston", {"l0": 1.0, "v0": 1.0, "u": 0.5, "mode": "sudden_jump",
+                    "scan": {"ratios": [0.01, 0.1]}}, "'u', 'mode'"),
+    ], ids=["tise_too_many_energies", "tise_zero_energy", "piston_no_l0",
+            "piston_l_end_unreachable", "piston_collapsing_box",
+            "piston_scan_with_run_keys"])
+    def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch, kind,
+                                  params, named):
+        def never(*args, **kwargs):
+            raise AssertionError("computed a rejected config")
+        for name in ("solve_tise", "piston_simulate", "adiabatic_scan"):
+            monkeypatch.setattr(cli, name, never)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"kind": kind, "params": params}))
+        out = tmp_path / "o"
+        assert cli.main(["run", str(bad), "--out", str(out)]) \
+            == cli.EXIT_SCHEMA
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
-    @pytest.mark.parametrize("name", [
-        "piston_sudden_jump.json",
-        "piston_slow_doubling.json",
-        "piston_scan.json",
-        "tise_infinite_well.json",
-        "dispersion_rest.json",
-        "bounds_si_1joule.json",
-        "regime_quadrants.json",
-    ])
+    @pytest.mark.parametrize("name", RUNNABLE_SCENARIOS)
     def test_bundled_scenarios_pass(self, tmp_path, name):
-        assert run(name, tmp_path / "out") == cli.EXIT_OK
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        out = tmp_path / "out"
+        assert run(name, out) == cli.EXIT_OK
+        report = strict_json(out / "report.json")
         assert all(c["pass"] for c in report["checks"])
+        assert report["artifacts"]
+        for artifact in report["artifacts"]:
+            assert (out / artifact).exists()
+            if artifact.endswith(".json"):
+                strict_json(out / artifact)
 
     def test_harmonic_pzie_scenario(self, tmp_path):
         assert run("harmonic_pzie.json", tmp_path / "out") == cli.EXIT_OK

@@ -23,8 +23,6 @@ def test_config_validation():
         IntegratorConfig(dt=0.0, n_steps=10)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1e-3, n_steps=2)
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=1e-3, n_steps=10, scheme="rk4")
 
 
 def test_free_motion_exact(consts):

@@ -21,8 +21,7 @@ from cpdq_lab import (
     trajectory_regime_metrics,
 )
 from cpdq_lab.acceptance import REGIME_EXPECTED, regime_fixture_metrics
-
-LN2 = math.log(2.0)
+from cpdq_lab.info import LN2
 
 
 class TestLedger:

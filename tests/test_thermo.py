@@ -40,6 +40,12 @@ def test_config_validation():
         PistonConfig(l0=1.0, v0=1.0, mode="sudden_jump", l_end=0.5)
     with pytest.raises(ValueError):
         PistonConfig(l0=-1.0, v0=1.0, t_end=1.0)
+    # a compressing wall closes the box at t = l0/|u| = 2
+    with pytest.raises(ModelViolationError):
+        PistonConfig(l0=1.0, v0=1.0, u=-0.5, t_end=10.0)
+    with pytest.raises(ModelViolationError):
+        PistonConfig(l0=1.0, v0=1.0, u=-0.5, t_end=2.0)
+    PistonConfig(l0=1.0, v0=1.0, u=-0.5, t_end=1.0)
 
 
 def test_sudden_jump_free_expansion(consts, jump):
