@@ -113,11 +113,19 @@ def validate_scenario(cfg: dict) -> None:
                                 f"key(s) {extra}")
     elif kind == "piston":
         try:
-            PistonConfig(**params)
+            piston = PistonConfig(**params)
         except TypeError:
             raise ScenarioError("piston without scan needs l0 and v0") from None
         except ValueError as exc:
             raise ScenarioError(f"piston: {exc}") from None
+        if piston.n_right_hits < 2:
+            raise ScenarioError("piston: the run stops before its second "
+                                "right-wall collision")
+    if "grid" in params:
+        try:
+            Grid1D(**params["grid"])
+        except ValueError as exc:
+            raise ScenarioError(f"grid: {exc}") from None
 
 
 def _potential(spec: dict) -> Potential:
@@ -199,20 +207,18 @@ def _run_piston(params, consts):
         checks.append(Check("sudden_jump_dS_over_k",
                             abs(ds_over_k - math.log(cfg.l_end / cfg.l0)),
                             1e-9))
-    artifacts = {"events.csv": (
-        ["t", "speed", "L", "event", "f", "S"],
-        [rec.t, rec.speed, rec.box_l, rec.event.astype(float),
-         rec.f_values, rec.entropy])}
-    try:
-        ts = extended_quantities(rec, consts)
-        artifacts["cycles.csv"] = (
+    ts = extended_quantities(rec, consts)
+    return checks, {
+        "events.csv": (
+            ["t", "speed", "L", "event", "f", "S"],
+            [rec.t, rec.speed, rec.box_l, rec.event.astype(float),
+             rec.f_values, rec.entropy]),
+        "cycles.csv": (
             ["dt", "dE", "dS", "dVol", "theta", "P", "dL_ext", "f_dot",
              "s_dot_based"],
             [ts.dt, ts.d_e, ts.d_s, ts.d_vol, ts.theta, ts.pressure,
-             ts.d_l_ext, ts.f_dot, ts.s_dot_based])
-    except ValueError:
-        pass  # too few collisions for cycle series; event log still written
-    return checks, artifacts
+             ts.d_l_ext, ts.f_dot, ts.s_dot_based]),
+    }
 
 
 def _run_tise(params, consts):

@@ -9,9 +9,21 @@ thermodynamic identifications read
     P     = p*qdot/L        (pressure)
     S     = k*ln(f/f_ref)   (entropy)
 
-The collision solver is event-driven and closed-form (no time-stepping
-error): the adiabatic-invariant checks need errors far below the wall-speed
-effects being measured.  Interval quantities are evaluated on full cycles
+The event log comes from a closed-form per-hit formula, with no time
+stepping and no per-collision loop: the adiabatic-invariant checks need
+errors far below the wall-speed effects being measured.  For a wall moving
+at constant speed u (the Fermi-Ulam map of a uniformly moving wall), a round
+trip keeps (v - u)*L fixed, so the particle's j-th wall hit falls where
+v0*t = j*L(t):
+
+    t_j = j*l0 / (v0 - j*u),    L_j = l0 + u*t_j,
+
+odd j on the moving wall, even j on the fixed one, and every moving-wall
+hit takes 2u off the speed.  Hit j precedes a stop time t_stop exactly when
+j < v0*t_stop/L(t_stop), so the collision count is known, and capped,
+before anything is allocated.  A sudden jump is two static legs of the same
+formula, joined at the position the parity of the earlier hits gives.
+Interval quantities are evaluated on full cycles
 between successive right-wall collisions -- the particle's round trip is
 the natural monocycle here -- with midpoint averages for theta and P and
 the logarithmic mean of f where a d(ln f) relation is discretized, which
@@ -23,10 +35,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import Constants
+
+# Largest event log a run may record (start, hits, jump and stop rows).
+MAX_EVENTS = 10_000_000
 
 
 class ModelViolationError(ValueError):
@@ -41,6 +58,52 @@ class WallEvent(IntEnum):
     STOP = 4
 
 
+class _Leg(NamedTuple):
+    """A stretch of the record opened by `tag` at t0 in a box of size `box`.
+
+    Unfolded, the particle sits at s0 + v0*(t - t0) and the wall's j-th
+    image at j*(box + u*(t - t0)); the leg's wall hits are the meetings
+    j_first..j_last (odd j: right wall, even j: left wall).
+    """
+
+    tag: WallEvent
+    t0: float
+    s0: float
+    box: float
+    u: float
+    v0: float
+    j_first: int
+    j_last: int
+
+    def hit_time(self, j):
+        return self.t0 + (j * self.box - self.s0) / (self.v0 - j * self.u)
+
+
+def _leg(tag: WallEvent, t0: float, s0: float, box: float, u: float,
+         v0: float, j_first: int, t_stop: float) -> _Leg:
+    """The leg whose hits j >= j_first are those falling before t_stop."""
+    tau = t_stop - t0
+    size = box + u * tau
+    if not (size > 0 and s0 + v0 * tau < MAX_EVENTS * size):
+        raise ModelViolationError(
+            f"more than {MAX_EVENTS} wall collisions before t = {t_stop:g}")
+    leg = _Leg(tag, t0, s0, box, u, v0, j_first, j_first - 1)
+
+    def before(j):
+        # hits past speed exhaustion (v0 <= j*u) never happen
+        return v0 - j * u > 0 and leg.hit_time(j) < t_stop
+
+    # hit j precedes t_stop iff j < s(t_stop)/L(t_stop); the hit times
+    # themselves settle the rounding of that bound and exact ties, which
+    # are not logged
+    j = max(math.ceil((s0 + v0 * tau) / size) - 1, j_first - 1)
+    while j >= j_first and not before(j):
+        j -= 1
+    while before(j + 1):
+        j += 1
+    return leg._replace(j_last=j)
+
+
 @dataclass(frozen=True)
 class PistonConfig:
     """Box of initial size l0 whose right wall moves.
@@ -49,7 +112,8 @@ class PistonConfig:
     t_end).  sudden_jump: the wall teleports outward to l_end at t_jump
     (u is unused); free expansion, the particle never notices until it
     travels there.  The particle starts at the fixed wall moving right
-    at speed v0.
+    at speed v0.  A config whose record would exceed MAX_EVENTS rows is
+    rejected here, before anything is allocated.
     """
 
     l0: float
@@ -84,6 +148,54 @@ class PistonConfig:
         else:
             if self.l_end is None or self.l_end <= self.l0:
                 raise ValueError("sudden_jump needs l_end > l0 (expansion)")
+            if not 0.0 < self.jump_time < self.stop_time:
+                raise ValueError("need 0 < t_jump < t_end")
+        if self.n_events > MAX_EVENTS:
+            raise ModelViolationError(
+                f"{self.n_events} events exceed the {MAX_EVENTS}-event cap")
+
+    @property
+    def jump_time(self) -> float:
+        """t_jump, by default after four crossings of the initial box."""
+        return self.t_jump if self.t_jump is not None else 4.0 * self.l0 / self.v0
+
+    @property
+    def stop_time(self) -> float:
+        if self.t_end is not None:
+            return self.t_end
+        if self.mode == "sudden_jump":
+            return self.jump_time + 4.0 * self.l_end / self.v0
+        return (self.l_end - self.l0) / self.u
+
+    @cached_property
+    def _legs(self) -> tuple[_Leg, ...]:
+        """The record's legs: one box, or the boxes before and after a jump."""
+        if self.mode == "constant_speed":
+            return (_leg(WallEvent.INIT, 0.0, 0.0, self.l0, self.u, self.v0,
+                         1, self.stop_time),)
+        t_jump = self.jump_time
+        first = _leg(WallEvent.INIT, 0.0, 0.0, self.l0, 0.0, self.v0, 1, t_jump)
+        # distance run since the last hit, clamped so that rounding cannot
+        # put a hit of the new box before the jump
+        n = first.j_last
+        run = min(max(self.v0 * t_jump - n * self.l0, 0.0), self.l0)
+        if n % 2:  # moving left, run back from the old right wall
+            s0, j_first = 2.0 * self.l_end - (self.l0 - run), 2
+        else:
+            s0, j_first = run, 1
+        return first, _leg(WallEvent.JUMP, t_jump, s0, self.l_end, 0.0,
+                           self.v0, j_first, self.stop_time)
+
+    @property
+    def n_events(self) -> int:
+        """Rows of the record: each leg's opening row and hits, and the stop."""
+        return sum(leg.j_last - leg.j_first + 2 for leg in self._legs) + 1
+
+    @property
+    def n_right_hits(self) -> int:
+        """Right-wall (odd j) collisions before the stop time."""
+        return sum((leg.j_last + 1) // 2 - leg.j_first // 2
+                   for leg in self._legs)
 
 
 @dataclass(frozen=True)
@@ -146,70 +258,25 @@ class PistonRecord:
 
 
 def piston_simulate(cfg: PistonConfig, consts: Constants) -> PistonRecord:
-    """Exact event-driven simulation of the bouncing particle."""
-    if cfg.mode == "sudden_jump":
-        # static box of size l0, instant expansion at t_jump, stop at t_end
-        t_jump = cfg.t_jump if cfg.t_jump is not None else 4.0 * cfg.l0 / cfg.v0
-        t_end = cfg.t_end if cfg.t_end is not None else t_jump + 4.0 * cfg.l_end / cfg.v0
-        if not 0.0 < t_jump < t_end:
-            raise ValueError("need 0 < t_jump < t_end")
-        events = [(0.0, cfg.v0, cfg.l0, WallEvent.INIT)]
-        t, x, w, box = 0.0, 0.0, cfg.v0, cfg.l0
-        jumped = False
-        while True:
-            dt_next = ((box - x) / w) if w > 0 else (x / -w)
-            next_tag = WallEvent.RIGHT if w > 0 else WallEvent.LEFT
-            t_next = t + dt_next
-            if not jumped and t_next >= t_jump:
-                x += w * (t_jump - t)
-                t, box, jumped = t_jump, cfg.l_end, True
-                events.append((t, abs(w), box, WallEvent.JUMP))
-                continue
-            if t_next >= t_end:
-                x += w * (t_end - t)
-                events.append((t_end, abs(w), box, WallEvent.STOP))
-                break
-            t, x = t_next, (box if w > 0 else 0.0)
-            w = -w
-            events.append((t, abs(w), box, next_tag))
-    else:
-        u = cfg.u
-        if cfg.t_end is not None:
-            t_stop = cfg.t_end
-        else:
-            t_stop = (cfg.l_end - cfg.l0) / u
-        events = [(0.0, cfg.v0, cfg.l0, WallEvent.INIT)]
-        t, x, w = 0.0, 0.0, cfg.v0
-        max_events = 10_000_000
-        while True:
-            box = cfg.l0 + u * t
-            candidates = []
-            if w > u:
-                candidates.append(((box - x) / (w - u), WallEvent.RIGHT))
-            if w < 0:
-                candidates.append((x / -w, WallEvent.LEFT))
-            dt_next, tag = min(candidates) if candidates else (math.inf, None)
-            if t + dt_next >= t_stop:
-                dt_last = t_stop - t
-                x += w * dt_last
-                events.append((t_stop, abs(w), cfg.l0 + u * t_stop, WallEvent.STOP))
-                break
-            t += dt_next
-            x += w * dt_next
-            if tag == WallEvent.RIGHT:
-                w = 2.0 * u - w
-                x = cfg.l0 + u * t
-            else:
-                w = -w
-                x = 0.0
-            events.append((t, abs(w), cfg.l0 + u * t, tag))
-            if len(events) > max_events:
-                raise ModelViolationError("collision count exploded")
-
-    t_arr, v_arr, l_arr, tag_arr = (np.array(col) for col in zip(*events))
-    return PistonRecord(t=t_arr, speed=v_arr.astype(float),
-                        box_l=l_arr.astype(float),
-                        event=tag_arr.astype(int), cfg=cfg, consts=consts)
+    """Event log of the bouncing particle, leg by leg from the hit formula."""
+    n = cfg.n_events
+    t, speed, box_l = np.empty(n), np.empty(n), np.empty(n)
+    event = np.empty(n, dtype=int)
+    i = 0
+    for leg in cfg._legs:
+        t[i], speed[i], box_l[i], event[i] = leg.t0, leg.v0, leg.box, leg.tag
+        j = np.arange(leg.j_first, leg.j_last + 1)
+        rows = slice(i + 1, i + 1 + len(j))
+        t[rows] = leg.hit_time(j)
+        # each right-wall hit takes 2u off the speed
+        speed[rows] = np.abs(leg.v0 - 2 * ((j + 1) // 2) * leg.u)
+        box_l[rows] = leg.box + leg.u * (t[rows] - leg.t0)
+        event[rows] = np.where(j % 2 == 1, WallEvent.RIGHT, WallEvent.LEFT)
+        i = rows.stop
+    t[i], speed[i], event[i] = cfg.stop_time, speed[i - 1], WallEvent.STOP
+    box_l[i] = leg.box + leg.u * (t[i] - leg.t0)
+    return PistonRecord(t=t, speed=speed, box_l=box_l, event=event, cfg=cfg,
+                        consts=consts)
 
 
 def _cycle_pairs(rec: PistonRecord) -> tuple[np.ndarray, np.ndarray]:

@@ -78,9 +78,19 @@ class TestValidation:
          "t_end < l0/|u|"),
         ("piston", {"l0": 1.0, "v0": 1.0, "u": 0.5, "mode": "sudden_jump",
                     "scan": {"ratios": [0.01, 0.1]}}, "'u', 'mode'"),
+        ("piston", {"l0": 1.0, "v0": 1.0, "mode": "sudden_jump", "l_end": 2.0,
+                    "t_jump": 5.0, "t_end": 3.0}, "t_jump < t_end"),
+        ("piston", {"l0": 1.0, "v0": 1.0, "t_end": 1.5},
+         "second right-wall collision"),
+        ("piston", {"l0": 1.0, "v0": 1.0, "u": -0.5, "t_end": 1.99999999},
+         "10000000"),
+        ("tise", dict(TISE_WELL, n_states=1,
+                      grid={"x_min": 1.0, "x_max": -1.0, "n": 200}),
+         "x_max must exceed x_min"),
     ], ids=["tise_too_many_energies", "tise_zero_energy", "piston_no_l0",
             "piston_l_end_unreachable", "piston_collapsing_box",
-            "piston_scan_with_run_keys"])
+            "piston_scan_with_run_keys", "piston_jump_after_end",
+            "piston_one_right_hit", "piston_near_closure", "grid_reversed"])
     def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch, kind,
                                   params, named):
         def never(*args, **kwargs):

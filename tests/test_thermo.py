@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction as Q
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cpdq_lab import (
@@ -46,6 +47,75 @@ def test_config_validation():
     with pytest.raises(ModelViolationError):
         PistonConfig(l0=1.0, v0=1.0, u=-0.5, t_end=2.0)
     PistonConfig(l0=1.0, v0=1.0, u=-0.5, t_end=1.0)
+    # near closure: about 4e8 wall hits, counted and refused up front
+    with pytest.raises(ModelViolationError):
+        PistonConfig(l0=1.0, v0=1.0, u=-0.5, t_end=1.99999999)
+    with pytest.raises(ValueError):
+        PistonConfig(l0=1.0, v0=1.0, mode="sudden_jump", l_end=2.0,
+                     t_jump=5.0, t_end=3.0)
+
+
+def exact_events(l0, v0, u, t_stop, t_jump=None, l_end=None):
+    """Event-by-event reference in rational arithmetic.
+
+    The wall sits at l0 + u*t or, given t_jump, jumps from l0 to l_end
+    at t_jump.  A hit at or after t_stop is not logged; one at t_jump is
+    logged after the jump.
+    """
+    rows = [(Q(0), v0, l0, WallEvent.INIT)]
+    t, x, w, base = Q(0), Q(0), v0, l0  # the wall is at base + u*t
+    while True:
+        hits = []
+        if w > u:
+            hits.append(((base + u * t - x) / (w - u), WallEvent.RIGHT))
+        if w < 0:
+            hits.append((x / -w, WallEvent.LEFT))
+        dt, tag = min(hits) if hits else (None, None)
+        if t_jump is not None and (dt is None or t + dt >= t_jump):
+            x, t, base, t_jump = x + w * (t_jump - t), t_jump, l_end, None
+            rows.append((t, abs(w), base, WallEvent.JUMP))
+            continue
+        if dt is None or t + dt >= t_stop:
+            rows.append((t_stop, abs(w), base + u * t_stop, WallEvent.STOP))
+            return rows
+        t, x = t + dt, x + w * dt
+        w = 2 * u - w if tag == WallEvent.RIGHT else -w
+        rows.append((t, abs(w), base + u * t, tag))
+
+
+@pytest.mark.parametrize("params", [
+    dict(l0=Q(1), v0=Q(1), u=Q(1, 50), l_end=Q(2)),
+    dict(l0=Q(3, 2), v0=Q(2), u=Q(1, 13), t_end=Q(20)),
+    dict(l0=Q(2), v0=Q(3, 2), u=Q(-1, 9), t_end=Q(12)),
+    dict(l0=Q(1), v0=Q(1), u=Q(-1, 40), l_end=Q(1, 2)),
+    dict(l0=Q(5, 4), v0=Q(3), t_end=Q(7)),
+    dict(l0=Q(1), v0=Q(1), t_end=Q(10)),
+    dict(l0=Q(1), v0=Q(1), mode="sudden_jump", l_end=Q(5, 2),
+         t_jump=Q(13, 4), t_end=Q(19, 2)),
+    dict(l0=Q(1), v0=Q(1), mode="sudden_jump", l_end=Q(2)),
+    dict(l0=Q(3, 2), v0=Q(5, 4), mode="sudden_jump", l_end=Q(7, 3)),
+    # the third right-wall hit falls exactly on t_stop = 10
+    dict(l0=Q(1), v0=Q(1), u=Q(1, 10), l_end=Q(2)),
+], ids=["expand_l_end", "expand_t_end", "compress_t_end", "compress_l_end",
+        "static", "static_stop_tie", "jump_timed", "jump_default",
+        "jump_default_rational", "expand_stop_tie"])
+def test_matches_exact_event_loop(consts, params):
+    cfg = PistonConfig(**{k: float(v) if isinstance(v, Q) else v
+                          for k, v in params.items()})
+    l0, v0, l_end = params["l0"], params["v0"], params.get("l_end")
+    if cfg.mode == "sudden_jump":
+        t_jump = params.get("t_jump", 4 * l0 / v0)
+        t_stop = params.get("t_end", t_jump + 4 * l_end / v0)
+        ref = exact_events(l0, v0, Q(0), t_stop, t_jump, l_end)
+    else:
+        u = params["u"] if "u" in params else Q(0)
+        t_stop = params["t_end"] if "t_end" in params else (l_end - l0) / u
+        ref = exact_events(l0, v0, u, t_stop)
+    rec = piston_simulate(cfg, consts)
+    assert list(rec.event) == [tag for *_, tag in ref]
+    for got, col in zip((rec.t, rec.speed, rec.box_l), zip(*ref)):
+        want = np.array([float(c) for c in col])
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_sudden_jump_free_expansion(consts, jump):
@@ -197,3 +267,19 @@ def test_compression_speeds_up_isentropically(consts):
     # slow compression pumps the particle while conserving p*L
     assert rec.speed[-1] > 1.5 * rec.speed[0]
     assert abs(rec.total_delta_s()) / consts.k_boltz <= 0.05
+
+
+@given(l0=st.integers(2, 32), v0=st.integers(4, 16), u=st.integers(-31, 31),
+       t_end=st.integers(1, 32))
+def test_right_wall_count_closed_form(l0, v0, u, t_end):
+    # dyadic inputs are exact floats; hit k precedes t_end iff
+    # 2k - 1 < v0*t_end/L(t_end), counted here in rational arithmetic
+    l0, v0, u, t_end = Q(l0, 8), Q(v0, 8), Q(u, 64), Q(t_end, 4)
+    assume(l0 + u * t_end >= l0 / 4)  # keep short of closure: few events
+    reach = v0 * t_end / (l0 + u * t_end)
+    count = math.ceil((reach + 1) / 2) - 1
+    cfg = PistonConfig(l0=float(l0), v0=float(v0), u=float(u),
+                       t_end=float(t_end))
+    rec = piston_simulate(cfg, natural_units())
+    assert cfg.n_right_hits == len(rec.right_wall_indices()) == count
+    assert len(rec.t) == cfg.n_events
