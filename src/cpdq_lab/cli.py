@@ -39,7 +39,14 @@ from .quantum import (
     solve_tise,
     variational_ground_state,
 )
-from .thermo import PistonConfig, adiabatic_scan, extended_quantities, heat_theorem_residual, piston_simulate
+from .thermo import (
+    PistonConfig,
+    adiabatic_scan,
+    extended_quantities,
+    heat_theorem_residual,
+    piston_simulate,
+    scan_configs,
+)
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -111,6 +118,10 @@ def validate_scenario(cfg: dict) -> None:
         if extra:
             raise ScenarioError(f"piston scan takes no single-run "
                                 f"key(s) {extra}")
+        try:
+            scan_configs(**params["scan"], **_given(params, "l0", "v0", "m"))
+        except ValueError as exc:
+            raise ScenarioError(f"piston scan: {exc}") from None
     elif kind == "piston":
         try:
             piston = PistonConfig(**params)
@@ -137,11 +148,28 @@ def _given(params: dict, *keys: str) -> dict:
     return {k: params[k] for k in keys if k in params}
 
 
+_CSV_BLOCK_ROWS = 1000
+
+
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length columns as CSV, every value as float in %.17g.
+
+    Rows go out in blocks of _CSV_BLOCK_ROWS, each formatted by one `%` on
+    a repeated row template, so the per-float loop runs in C with the same
+    conversion as "%.17g" % float(x); the whole table is never stacked.
+    """
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    lengths = {len(c) for c in cols}
+    if len(lengths) > 1:
+        raise ValueError(f"{path}: columns differ in length "
+                         f"{sorted(lengths)}")
+    n_rows = max(lengths, default=0)
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join("%.17g" % float(x) for x in row) + "\n")
+        for i in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in cols])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_artifacts(out: Path, artifacts: dict) -> None:
@@ -211,7 +239,7 @@ def _run_piston(params, consts):
     return checks, {
         "events.csv": (
             ["t", "speed", "L", "event", "f", "S"],
-            [rec.t, rec.speed, rec.box_l, rec.event.astype(float),
+            [rec.t, rec.speed, rec.box_l, rec.event,
              rec.f_values, rec.entropy]),
         "cycles.csv": (
             ["dt", "dE", "dS", "dVol", "theta", "P", "dL_ext", "f_dot",
@@ -249,7 +277,7 @@ def _run_tise(params, consts):
         header += [f"re_psi_{n}", f"im_psi_{n}", f"prob_{n}"]
         cols += [s.values.real, s.values.imag, s.prob]
     return checks, {
-        "energies.csv": (["n", "E"], [np.arange(len(sol.energies), dtype=float),
+        "energies.csv": (["n", "E"], [np.arange(len(sol.energies)),
                                       sol.energies]),
         "states.csv": (header, cols),
     }

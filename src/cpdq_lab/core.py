@@ -218,3 +218,9 @@ def delta_q_series(p, consts: Constants) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", over="ignore"):
         dq = np.where(gap, np.nan, consts.f / np.abs(p))
     return dq, gap
+
+
+def tderiv(y: np.ndarray, dt: float) -> np.ndarray:
+    """d/dt of a uniformly sampled series: 2nd-order central differences,
+    one-sided 2nd-order at the ends."""
+    return np.gradient(y, dt, edge_order=2)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constants, DomainError, Potential, PotentialKind, delta_q_series, eval_potential
-from .variational import Trajectory, _tderiv
+from .core import Constants, DomainError, Potential, PotentialKind, delta_q_series, eval_potential, tderiv
+from .variational import Trajectory
 
 
 @dataclass(frozen=True)
@@ -156,10 +156,10 @@ def newton_uncertainty_residual(rec: TrajectoryRecord) -> np.ndarray:
     dt = traj.dt
     with np.errstate(invalid="ignore", divide="ignore"):
         log_dq = np.log(rec.delta_q_series)
-        dlog = _tderiv(log_dq, dt)
-        dqdt = _tderiv(traj.q, dt)
+        dlog = tderiv(log_dq, dt)
+        dqdt = tderiv(traj.q, dt)
         slope = np.where(np.abs(dqdt) > 0, dlog / dqdt, np.nan)
-        res = _tderiv(traj.p, dt) + traj.p * (traj.p / traj.consts.mass) * slope
+        res = tderiv(traj.p, dt) + traj.p * (traj.p / traj.consts.mass) * slope
     return res
 
 

@@ -388,22 +388,33 @@ class AdiabaticScan:
     largest_adiabatic_ratio: float | None
 
 
-def adiabatic_scan(ratios, consts: Constants, l0: float = 1.0, v0: float = 1.0,
-                   m: float = 1.0, expansion: float = 2.0,
-                   threshold: float = 1e-2) -> AdiabaticScan:
-    """Invariant violation |d ln(pL)| versus wall-speed ratio u/v0.
+def scan_configs(ratios, l0: float = 1.0, v0: float = 1.0, m: float = 1.0,
+                 expansion: float = 2.0) -> list[PistonConfig]:
+    """The runs of a wall-speed scan, one per ratio u/v0 in (0, 1).
 
-    Each run expands the box by the given factor at constant wall speed.
-    The violation uses collision-phase-aligned sampling (see
-    PistonRecord.aligned_delta_ln_pl) and grows monotonically with u/v0.
+    Each expands the box from l0 to expansion*l0 at constant wall speed
+    u = ratio*v0; a run the model cannot represent raises here.
     """
     ratios = np.asarray(ratios, dtype=float)
     if np.any(ratios >= 1.0) or np.any(ratios <= 0.0):
         raise ValueError("ratios must lie in (0, 1)")
+    return [PistonConfig(l0=l0, v0=v0, u=r * v0, m=m, l_end=expansion * l0)
+            for r in ratios]
+
+
+def adiabatic_scan(ratios, consts: Constants, threshold: float = 1e-2,
+                   **run) -> AdiabaticScan:
+    """Invariant violation |d ln(pL)| versus wall-speed ratio u/v0.
+
+    The runs are scan_configs(ratios, **run).  The violation uses
+    collision-phase-aligned sampling (see PistonRecord.aligned_delta_ln_pl)
+    and grows monotonically with u/v0.
+    """
+    configs = scan_configs(ratios, **run)
+    ratios = np.asarray(ratios, dtype=float)
     viol = np.empty_like(ratios)
     ds = np.empty_like(ratios)
-    for n, r in enumerate(ratios):
-        cfg = PistonConfig(l0=l0, v0=v0, u=r * v0, m=m, l_end=expansion * l0)
+    for n, cfg in enumerate(configs):
         rec = piston_simulate(cfg, consts)
         viol[n] = rec.aligned_delta_ln_pl()
         ds[n] = rec.total_delta_s() / consts.k_boltz

@@ -6,9 +6,9 @@ makes the action variation between *any* two instants vanish, because the
 boundary term p*delta_q is the same constant eps at both ends.  The
 operations here measure how well sampled trajectories realize that.
 
-All time derivatives of sampled series are 2nd-order central differences
-(one-sided 2nd-order at the ends) so the residual tolerances compose with
-the O(dt^2) integrator in `dynamics`.
+All time derivatives of sampled series are `core.tderiv`: 2nd-order
+central differences (one-sided 2nd-order at the ends), so the residual
+tolerances compose with the O(dt^2) integrator in `dynamics`.
 """
 
 from __future__ import annotations
@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NATURAL, Constants, DofState, GapError, Potential, eval_potential
-
-
-def _tderiv(y: np.ndarray, dt: float) -> np.ndarray:
-    return np.gradient(y, dt, edge_order=2)
+from .core import NATURAL, Constants, DofState, GapError, Potential, eval_potential, tderiv
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,7 @@ def special_variation(traj: Trajectory, epsilon: float) -> VariationSeries:
     gap = np.abs(traj.p) <= traj.consts.p_floor
     with np.errstate(divide="ignore"):
         dq = np.where(gap, np.nan, epsilon / traj.p)
-    dqdot = _tderiv(dq, traj.dt)
+    dqdot = tderiv(dq, traj.dt)
     return VariationSeries(epsilon=float(epsilon), delta_q=dq,
                            delta_qdot=dqdot, source="special", gap_mask=gap)
 
@@ -110,7 +106,7 @@ def custom_variation(traj: Trajectory, delta_q, epsilon: float) -> VariationSeri
     dq = np.asarray(delta_q, dtype=float)
     if len(dq) != len(traj):
         raise ValueError("variation length must match trajectory")
-    dqdot = _tderiv(dq, traj.dt)
+    dqdot = tderiv(dq, traj.dt)
     return VariationSeries(epsilon=float(epsilon), delta_q=dq,
                            delta_qdot=dqdot, source="custom",
                            gap_mask=np.zeros(len(dq), dtype=bool))
@@ -131,7 +127,7 @@ def first_order_dL(traj: Trajectory, var: VariationSeries) -> np.ndarray:
 def lagrange_residual(traj: Trajectory) -> np.ndarray:
     """Equation-of-motion defect d(p)/dt + V'(q), zero on actual trajectories."""
     _, dv, _ = eval_potential(traj.pot, traj.q)
-    return _tderiv(traj.p, traj.dt) + dv
+    return tderiv(traj.p, traj.dt) + dv
 
 
 def action_and_variation(traj: Trajectory, var: VariationSeries,
@@ -164,7 +160,7 @@ def action_and_variation(traj: Trajectory, var: VariationSeries,
     d_boundary = p[-1] * dq[-1] - p[0] * dq[0]
 
     _, dv, _ = eval_potential(traj.pot, q)
-    pdot = _tderiv(traj.p, traj.dt)[sl]
+    pdot = tderiv(traj.p, traj.dt)[sl]
     d_bulk = np.trapezoid((-dv - pdot) * dq, dx=traj.dt)
 
     lagr_var, _ = lagrangian_eval(q + dq, qdot + dqdot, traj.pot, traj.consts)

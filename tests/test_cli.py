@@ -2,7 +2,10 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpdq_lab import cli
 
@@ -87,10 +90,13 @@ class TestValidation:
         ("tise", dict(TISE_WELL, n_states=1,
                       grid={"x_min": 1.0, "x_max": -1.0, "n": 200}),
          "x_max must exceed x_min"),
+        ("piston", {"l0": 1, "v0": 1, "scan": {"ratios": [1e-9, 0.1]}},
+         "piston scan: more than 10000000"),
     ], ids=["tise_too_many_energies", "tise_zero_energy", "piston_no_l0",
             "piston_l_end_unreachable", "piston_collapsing_box",
             "piston_scan_with_run_keys", "piston_jump_after_end",
-            "piston_one_right_hit", "piston_near_closure", "grid_reversed"])
+            "piston_one_right_hit", "piston_near_closure", "grid_reversed",
+            "piston_scan_event_cap"])
     def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch, kind,
                                   params, named):
         def never(*args, **kwargs):
@@ -106,9 +112,29 @@ class TestValidation:
         assert not out.exists()
 
 
+def strict_csv(path: Path, header: list[str]) -> None:
+    """Every line ends in a newline, the first is the header, and every
+    other has one float-parsable field per header column."""
+    lines = path.read_text().splitlines(keepends=True)
+    assert all(line.endswith("\n") for line in lines)
+    assert lines[0] == ",".join(header) + "\n"
+    for line in lines[1:]:
+        fields = line[:-1].split(",")
+        assert len(fields) == len(header)
+        for field in fields:
+            float(field)
+
+
 class TestRun:
     @pytest.mark.parametrize("name", RUNNABLE_SCENARIOS)
-    def test_bundled_scenarios_pass(self, tmp_path, name):
+    def test_bundled_scenarios_pass(self, tmp_path, monkeypatch, name):
+        headers = {}
+        write_csv = cli.write_csv
+
+        def recording(path, header, columns):
+            headers[Path(path).name] = header
+            write_csv(path, header, columns)
+        monkeypatch.setattr(cli, "write_csv", recording)
         out = tmp_path / "out"
         assert run(name, out) == cli.EXIT_OK
         report = strict_json(out / "report.json")
@@ -118,6 +144,8 @@ class TestRun:
             assert (out / artifact).exists()
             if artifact.endswith(".json"):
                 strict_json(out / artifact)
+            else:
+                strict_csv(out / artifact, headers[artifact])
 
     def test_harmonic_pzie_scenario(self, tmp_path):
         assert run("harmonic_pzie.json", tmp_path / "out") == cli.EXIT_OK
@@ -159,6 +187,56 @@ class TestRun:
         assert "elapsed" not in report
         timing = json.loads((tmp_path / "out" / "timing.json").read_text())
         assert timing["elapsed_s"] >= 0.0
+
+
+def old_csv_rows(columns) -> str:
+    """The per-row formula write_csv replaced, kept as its reference."""
+    return "".join(",".join("%.17g" % float(x) for x in row) + "\n"
+                   for row in zip(*columns))
+
+
+B = cli._CSV_BLOCK_ROWS
+# nan, infinities, signed zeros, the smallest and the largest subnormal,
+# and the largest finite doubles
+EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+               -2.2250738585072009e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308]
+
+
+class TestWriteCsv:
+    @settings(max_examples=40, deadline=None)
+    @given(n_rows=st.sampled_from([0, 1, B - 1, B, B + 1]),
+           pools=st.lists(st.one_of(
+               st.lists(st.floats(), min_size=1, max_size=8),
+               st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
+                        max_size=8)), min_size=1, max_size=4),
+           shift=st.integers(0, 16))
+    def test_bytes_match_per_row_formula(self, tmp_path_factory, n_rows,
+                                         pools, shift):
+        # each column cycles through its drawn values; the first also
+        # walks every edge float, and each column starts at its own offset
+        pools[0] = pools[0] + EDGE_FLOATS
+        columns = [np.roll(np.resize(np.array(pool), n_rows), shift * k)
+                   for k, pool in enumerate(pools)]
+        header = [f"c{k}" for k in range(len(columns))]
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        cli.write_csv(path, header, columns)
+        expected = ",".join(header) + "\n" + old_csv_rows(columns)
+        assert path.read_bytes() == expected.encode()
+
+    def test_ragged_columns_rejected(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        with pytest.raises(ValueError, match="ragged.csv"):
+            cli.write_csv(path, ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+    def test_ragged_artifact_exits_1(self, tmp_path, monkeypatch, capsys):
+        def ragged(params, consts):
+            return [], {"t.csv": (["a", "b"], [np.zeros(3), np.zeros(2)])}
+        monkeypatch.setitem(cli.KINDS, "bounds",
+                            (cli.KINDS["bounds"][0], ragged))
+        code = run("bounds_si_1joule.json", tmp_path / "out")
+        assert code == cli.EXIT_COMPUTE
+        assert "columns differ in length" in capsys.readouterr().err
 
 
 class TestSuite:

@@ -14,7 +14,7 @@ from cpdq_lab import (
     natural_units,
     si_units,
 )
-from cpdq_lab.core import delta_q_series
+from cpdq_lab.core import delta_q_series, tderiv
 
 
 def test_natural_unit_defaults():
@@ -120,3 +120,12 @@ def test_delta_q_series_mask():
     dq, gap = delta_q_series(np.array([2.0, 1e-12, -0.5]), c)
     assert gap.tolist() == [False, True, False]
     assert dq[0] == 0.25 and np.isnan(dq[1]) and dq[2] == 1.0
+
+
+def test_tderiv_exact_on_quadratics():
+    # 2nd-order central differences, one-sided 2nd-order at both ends,
+    # differentiate a quadratic exactly at every sample
+    dt = 0.125
+    t = dt * np.arange(9)
+    d = tderiv(3.0 - 2.0 * t + 5.0 * t**2, dt)
+    assert np.allclose(d, -2.0 + 10.0 * t, rtol=0, atol=1e-12)
