@@ -184,10 +184,20 @@ def _write_artifacts(out: Path, artifacts: dict) -> None:
 
 
 def _check_rows(checks: list[Check]) -> list[dict]:
-    return [{"name": c.name, "value": float(c.value),
-             "tolerance": float(c.tolerance),
-             "comparator": c.comparator, "pass": c.passed}
+    """Report rows; a wall-clock check's value goes to timing.json instead."""
+    return [{"name": c.name, "tolerance": float(c.tolerance),
+             "comparator": c.comparator, "pass": c.passed,
+             **({} if c.wall_clock else {"value": float(c.value)})}
             for c in checks]
+
+
+def _failure(exc: Exception) -> str:
+    """One line naming the exception, its message and any solver payload."""
+    payload = "".join(
+        f" {key}={getattr(exc, key)!r}"
+        for key in ("iterations", "energy", "last_valid_index")
+        if getattr(exc, key, None) is not None)
+    return f"error: computation failed: {type(exc).__name__}: {exc}{payload}"
 
 
 def _run_trajectory(params, consts):
@@ -399,7 +409,7 @@ KINDS = {
     "variational": (_object({
         "potential": _POTENTIAL_SCHEMA,
         "grid": _GRID_SCHEMA,
-        "max_iters": {"type": "integer", "minimum": 1},
+        "max_iters": {"type": "integer", "minimum": 2},
         "tol": _POSITIVE,
     }, required=("potential", "grid")), _run_variational),
     "wkb": (_object({
@@ -478,7 +488,7 @@ def run_scenario(path: str | Path, out_dir: str | Path | None = None) -> tuple[d
             **artifacts, "report.json": report,
             "timing.json": {"elapsed_s": elapsed}})
     except Exception as exc:
-        print(f"error: computation failed: {exc}", file=sys.stderr)
+        print(_failure(exc), file=sys.stderr)
         return None, EXIT_COMPUTE
     for c in checks:
         status = "pass" if c.passed else "FAIL"
@@ -498,22 +508,26 @@ def acceptance_suite(filter_tag: str | None = None,
         if results and out_dir is not None:
             report = {"version": __version__, "criteria": [
                 {"name": name, "checks": _check_rows(checks)}
-                for name, checks in results]}
+                for name, checks, _ in results]}
+            timing = {"elapsed_s": elapsed,
+                      "criterion_s": {name: s for name, _, s in results},
+                      "wall_clock_checks": {
+                          c.name: c.value for _, checks, _ in results
+                          for c in checks if c.wall_clock}}
             _write_artifacts(Path(out_dir), {
-                "acceptance_report.json": report,
-                "timing.json": {"elapsed_s": elapsed}})
+                "acceptance_report.json": report, "timing.json": timing})
     except Exception as exc:
-        print(f"error: computation failed: {exc}", file=sys.stderr)
+        print(_failure(exc), file=sys.stderr)
         return EXIT_COMPUTE
     if not results:
         print(f"error: no criteria tagged {filter_tag!r}", file=sys.stderr)
         return EXIT_SCHEMA
 
-    width = max(len(c.name) for _, checks in results for c in checks)
-    failures = sum(not c.passed for _, checks in results for c in checks)
+    width = max(len(c.name) for _, checks, _ in results for c in checks)
+    failures = sum(not c.passed for _, checks, _ in results for c in checks)
     print(f"{'criterion/check':{width}s}  {'measured':>13s}  "
           f"{'tolerance':>13s}  status")
-    for _, checks in results:
+    for _, checks, _ in results:
         for c in checks:
             print(f"{c.name:{width}s}  {c.value:13.6g}  "
                   f"{c.comparator}{c.tolerance:12.6g}  "

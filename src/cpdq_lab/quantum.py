@@ -259,18 +259,38 @@ class VariationalResult:
     iterations: int
 
 
+# Lanczos vectors kept before an explicit restart from the current Ritz
+# vector.  On the n = 2000 oscillator 16 take 84 applications of P and 40
+# take 44; 16 keeps the solve's extra memory to 16 n floats.
+_LANCZOS_BASIS = 16
+
+
 def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
                              max_iters: int = 5000, tol: float = 1e-10,
                              tau: float = 0.01,
                              psi0: WaveFunction | None = None) -> VariationalResult:
-    """Minimize the energy functional by imaginary-time descent.
+    """Minimize the energy functional: the fixed point of imaginary-time descent.
 
-    Strang-split propagator with the exact sine-basis kinetic exponential
-    (unconditionally stable), renormalizing each step.  E is the Rayleigh
-    quotient of the same sine-basis operator the descent relaxes, so it
-    decreases monotonically and the E-change stopping rule is sound; the
-    minimum agrees with the finite-difference eigensolver to O(h^2).
+    Imaginary-time descent is power iteration on the symmetric Strang
+    propagator P = e^{-tau V/2} S e^{-tau K} S^{-1} e^{-tau V/2}, with S the
+    DST-I and the exact sine-basis kinetic exponential.  Its fixed point,
+    the dominant eigenvector of P, is found here by a Lanczos iteration on
+    the same P (full reorthogonalisation, restarted from the current Ritz
+    vector every _LANCZOS_BASIS applications), which reaches it in far
+    fewer applications than the descent's e^{-tau (E1 - E0)} per step.
+
+    E is the Rayleigh quotient of the sine-basis Hamiltonian at the Ritz
+    vector; its kinetic term comes from the sine coefficients by Parseval,
+    |dst(w)|^2 = 2 (N+1) |w|^2.  The iteration stops at the first
+    application j >= 2 of a restart cycle where E changed by less than tol
+    relative and the Lanczos residual estimate |beta_j s_j| is at most
+    tol * theta_j; an invariant subspace (beta_j at rounding level, at most
+    eps * theta_j) returns its exact Ritz pair.  `iterations` counts
+    applications of P, and max_iters caps them.  The minimum agrees with
+    the finite-difference eigensolver to O(h^2).
     """
+    if max_iters < 2:
+        raise ValueError("max_iters must be at least 2")
     x = grid.x
     h = grid.h
     if pot.kind is PotentialKind.INFINITE_WELL:
@@ -286,40 +306,62 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
     kinetic_eig = coeff * k_modes**2
 
     def rayleigh(w: np.ndarray) -> float:
-        hw = idst(kinetic_eig * dst(w, type=1), type=1) + v_int * w
-        return float((w @ hw) / (w @ w))
+        b = dst(w, type=1)
+        kinetic = (kinetic_eig @ (b * b)) / (2.0 * (n_int + 1))
+        return float((kinetic + v_int @ (w * w)) / (w @ w))
 
     if psi0 is not None:
-        u = np.real(psi0.values[1:-1]).copy()
+        u = np.real(psi0.values[1:-1])
     else:
         u = np.exp(-((x[1:-1] - 0.5 * (x[0] + x[-1])) / (0.25 * (x[-1] - x[0]))) ** 2)
-    u /= math.sqrt(float(u @ u) * h)
 
-    energy = rayleigh(u)
-    for iteration in range(1, max_iters + 1):
-        w = exp_v * u
-        w = idst(exp_t * dst(w, type=1), type=1)
-        w = exp_v * w
-        w /= math.sqrt(float(w @ w) * h)
-        new_energy = rayleigh(w)
-        u = w
-        if abs(new_energy - energy) < tol * max(abs(new_energy), 1e-300):
-            energy = new_energy
-            break
-        energy = new_energy
-    else:
-        full = np.zeros(grid.n)
-        full[1:-1] = u
-        psi = WaveFunction.normalized(grid, full)
-        raise ConvergenceError("descent hit the iteration cap", psi=psi,
-                               energy=energy, iterations=max_iters)
-
-    full = np.zeros(grid.n)
-    full[1:-1] = u
-    if full[np.argmax(np.abs(full) > 1e-3 * np.abs(full).max())] < 0:
-        full = -full
-    psi = WaveFunction.normalized(grid, full)
-    return VariationalResult(psi=psi, energy=energy, iterations=iteration)
+    # The basis is a list of n-vectors, the size of every other temporary
+    # here.  One (cap, n) block leaves a large freed hole in the heap after
+    # each solve; later allocations fragment it, and a long run's peak
+    # memory measurably rose.
+    alpha = np.empty(_LANCZOS_BASIS)
+    beta = np.empty(_LANCZOS_BASIS)
+    scratch = np.empty(n_int)
+    applications = 0
+    while True:
+        basis = [u / math.sqrt(float(u @ u))]
+        for j in range(1, _LANCZOS_BASIS + 1):
+            w = exp_v * idst(exp_t * dst(exp_v * basis[-1], type=1), type=1)
+            applications += 1
+            alpha[j - 1] = basis[-1] @ w
+            for _ in range(2):  # full reorthogonalisation, twice is enough
+                for b in basis:
+                    w -= np.multiply(b, b @ w, out=scratch)
+            beta[j - 1] = math.sqrt(float(w @ w))
+            ritz, vecs = eigh_tridiagonal(alpha[:j], beta[:j - 1], select="i",
+                                          select_range=(j - 1, j - 1))
+            theta, s = ritz[0], vecs[:, 0]
+            u = np.zeros(n_int)
+            for c, b in zip(s, basis):
+                u += np.multiply(b, c, out=scratch)
+            energy = rayleigh(u)
+            if not theta > 0.0:
+                raise ConvergenceError("the propagator underflows to zero",
+                                       energy=energy, iterations=applications)
+            done = beta[j - 1] <= np.finfo(float).eps * theta
+            if j >= 2 and not done:
+                done = (abs(energy - last) < tol * max(abs(energy), 1e-300)
+                        and abs(beta[j - 1] * s[-1]) <= tol * theta)
+            if done:
+                full = np.pad(u, 1)
+                if full[np.argmax(np.abs(full) > 1e-3 * np.abs(full).max())] < 0:
+                    full = -full
+                return VariationalResult(psi=WaveFunction.normalized(grid, full),
+                                         energy=energy, iterations=applications)
+            if applications >= max_iters:
+                raise ConvergenceError(
+                    "Lanczos hit the application cap",
+                    psi=WaveFunction.normalized(grid, np.pad(u, 1)),
+                    energy=energy, iterations=applications)
+            last = energy
+            if j < _LANCZOS_BASIS:
+                w /= beta[j - 1]
+                basis.append(w)
 
 
 def local_wkb_profile(pot: Potential, energy: float, grid: Grid1D,

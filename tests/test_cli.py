@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdq_lab import cli
+from cpdq_lab import acceptance, cli
 
 
 SCENARIOS = Path(str(resources.files("cpdq_lab") / "scenarios"))
@@ -38,6 +40,8 @@ RUNNABLE_SCENARIOS = sorted(
 
 TISE_WELL = {"potential": {"kind": "infinite_well"},
              "grid": {"x_min": 0.0, "x_max": 1.0, "n": 200}}
+HARMONIC = {"potential": {"kind": "harmonic"},
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n": 2000}}
 
 
 class TestValidation:
@@ -92,16 +96,18 @@ class TestValidation:
          "x_max must exceed x_min"),
         ("piston", {"l0": 1, "v0": 1, "scan": {"ratios": [1e-9, 0.1]}},
          "piston scan: more than 10000000"),
+        ("variational", dict(HARMONIC, max_iters=1), "minimum of 2"),
     ], ids=["tise_too_many_energies", "tise_zero_energy", "piston_no_l0",
             "piston_l_end_unreachable", "piston_collapsing_box",
             "piston_scan_with_run_keys", "piston_jump_after_end",
             "piston_one_right_hit", "piston_near_closure", "grid_reversed",
-            "piston_scan_event_cap"])
+            "piston_scan_event_cap", "variational_one_application"])
     def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch, kind,
                                   params, named):
         def never(*args, **kwargs):
             raise AssertionError("computed a rejected config")
-        for name in ("solve_tise", "piston_simulate", "adiabatic_scan"):
+        for name in ("solve_tise", "piston_simulate", "adiabatic_scan",
+                     "variational_ground_state"):
             monkeypatch.setattr(cli, name, never)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": kind, "params": params}))
@@ -172,6 +178,19 @@ class TestRun:
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) \
             == cli.EXIT_COMPUTE
+
+    def test_solver_failure_payload_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps({"kind": "variational", "params": dict(
+            HARMONIC, max_iters=3, tol=1e-16)}))
+        out = tmp_path / "o"
+        assert cli.main(["run", str(path), "--out", str(out)]) \
+            == cli.EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "ConvergenceError" in err and "iterations=3" in err
+        assert math.isfinite(float(re.search(r"energy=(\S+)", err)[1]))
+        assert not (out / "report.json").exists()
 
     def test_report_deterministic(self, tmp_path):
         run("piston_sudden_jump.json", tmp_path / "a")
@@ -252,6 +271,42 @@ class TestSuite:
 
     def test_unknown_filter(self, capsys):
         assert cli.main(["suite", "--filter", "nonsense"]) == cli.EXIT_SCHEMA
+
+    def test_suite_report_deterministic(self, tmp_path, capsys):
+        for side in ("a", "b"):
+            assert cli.main(["suite", "--out", str(tmp_path / side)]) \
+                == cli.EXIT_OK
+        report = (tmp_path / "a" / "acceptance_report.json").read_bytes()
+        assert report \
+            == (tmp_path / "b" / "acceptance_report.json").read_bytes()
+        rows = {c["name"]: c for crit in json.loads(report)["criteria"]
+                for c in crit["checks"]}
+        timing = json.loads((tmp_path / "a" / "timing.json").read_text())
+        assert sorted(timing["wall_clock_checks"]) \
+            == ["eigensolver/runtime_s", "stationarity/runtime_s"]
+        for name, seconds in timing["wall_clock_checks"].items():
+            assert "value" not in rows[name] and rows[name]["pass"] is True
+            assert 0.0 < seconds <= rows[name]["tolerance"]
+        assert len(timing["criterion_s"]) == 12
+        assert all(s > 0.0 for s in timing["criterion_s"].values())
+
+    def test_runtime_bound_still_gates(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(acceptance, "_runtime", lambda name, seconds,
+                            bound: acceptance.Check(name, 2.0 * bound, bound,
+                                                    wall_clock=True))
+        code = cli.main(["suite", "--filter", "variational",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_CHECK
+        report = json.loads((tmp_path / "acceptance_report.json").read_text())
+        rows = {c["name"]: c for crit in report["criteria"]
+                for c in crit["checks"]}
+        assert rows["stationarity/runtime_s"]["pass"] is False
+        assert "value" not in rows["stationarity/runtime_s"]
+
+    def test_tightened_stationarity_fails(self, capsys):
+        code = cli.main(["suite", "--filter", "variational",
+                         "--tighten", "1_stationarity"])
+        assert code == cli.EXIT_CHECK
 
     def test_tightened_suite_fails(self, capsys):
         code = cli.main(["suite", "--filter", "thermo",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cpdq_lab import (
     solve_tise,
     variational_ground_state,
 )
+from cpdq_lab import quantum
 from cpdq_lab.quantum import UnboundStateWarning, bohm_adiabaticity_report
 
 
@@ -91,6 +93,15 @@ class TestEigensolver:
                           1, consts).energies[0]
         ratio = abs(coarse - 0.5) / abs(fine - 0.5)
         assert 3.5 <= ratio <= 4.5
+
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_error_quarters_per_halving(self, consts, level):
+        # O(h^2): each halving of h cuts the error in E_n = n + 1/2 by 4
+        errors = [abs(solve_tise(Potential.harmonic(), Grid1D(-10.0, 10.0, n),
+                                 4, consts).energies[level] - (level + 0.5))
+                  for n in (251, 501, 1001, 2001)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
 
     def test_too_many_states(self, consts):
         with pytest.raises(ValueError):
@@ -182,7 +193,99 @@ class TestCramerRao:
         assert abs(cr_bound_check(psi, 0.25)) <= 1e-8
 
 
+def dense_descent_operators(grid, consts, tau=0.01):
+    """Strang propagator P and sine-basis Hamiltonian H of the harmonic
+    (m = omega = 1) descent on the grid interior, as dense matrices built
+    from the explicit DST-I matrix S (S @ S = 2 (N+1) I)."""
+    x = grid.x[1:-1]
+    modes = np.arange(1, len(x) + 1)
+    s = 2.0 * np.sin(np.pi * np.outer(modes, modes) / (len(x) + 1))
+    kinetic = (2.0 * consts.f**2 / consts.mass
+               * (np.pi * modes / (grid.x_max - grid.x_min)) ** 2)
+    half_v = np.exp(-0.25 * tau * x**2)
+    scale = 2.0 * (len(x) + 1)
+    p = (half_v[:, None] * (s * np.exp(-tau * kinetic)) @ s
+         * half_v[None, :]) / scale
+    h = (s * kinetic) @ s / scale + np.diag(0.5 * x**2)
+    return p, h
+
+
+@pytest.fixture(scope="module")
+def dense_ground(consts):
+    """Top eigenvector of the dense P on a 64-point grid and its energy."""
+    grid = Grid1D(-6.0, 6.0, 64)
+    p, h = dense_descent_operators(grid, consts)
+    top = np.linalg.eigh(p)[1][:, -1]
+    top *= np.sign(top.sum())
+    return grid, top, float(top @ h @ top)
+
+
 class TestVariational:
+    def test_matches_dense_propagator(self, consts, dense_ground):
+        grid, top, energy = dense_ground
+        res = variational_ground_state(Potential.harmonic(), grid, consts)
+        inner = res.psi.values.real[1:-1]
+        assert np.max(np.abs(inner / np.linalg.norm(inner) - top)) <= 1e-8
+        assert res.energy == pytest.approx(energy, rel=1e-12)
+
+    def test_well_energy_closed_form(self, consts):
+        # the sine-basis kinetic operator has sin(pi x / width) as its
+        # ground state: E = c (pi / width)^2 with c = 2 f^2 / m
+        width = 1.5
+        res = variational_ground_state(Potential.infinite_well(width),
+                                       Grid1D(0.0, width, 500), consts)
+        c = 2.0 * consts.f**2 / consts.mass
+        assert res.energy == pytest.approx(c * (math.pi / width) ** 2,
+                                           rel=1e-8)
+
+    def test_restarts_reach_the_same_fixed_point(self, consts, monkeypatch):
+        grid = Grid1D(-10.0, 10.0, 2000)
+        full = variational_ground_state(Potential.harmonic(), grid, consts)
+        assert full.iterations > quantum._LANCZOS_BASIS
+        monkeypatch.setattr(quantum, "_LANCZOS_BASIS", 8)
+        short = variational_ground_state(Potential.harmonic(), grid, consts)
+        assert short.iterations > 2 * 8
+        for res in (full, short):
+            assert abs(res.energy - 0.5) <= 1e-9
+        assert np.max(np.abs(short.psi.values - full.psi.values)) \
+            <= 1e-7 * np.max(np.abs(full.psi.values))
+
+    def test_ground_state_has_no_negative_lobe(self, consts):
+        res = variational_ground_state(Potential.harmonic(),
+                                       Grid1D(-10.0, 10.0, 2000), consts)
+        psi = res.psi.values.real
+        assert psi.min() >= -1e-8 * psi.max()
+
+    def test_bitwise_repeatable(self, consts):
+        grid = Grid1D(-10.0, 10.0, 2000)
+        a = variational_ground_state(Potential.harmonic(), grid, consts)
+        b = variational_ground_state(Potential.harmonic(), grid, consts)
+        assert a.psi.values.tobytes() == b.psi.values.tobytes()
+        assert (a.energy, a.iterations) == (b.energy, b.iterations)
+
+    def test_exact_start_stops_at_once(self, consts, dense_ground):
+        grid, top, energy = dense_ground
+        start = WaveFunction(grid=grid, values=np.pad(top, 1).astype(complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = variational_ground_state(Potential.harmonic(), grid,
+                                           consts, psi0=start)
+        assert res.iterations <= 2
+        assert res.energy == pytest.approx(energy, rel=1e-12)
+
+    def test_underflowing_propagator_raises(self, consts):
+        # tau V / 2 >= 625 at every grid point: applying P underflows to 0
+        with pytest.raises(ConvergenceError, match="underflows") as info:
+            variational_ground_state(Potential.harmonic(omega=1e5),
+                                     Grid1D(-10.0, 10.0, 2000), consts)
+        assert info.value.iterations == 1
+
+    def test_fewer_than_two_applications_rejected(self, consts):
+        with pytest.raises(ValueError, match="max_iters"):
+            variational_ground_state(Potential.harmonic(),
+                                     Grid1D(-10.0, 10.0, 200), consts,
+                                     max_iters=1)
+
     def test_harmonic(self, consts, harmonic_solution):
         res = variational_ground_state(Potential.harmonic(),
                                        Grid1D(-10.0, 10.0, 2000), consts)
@@ -211,6 +314,7 @@ class TestVariational:
                                      max_iters=3, tol=1e-16)
         assert info.value.psi is not None
         assert info.value.iterations == 3
+        assert math.isfinite(info.value.energy)
 
 
 class TestWkb:
