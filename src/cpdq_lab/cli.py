@@ -13,7 +13,6 @@ error, 3 at least one check failed.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import math
@@ -34,6 +33,7 @@ from .quantum import (
     Grid1D,
     appendix_a_consistency,
     bohm_adiabaticity_report,
+    check_grid_in_well,
     dispersion_checks,
     local_wkb_profile,
     solve_tise,
@@ -134,7 +134,8 @@ def validate_scenario(cfg: dict) -> None:
                                 "right-wall collision")
     if "grid" in params:
         try:
-            Grid1D(**params["grid"])
+            check_grid_in_well(_potential(params["potential"]),
+                               Grid1D(**params["grid"]))
         except ValueError as exc:
             raise ScenarioError(f"grid: {exc}") from None
 
@@ -538,6 +539,8 @@ def acceptance_suite(filter_tag: str | None = None,
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # only the command line parses argv
+
     parser = argparse.ArgumentParser(
         prog="cpdq-lab",
         description="scenario runner for the uncertainty-product mechanics lab")

@@ -20,6 +20,10 @@ The Fisher-information decomposition
 
 is evaluated with the product-rule gradient P' = 2 Re(psi* psi'), which
 makes it a pointwise algebraic identity for any derivative scheme.
+
+scipy is imported inside the two solvers that use it, solve_tise
+(scipy.linalg) and variational_ground_state (scipy.linalg and scipy.fft),
+so a process that never calls them starts without loading scipy.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.fft import dst, idst
 
 from .core import Constants, Potential, PotentialKind, eval_potential
 
@@ -170,6 +172,14 @@ def _quad(y: np.ndarray, h: float, periodic: bool = False) -> float:
     return float(np.trapezoid(y, dx=h))
 
 
+def check_grid_in_well(pot: Potential, grid: Grid1D) -> None:
+    """Raise ValueError if an infinite well's grid reaches past its walls."""
+    if pot.kind is PotentialKind.INFINITE_WELL:
+        lo, hi = pot.domain()
+        if grid.x_min < lo - 1e-12 or grid.x_max > hi + 1e-12:
+            raise ValueError("grid must lie inside the well")
+
+
 def solve_tise(pot: Potential, grid: Grid1D, n_states: int,
                consts: Constants) -> EigenSolution:
     """Lowest eigenpairs of -(2 f^2/m) psi'' + V psi = E psi.
@@ -177,16 +187,16 @@ def solve_tise(pot: Potential, grid: Grid1D, n_states: int,
     3-point Dirichlet finite differences; O(h^2) accurate.  States come
     back normalized, real, sign-fixed, with n nodes for state n.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
     if n_states > grid.n - 2:
         raise ValueError("n_states exceeds interior grid dimension")
     x = grid.x
     h = grid.h
+    check_grid_in_well(pot, grid)
     if pot.kind is PotentialKind.INFINITE_WELL:
-        lo, hi = pot.domain()
-        if x[0] < lo - 1e-12 or x[-1] > hi + 1e-12:
-            raise ValueError("grid must lie inside the well")
         v = np.zeros_like(x)
     else:
         v, _, _ = eval_potential(pot, x)
@@ -289,8 +299,12 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
     applications of P, and max_iters caps them.  The minimum agrees with
     the finite-difference eigensolver to O(h^2).
     """
+    from scipy.fft import dst, idst
+    from scipy.linalg import eigh_tridiagonal
+
     if max_iters < 2:
         raise ValueError("max_iters must be at least 2")
+    check_grid_in_well(pot, grid)
     x = grid.x
     h = grid.h
     if pot.kind is PotentialKind.INFINITE_WELL:

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -42,6 +45,8 @@ TISE_WELL = {"potential": {"kind": "infinite_well"},
              "grid": {"x_min": 0.0, "x_max": 1.0, "n": 200}}
 HARMONIC = {"potential": {"kind": "harmonic"},
             "grid": {"x_min": -10.0, "x_max": 10.0, "n": 2000}}
+# reaches past the default width-1 well of TISE_WELL
+WELL_OVERRUN = {"x_min": 0.0, "x_max": 2.0, "n": 200}
 
 
 class TestValidation:
@@ -97,17 +102,25 @@ class TestValidation:
         ("piston", {"l0": 1, "v0": 1, "scan": {"ratios": [1e-9, 0.1]}},
          "piston scan: more than 10000000"),
         ("variational", dict(HARMONIC, max_iters=1), "minimum of 2"),
+        ("tise", dict(TISE_WELL, n_states=1, grid=WELL_OVERRUN),
+         "grid: grid must lie inside the well"),
+        ("variational", dict(TISE_WELL, grid=WELL_OVERRUN),
+         "grid: grid must lie inside the well"),
+        ("wkb", dict(TISE_WELL, energy=1.0, grid=WELL_OVERRUN),
+         "grid: grid must lie inside the well"),
     ], ids=["tise_too_many_energies", "tise_zero_energy", "piston_no_l0",
             "piston_l_end_unreachable", "piston_collapsing_box",
             "piston_scan_with_run_keys", "piston_jump_after_end",
             "piston_one_right_hit", "piston_near_closure", "grid_reversed",
-            "piston_scan_event_cap", "variational_one_application"])
+            "piston_scan_event_cap", "variational_one_application",
+            "tise_grid_past_well", "variational_grid_past_well",
+            "wkb_grid_past_well"])
     def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch, kind,
                                   params, named):
         def never(*args, **kwargs):
             raise AssertionError("computed a rejected config")
         for name in ("solve_tise", "piston_simulate", "adiabatic_scan",
-                     "variational_ground_state"):
+                     "variational_ground_state", "local_wkb_profile"):
             monkeypatch.setattr(cli, name, never)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": kind, "params": params}))
@@ -321,3 +334,41 @@ def test_schema_subcommand_prints_valid_json(capsys):
     assert cli.main(["schema"]) == cli.EXIT_OK
     schema = json.loads(capsys.readouterr().out)
     assert schema["properties"]["kind"]["enum"]
+
+
+# Run in a fresh interpreter: which scipy modules are loaded after importing
+# the package, and again after running the scenario named in argv.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import cpdq_lab, cpdq_lab.cli
+
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.fft") if m in sys.modules]
+
+seen = [loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    _, code = cpdq_lab.cli.run_scenario(sys.argv[1], sys.argv[2])
+print(json.dumps([code, seen + [loaded()]]))
+"""
+
+
+@pytest.mark.parametrize("name,loads", [
+    ("piston_scan.json", []),
+    ("harmonic_pzie.json", []),
+    ("tise_infinite_well.json", ["scipy.linalg"]),
+])
+def test_scipy_loads_only_with_its_solvers(tmp_path, name, loads):
+    """Kinds that call no scipy solver start and run without scipy; the
+    tise run shows the probe sees the import when it happens."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(scenario_path(name)),
+         str(tmp_path)], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, (after_import, after_run) = json.loads(proc.stdout)
+    assert code == cli.EXIT_OK
+    assert after_import == []
+    assert after_run == loads

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -56,6 +57,13 @@ class TestEigensolver:
         # oracle: E_n = n^2 pi^2 hbar^2 / (2 m L^2)
         assert well_solution.energies[0] == pytest.approx(
             math.pi**2 / 2.0, rel=1e-3)
+
+    def test_grid_must_lie_inside_the_well(self, consts):
+        well = Potential.infinite_well(1.0)
+        quantum.check_grid_in_well(well, Grid1D(-1e-13, 1.0 + 1e-13, 64))
+        for grid in (Grid1D(0.0, 2.0, 200), Grid1D(-2e-12, 1.0, 64)):
+            with pytest.raises(ValueError, match="inside the well"):
+                solve_tise(well, grid, 1, consts)
 
     def test_free_particle_large_box_limit(self, consts):
         pot = Potential.free()
@@ -285,6 +293,15 @@ class TestVariational:
             variational_ground_state(Potential.harmonic(),
                                      Grid1D(-10.0, 10.0, 200), consts,
                                      max_iters=1)
+
+    def test_grid_past_the_well_rejected(self, consts, monkeypatch):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transformed before checking the grid")
+        monkeypatch.setattr(scipy.fft, "dst", no_transform)
+        monkeypatch.setattr(scipy.fft, "idst", no_transform)
+        with pytest.raises(ValueError, match="inside the well"):
+            variational_ground_state(Potential.infinite_well(1.0),
+                                     Grid1D(0.0, 2.0, 200), consts)
 
     def test_harmonic(self, consts, harmonic_solution):
         res = variational_ground_state(Potential.harmonic(),
