@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,16 +115,13 @@ def criterion_1_stationarity() -> list[Check]:
     energy = float(rec.energy_e[0])
     bound = 1e-4 * eps * energy
 
-    var = special_variation(rec.traj, eps)
-    dl = first_order_dL(rec.traj, var)
-    away = np.isfinite(dl) & (np.abs(rec.traj.p) >= 0.5 * np.abs(rec.traj.p).max())
-    max_dl = float(np.max(np.abs(dl[away])))
+    def max_dl_of(traj: Trajectory) -> float:
+        dl = first_order_dL(traj, special_variation(traj, eps))
+        away = np.isfinite(dl) & (np.abs(traj.p) >= 0.5 * np.abs(traj.p).max())
+        return float(np.max(np.abs(dl[away])))
 
-    pert = _perturbed(rec)
-    var_p = special_variation(pert, eps)
-    dl_p = first_order_dL(pert, var_p)
-    away_p = np.isfinite(dl_p) & (np.abs(pert.p) >= 0.5 * np.abs(pert.p).max())
-    max_dl_p = float(np.max(np.abs(dl_p[away_p])))
+    max_dl = max_dl_of(rec.traj)
+    max_dl_p = max_dl_of(_perturbed(rec))
     elapsed = time.perf_counter() - t0
     return [
         _le("stationarity/actual_max_dL_over_bound", max_dl / bound, 1.0),
@@ -204,7 +201,6 @@ def criterion_3_eigensolver() -> list[Check]:
 
 
 def criterion_4_cramer_rao() -> list[Check]:
-    consts = natural_units()
     checks = []
     g = Grid1D(-12.0, 12.0, 96001)
     gauss = WaveFunction.gaussian(g, sigma=1.0)
@@ -262,17 +258,20 @@ def criterion_6_appendix_a() -> list[Check]:
     ]
 
 
+# The slow constant-speed doubling and the sudden doubling of criteria 7-9.
+_SLOW_DOUBLING = PistonConfig(l0=1.0, v0=1.0, u=1e-3, l_end=2.0)
+_SUDDEN_DOUBLING = PistonConfig(l0=1.0, v0=1.0, mode="sudden_jump", l_end=2.0)
+
+
 def criterion_7_thermo_bridge() -> list[Check]:
     consts = natural_units()
     checks = []
-    jump = piston_simulate(PistonConfig(l0=1.0, v0=1.0, mode="sudden_jump",
-                                        l_end=2.0), consts)
+    jump = piston_simulate(_SUDDEN_DOUBLING, consts)
     ds_over_k = jump.total_delta_s() / consts.k_boltz
     checks.append(_le("thermo/sudden_doubling_dS_err",
                       abs(ds_over_k - LN2), 1e-9))
 
-    slow = piston_simulate(PistonConfig(l0=1.0, v0=1.0, u=1e-3, l_end=2.0),
-                           consts)
+    slow = piston_simulate(_SLOW_DOUBLING, consts)
     checks.append(_le("thermo/slow_piston_dln_pL",
                       slow.aligned_delta_ln_pl(), 5e-3))
 
@@ -282,7 +281,7 @@ def criterion_7_thermo_bridge() -> list[Check]:
     checks.append(_ge("thermo/scan_monotonicity_min_step", worst_drop, -1e-12))
 
     for name, rec in (("slow", slow), ("jump", jump)):
-        _, logres = heat_theorem_residual(rec, consts)
+        _, logres = heat_theorem_residual(rec)
         checks.append(_le(f"thermo/log_form_residual_{name}",
                           float(np.max(np.abs(logres))), 1e-12))
     return checks
@@ -291,12 +290,10 @@ def criterion_7_thermo_bridge() -> list[Check]:
 def criterion_8_extended_quantities() -> list[Check]:
     consts = natural_units()
     checks = []
-    slow = piston_simulate(PistonConfig(l0=1.0, v0=1.0, u=1e-3, l_end=2.0),
-                           consts)
-    jump = piston_simulate(PistonConfig(l0=1.0, v0=1.0, mode="sudden_jump",
-                                        l_end=2.0), consts)
-    for name, rec in (("slow", slow), ("jump", jump)):
-        ts = extended_quantities(rec, consts)
+    series = {name: extended_quantities(piston_simulate(cfg, consts))
+              for name, cfg in (("slow", _SLOW_DOUBLING),
+                                ("jump", _SUDDEN_DOUBLING))}
+    for name, ts in series.items():
         scale = np.maximum(np.abs(ts.f_dot), 1e-300)
         checks.append(_le(f"extended/{name}_dLe_vs_fdot",
                           float(np.max(np.abs(ts.d_l_ext - ts.f_dot) / scale)),
@@ -304,7 +301,7 @@ def criterion_8_extended_quantities() -> list[Check]:
         checks.append(_le(f"extended/{name}_dLe_vs_entropy_rate",
                           float(np.max(np.abs(ts.d_l_ext - ts.s_dot_based) / scale)),
                           1e-2))
-    ts = extended_quantities(slow, consts)
+    ts = series["slow"]
     checks.append(_le("extended/action_entropy_cumulative",
                       abs(ts.action_entropy_lhs - ts.delta_s_over_k)
                       / abs(ts.delta_s_over_k), 1e-2))
@@ -314,13 +311,11 @@ def criterion_8_extended_quantities() -> list[Check]:
 def criterion_9_pzie() -> list[Check]:
     consts = natural_units()
     rec = _harmonic_10_periods(consts)
-    cum = info_ledger(rec, consts).total
+    cum = info_ledger(rec).total
     checks = [_le("pzie/conservative_cumulative_bits", abs(cum), 1e-6)]
-    for name, cfg in (
-            ("slow", PistonConfig(l0=1.0, v0=1.0, u=1e-3, l_end=2.0)),
-            ("jump", PistonConfig(l0=1.0, v0=1.0, mode="sudden_jump", l_end=2.0))):
+    for name, cfg in (("slow", _SLOW_DOUBLING), ("jump", _SUDDEN_DOUBLING)):
         rec = piston_simulate(cfg, consts)
-        total = info_ledger(rec, consts).total
+        total = info_ledger(rec).total
         expected = -rec.total_delta_s() / (consts.k_boltz * LN2)
         checks.append(_le(f"pzie/piston_{name}_ledger_vs_entropy",
                           abs(total - expected), 1e-3))
@@ -362,14 +357,13 @@ def criterion_11_dispersion() -> list[Check]:
     ]
 
 
-def regime_fixture_metrics(name: str, consts=None):
+def regime_fixture_metrics(name: str, consts):
     """The four quadrant fixtures used by the regime criterion and CLI."""
-    consts = consts or natural_units()
     if name == "classical_trajectory":
         n = int(round(2.0 * math.pi / 1e-3))
         rec = integrate_hamilton(Potential.harmonic(), 100.0, 0.0,
                                  IntegratorConfig(dt=1e-3, n_steps=n), consts)
-        return trajectory_regime_metrics(rec, consts)
+        return trajectory_regime_metrics(rec)
     if name == "quantum_profile":
         pot = Potential.soft_well(50.0, 0.2)
         grid = Grid1D(-3.0, 3.0, 4001)
@@ -379,11 +373,11 @@ def regime_fixture_metrics(name: str, consts=None):
     if name == "slow_piston":
         rec = piston_simulate(PistonConfig(l0=1.0, v0=1.0, u=0.01, l_end=2.0),
                               consts)
-        return piston_regime_metrics(rec, consts)
+        return piston_regime_metrics(rec)
     if name == "fast_piston":
         rec = piston_simulate(PistonConfig(l0=1.0, v0=1.0, u=0.2, l_end=4.0),
                               consts)
-        return piston_regime_metrics(rec, consts)
+        return piston_regime_metrics(rec)
     raise ValueError(f"unknown regime fixture {name!r}")
 
 
@@ -427,12 +421,10 @@ CRITERIA = [
 ]
 
 
-def run_criteria(filter_tag: str | None = None, tighten: str | None = None):
+def run_criteria(filter_tag: str | None = None):
     """Run (a filtered subset of) the criteria.
 
-    tighten names one criterion whose first upper-bound tolerance is forced
-    to zero, a harness self-test hook proving failures are detected and
-    reported.  Returns a list of (criterion_name, [Check, ...], seconds).
+    Returns a list of (criterion_name, [Check, ...], seconds).
     """
     results = []
     for name, tags, func in CRITERIA:
@@ -441,10 +433,5 @@ def run_criteria(filter_tag: str | None = None, tighten: str | None = None):
         started = time.perf_counter()
         checks = func()
         seconds = time.perf_counter() - started
-        if tighten is not None and name == tighten:
-            for i, c in enumerate(checks):
-                if c.comparator == "<=" and c.value > 0.0:
-                    checks[i] = replace(c, tolerance=0.0)
-                    break
         results.append((name, checks, seconds))
     return results

@@ -64,19 +64,17 @@ class Constants:
         return 2.0 * math.pi * self.hbar
 
 
-def natural_units(f: float | None = None, mass: float = 1.0,
-                  p_floor: float = 1e-9) -> Constants:
-    """hbar = k_B = c = 1 (and mass 1 by default), so f defaults to 1/2."""
-    hbar = 1.0
-    return Constants(f=hbar / 2.0 if f is None else f, hbar=hbar, k_boltz=1.0,
-                     mass=mass, c=1.0, f_ref=hbar / 2.0, p_floor=p_floor)
+def natural_units() -> Constants:
+    """hbar = k_B = c = mass = 1, so f = 1/2; vary with dataclasses.replace."""
+    return Constants(f=0.5, hbar=1.0, k_boltz=1.0, mass=1.0, c=1.0,
+                     f_ref=0.5, p_floor=1e-9)
 
 
-def si_units(f: float | None = None, mass: float = SI_ELECTRON_MASS,
-             p_floor: float = 1e-40) -> Constants:
-    return Constants(f=SI_HBAR / 2.0 if f is None else f, hbar=SI_HBAR,
-                     k_boltz=SI_K_BOLTZ, mass=mass, c=SI_C,
-                     f_ref=SI_HBAR / 2.0, p_floor=p_floor)
+def si_units() -> Constants:
+    """CODATA SI values for an electron, with f = hbar/2."""
+    return Constants(f=SI_HBAR / 2.0, hbar=SI_HBAR, k_boltz=SI_K_BOLTZ,
+                     mass=SI_ELECTRON_MASS, c=SI_C, f_ref=SI_HBAR / 2.0,
+                     p_floor=1e-40)
 
 
 NATURAL = natural_units()
@@ -142,8 +140,9 @@ class Potential:
         return (-math.inf, math.inf)
 
     def contains(self, q) -> np.ndarray | bool:
+        """Whether q lies in the domain; each wall has 1e-12 of slack."""
         lo, hi = self.domain()
-        return (np.asarray(q) >= lo) & (np.asarray(q) <= hi)
+        return (np.asarray(q) >= lo - 1e-12) & (np.asarray(q) <= hi + 1e-12)
 
 
 def eval_potential(pot: Potential, q):

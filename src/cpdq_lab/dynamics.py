@@ -127,7 +127,7 @@ def integrate_hamilton(pot: Potential, q0: float, p0: float,
     return TrajectoryRecord.from_trajectory(traj)
 
 
-def cpdq_diagnostics(rec: TrajectoryRecord, consts: Constants):
+def cpdq_diagnostics(rec: TrajectoryRecord) -> float:
     """Max relative drift of the measured product |p|*delta_q from f.
 
     A self-consistency check: away from masked turning points the drift
@@ -136,8 +136,8 @@ def cpdq_diagnostics(rec: TrajectoryRecord, consts: Constants):
     ok = ~rec.gap_mask
     if not np.any(ok):
         raise ValueError("record is fully masked; no defined uncertainty band")
-    drift = np.abs(rec.f_series[ok] - consts.f) / consts.f
-    return float(drift.max()), rec.f_series
+    f = rec.traj.consts.f
+    return float((np.abs(rec.f_series[ok] - f) / f).max())
 
 
 def newton_uncertainty_residual(rec: TrajectoryRecord) -> np.ndarray:

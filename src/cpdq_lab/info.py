@@ -26,6 +26,9 @@ from .thermo import PistonRecord
 
 LN2 = math.log(2.0)
 
+# regime metrics skip samples whose kinetic energy is below this share of E
+_KINETIC_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class InfoLedger:
@@ -87,7 +90,7 @@ def _ledger_from_logs(log_dq: np.ndarray, log_p: np.ndarray) -> InfoLedger:
                       i_cumulative=np.cumsum(d_i_q + d_i_p))
 
 
-def info_ledger(rec, consts: Constants) -> InfoLedger:
+def info_ledger(rec) -> InfoLedger:
     """Per-interval position/momentum information increments, in bits.
 
     Trajectory records are reduced to their unmasked samples (increments
@@ -133,21 +136,20 @@ def regime_classify(mean_abs_d_i: float, max_step_d_i_q: float,
                         tol_zero=tol_zero, tol_small=tol_small, label=label)
 
 
-def trajectory_regime_metrics(rec: TrajectoryRecord, consts: Constants,
-                              kinetic_fraction: float = 0.1):
+def trajectory_regime_metrics(rec: TrajectoryRecord):
     """(mean |dI|, max per-crossing dI_q, max per-crossing dI_p) for a trajectory.
 
     The per-crossing increments are |V'| * delta_q / (2T) in bits, the
     fractional potential (equivalently kinetic) change across one
     uncertainty interval, evaluated away from turning points where the
-    kinetic energy is at least the given fraction of E.
+    kinetic energy is at least _KINETIC_FRACTION of E.
     """
-    ledger = info_ledger(rec, consts)
+    ledger = info_ledger(rec)
     mean_abs = float(np.mean(np.abs(ledger.d_i_q + ledger.d_i_p)))
     _, dv, _ = eval_potential(rec.traj.pot, rec.traj.q)
     two_t = 2.0 * rec.energy_t
     e_total = float(rec.energy_e[0])
-    ok = (~rec.gap_mask) & (rec.energy_t >= kinetic_fraction * e_total)
+    ok = (~rec.gap_mask) & (rec.energy_t >= _KINETIC_FRACTION * e_total)
     if not np.any(ok):
         raise ValueError("no samples clear the kinetic-fraction mask")
     crossing = np.abs(dv[ok]) * rec.delta_q_series[ok] / two_t[ok] / LN2
@@ -155,7 +157,7 @@ def trajectory_regime_metrics(rec: TrajectoryRecord, consts: Constants,
     return mean_abs, max_step, max_step
 
 
-def piston_regime_metrics(rec: PistonRecord, consts: Constants):
+def piston_regime_metrics(rec: PistonRecord):
     """Cycle-based ledger metrics for a piston record.
 
     One round trip of the particle is one crossing of the enclosure, so
@@ -165,24 +167,21 @@ def piston_regime_metrics(rec: PistonRecord, consts: Constants):
     rw = rec.right_wall_indices()
     if len(rw) < 2:
         raise ValueError("need at least two right-wall collisions")
-    log_l = np.log(rec.box_l[rw])
-    log_p = np.log(rec.momentum[rw])
-    d_i_q = -np.diff(log_l) / LN2
-    d_i_p = -np.diff(log_p) / LN2
-    return (float(np.mean(np.abs(d_i_q + d_i_p))),
-            float(np.max(np.abs(d_i_q))),
-            float(np.max(np.abs(d_i_p))))
+    steps = _ledger_from_logs(np.log(rec.box_l[rw]), np.log(rec.momentum[rw]))
+    return (float(np.mean(np.abs(steps.d_i_q + steps.d_i_p))),
+            float(np.max(np.abs(steps.d_i_q))),
+            float(np.max(np.abs(steps.d_i_p))))
 
 
-def wkb_regime_metrics(profile, keep_fraction: float = 0.1):
+def wkb_regime_metrics(profile):
     """Metrics for a stationary wave profile.
 
     A stationary state exchanges no information (mean 0); the per-crossing
     step is the semiclassical validity metric over the admitted region
-    (local kinetic energy at least keep_fraction of its max).
+    (local kinetic energy at least _KINETIC_FRACTION of its max).
     """
     k2 = profile.k_of_x**2
-    admitted = profile.allowed_mask & (k2 >= keep_fraction * np.nanmax(k2))
+    admitted = profile.allowed_mask & (k2 >= _KINETIC_FRACTION * np.nanmax(k2))
     if not np.any(admitted):
         raise ValueError("no admitted region")
     max_step = float(np.nanmax(profile.validity_metric[admitted])) / LN2

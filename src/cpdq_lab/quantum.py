@@ -173,11 +173,25 @@ def _quad(y: np.ndarray, h: float, periodic: bool = False) -> float:
 
 
 def check_grid_in_well(pot: Potential, grid: Grid1D) -> None:
-    """Raise ValueError if an infinite well's grid reaches past its walls."""
+    """Raise ValueError if the grid reaches past an infinite well's walls."""
+    if not np.all(pot.contains((grid.x_min, grid.x_max))):
+        raise ValueError("grid must lie inside the well")
+
+
+def _grid_potential(pot: Potential, grid: Grid1D) -> np.ndarray:
+    """V on the full grid, after the well check; an infinite well is V = 0
+    inside walls that the Dirichlet ends already represent."""
+    check_grid_in_well(pot, grid)
     if pot.kind is PotentialKind.INFINITE_WELL:
-        lo, hi = pot.domain()
-        if grid.x_min < lo - 1e-12 or grid.x_max > hi + 1e-12:
-            raise ValueError("grid must lie inside the well")
+        return np.zeros(grid.n)
+    return eval_potential(pot, grid.x)[0]
+
+
+def _sign_fixed(full: np.ndarray) -> np.ndarray:
+    """Deterministic sign: the first significantly nonzero lobe positive."""
+    if full[np.argmax(np.abs(full) > 1e-3 * np.abs(full).max())] < 0:
+        return -full
+    return full
 
 
 def solve_tise(pot: Potential, grid: Grid1D, n_states: int,
@@ -193,13 +207,8 @@ def solve_tise(pot: Potential, grid: Grid1D, n_states: int,
         raise ValueError("n_states must be at least 1")
     if n_states > grid.n - 2:
         raise ValueError("n_states exceeds interior grid dimension")
-    x = grid.x
     h = grid.h
-    check_grid_in_well(pot, grid)
-    if pot.kind is PotentialKind.INFINITE_WELL:
-        v = np.zeros_like(x)
-    else:
-        v, _, _ = eval_potential(pot, x)
+    v = _grid_potential(pot, grid)
     coeff = 2.0 * consts.f**2 / consts.mass
     diag = 2.0 * coeff / h**2 + v[1:-1]
     off = np.full(grid.n - 3, -coeff / h**2)
@@ -215,21 +224,21 @@ def solve_tise(pot: Potential, grid: Grid1D, n_states: int,
         full = np.zeros(grid.n)
         full[1:-1] = vecs[:, i]
         full /= math.sqrt(float(np.trapezoid(full**2, dx=h)))
-        # deterministic sign: first significantly nonzero lobe positive
-        lead = full[np.argmax(np.abs(full) > 1e-3 * np.abs(full).max())]
-        if lead < 0:
-            full = -full
+        full = _sign_fixed(full)
         states.append(WaveFunction(grid=grid, values=full.astype(complex)))
     return EigenSolution(energies=energies, states=states)
 
 
-def fisher_metrics(psi: WaveFunction, p_floor_ratio: float = 1e-14) -> FisherMetrics:
+_P_FLOOR_RATIO = 1e-14
+
+
+def fisher_metrics(psi: WaveFunction) -> FisherMetrics:
     """Classical and generalized Fisher information of an amplitude.
 
     fi_classical uses the product-rule gradient of P and a probability
-    floor (nodes of excited states make the raw integrand 0/0); the
-    decomposition residual checks that classical = generalized + the
-    non-positive phase-gradient correction.
+    floor, _P_FLOOR_RATIO of max P (nodes of excited states make the raw
+    integrand 0/0); the decomposition residual checks that classical =
+    generalized + the non-positive phase-gradient correction.
     """
     h = psi.grid.h
     d = psi.derivative()
@@ -237,7 +246,7 @@ def fisher_metrics(psi: WaveFunction, p_floor_ratio: float = 1e-14) -> FisherMet
     if not np.any(prob > 0):
         raise ValueError("zero-measure support")
     z = np.conj(psi.values) * d
-    floor = p_floor_ratio * prob.max()
+    floor = _P_FLOOR_RATIO * prob.max()
     low = prob < floor
     pf = np.maximum(prob, floor)
     # at simple zeros P'^2/P -> 4|psi'|^2 and the phase term -> 0, so the
@@ -273,11 +282,12 @@ class VariationalResult:
 # vector.  On the n = 2000 oscillator 16 take 84 applications of P and 40
 # take 44; 16 keeps the solve's extra memory to 16 n floats.
 _LANCZOS_BASIS = 16
+# tau, the imaginary-time step of the descent's propagator P
+_TAU = 0.01
 
 
 def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
                              max_iters: int = 5000, tol: float = 1e-10,
-                             tau: float = 0.01,
                              psi0: WaveFunction | None = None) -> VariationalResult:
     """Minimize the energy functional: the fixed point of imaginary-time descent.
 
@@ -304,19 +314,14 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
 
     if max_iters < 2:
         raise ValueError("max_iters must be at least 2")
-    check_grid_in_well(pot, grid)
     x = grid.x
     h = grid.h
-    if pot.kind is PotentialKind.INFINITE_WELL:
-        v = np.zeros_like(x)
-    else:
-        v, _, _ = eval_potential(pot, x)
-    v_int = v[1:-1]
+    v_int = _grid_potential(pot, grid)[1:-1]
     coeff = 2.0 * consts.f**2 / consts.mass
     n_int = grid.n - 2
     k_modes = np.pi * np.arange(1, n_int + 1) / (h * (grid.n - 1))
-    exp_v = np.exp(-0.5 * tau * v_int)
-    exp_t = np.exp(-tau * coeff * k_modes**2)
+    exp_v = np.exp(-0.5 * _TAU * v_int)
+    exp_t = np.exp(-_TAU * coeff * k_modes**2)
     kinetic_eig = coeff * k_modes**2
 
     def rayleigh(w: np.ndarray) -> float:
@@ -362,9 +367,7 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
                 done = (abs(energy - last) < tol * max(abs(energy), 1e-300)
                         and abs(beta[j - 1] * s[-1]) <= tol * theta)
             if done:
-                full = np.pad(u, 1)
-                if full[np.argmax(np.abs(full) > 1e-3 * np.abs(full).max())] < 0:
-                    full = -full
+                full = _sign_fixed(np.pad(u, 1))
                 return VariationalResult(psi=WaveFunction.normalized(grid, full),
                                          energy=energy, iterations=applications)
             if applications >= max_iters:
@@ -474,7 +477,7 @@ def dispersion_checks(params: DispersionParams, consts: Constants) -> Dispersion
 
 
 def bohm_adiabaticity_report(pot: Potential, energy: float, grid: Grid1D,
-                             consts: Constants, n_states: int = 2) -> dict:
+                             consts: Constants) -> dict:
     """Level-spacing form of the adiabatic criterion, reported not asserted.
 
     Estimates h * max|dV/dt| / (Delta E)^2 with dV/dt taken along the
@@ -486,8 +489,8 @@ def bohm_adiabaticity_report(pot: Potential, energy: float, grid: Grid1D,
     ok = profile.allowed_mask
     p_local = 2.0 * consts.f * profile.k_of_x[ok]
     dv_dt = np.abs(dv[ok]) * p_local / consts.mass
-    sol = solve_tise(pot, grid, n_states, consts)
-    spacing = float(np.min(np.diff(sol.energies))) if n_states >= 2 else float("nan")
+    sol = solve_tise(pot, grid, 2, consts)
+    spacing = float(sol.energies[1] - sol.energies[0])
     ratio = consts.h * float(np.nanmax(dv_dt)) / spacing**2 if spacing else float("inf")
     return {"max_dv_dt": float(np.nanmax(dv_dt)),
             "level_spacing": spacing,

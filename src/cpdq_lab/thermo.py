@@ -45,6 +45,9 @@ from .core import Constants
 # Largest event log a run may record (start, hits, jump and stop rows).
 MAX_EVENTS = 10_000_000
 
+# A scan run is adiabatic while its |d ln(pL)| stays below this.
+_ADIABATIC_THRESHOLD = 1e-2
+
 
 class ModelViolationError(ValueError):
     """The elastic-bounce collision model cannot represent the configuration."""
@@ -279,11 +282,17 @@ def piston_simulate(cfg: PistonConfig, consts: Constants) -> PistonRecord:
                         consts=consts)
 
 
-def _cycle_pairs(rec: PistonRecord) -> tuple[np.ndarray, np.ndarray]:
+def _cycles(rec: PistonRecord):
+    """(i, j, dE, dS, dVol, midpoint theta, midpoint P) of the round trips
+    between successive right-wall collisions i -> j."""
     rw = rec.right_wall_indices()
     if len(rw) < 2:
         raise ValueError("need at least two right-wall collisions")
-    return rw[:-1], rw[1:]
+    i, j = rw[:-1], rw[1:]
+    return (i, j, rec.kinetic[j] - rec.kinetic[i],
+            rec.entropy[j] - rec.entropy[i], rec.box_l[j] - rec.box_l[i],
+            0.5 * (rec.k_theta[i] + rec.k_theta[j]) / rec.consts.k_boltz,
+            0.5 * (rec.pressure[i] + rec.pressure[j]))
 
 
 def _log_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -294,7 +303,7 @@ def _log_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lm
 
 
-def heat_theorem_residual(rec: PistonRecord, consts: Constants):
+def heat_theorem_residual(rec: PistonRecord):
     """Check dE = theta*dS - P*dVol on round-trip cycles.
 
     Returns (residual, log_residual): the per-cycle energy defect
@@ -302,14 +311,7 @@ def heat_theorem_residual(rec: PistonRecord, consts: Constants):
     defect of d(ln f) = d(ln p) + d(ln delta_q), which is an exact
     differential of the product f = p*L and so should sit at round-off.
     """
-    if len(rec.t) < 2:
-        raise ValueError("record too short")
-    i, j = _cycle_pairs(rec)
-    d_e = rec.kinetic[j] - rec.kinetic[i]
-    d_s = rec.entropy[j] - rec.entropy[i]
-    d_vol = rec.box_l[j] - rec.box_l[i]
-    theta_mid = 0.5 * (rec.k_theta[i] + rec.k_theta[j]) / consts.k_boltz
-    p_mid = 0.5 * (rec.pressure[i] + rec.pressure[j])
+    _, _, d_e, d_s, d_vol, theta_mid, p_mid = _cycles(rec)
     residual = d_e - theta_mid * d_s + p_mid * d_vol
 
     log_f = np.log(rec.f_values)
@@ -335,7 +337,7 @@ class ThermoSeries:
     delta_s_over_k: float        # matching entropy change / k
 
 
-def extended_quantities(rec: PistonRecord, consts: Constants) -> ThermoSeries:
+def extended_quantities(rec: PistonRecord) -> ThermoSeries:
     """Extended Lagrangian/Hamiltonian increments per cycle.
 
     d_l_ext comes from its definition (interval-averaged pdot*dq + p*dqdot);
@@ -344,9 +346,8 @@ def extended_quantities(rec: PistonRecord, consts: Constants) -> ThermoSeries:
     cumulative sum of d_l_ext*dt/f tracks the entropy change in k units
     (action-entropy relation).
     """
-    if len(rec.t) < 3:
-        raise ValueError("need at least 3 recorded events")
-    i, j = _cycle_pairs(rec)
+    i, j, d_e, d_s, d_vol, theta_mid, pressure_mid = _cycles(rec)
+    k_boltz = rec.consts.k_boltz
     dt = rec.t[j] - rec.t[i]
     p_i, p_j = rec.momentum[i], rec.momentum[j]
     l_i, l_j = rec.box_l[i], rec.box_l[j]
@@ -355,22 +356,16 @@ def extended_quantities(rec: PistonRecord, consts: Constants) -> ThermoSeries:
     pdot = (p_j - p_i) / dt
     dq_mid = 0.5 * (l_i + l_j)
     p_mid = 0.5 * (p_i + p_j)
-    dqdot = (l_j - l_i) / dt
+    dqdot = d_vol / dt
     d_l_ext = pdot * dq_mid + p_mid * dqdot
 
     f_dot = (f_j - f_i) / dt
-    d_s = rec.entropy[j] - rec.entropy[i]
     s_dot = d_s / dt
     f_star = _log_mean(f_i, f_j)
-    s_dot_based = (f_star / consts.k_boltz) * s_dot
-
-    d_e = rec.kinetic[j] - rec.kinetic[i]
-    d_vol = l_j - l_i
-    theta_mid = 0.5 * (rec.k_theta[i] + rec.k_theta[j]) / consts.k_boltz
-    pressure_mid = 0.5 * (rec.pressure[i] + rec.pressure[j])
+    s_dot_based = (f_star / k_boltz) * s_dot
 
     lhs = float(np.sum(d_l_ext * dt / f_star))
-    ds_total = float((rec.entropy[j[-1]] - rec.entropy[i[0]]) / consts.k_boltz)
+    ds_total = float((rec.entropy[j[-1]] - rec.entropy[i[0]]) / k_boltz)
 
     return ThermoSeries(dt=dt, d_e=d_e, d_s=d_s, d_vol=d_vol,
                         theta=theta_mid, pressure=pressure_mid,
@@ -384,7 +379,6 @@ class AdiabaticScan:
     ratios: np.ndarray
     delta_ln_pl: np.ndarray
     delta_s_over_k: np.ndarray
-    threshold: float
     largest_adiabatic_ratio: float | None
 
 
@@ -402,13 +396,13 @@ def scan_configs(ratios, l0: float = 1.0, v0: float = 1.0, m: float = 1.0,
             for r in ratios]
 
 
-def adiabatic_scan(ratios, consts: Constants, threshold: float = 1e-2,
-                   **run) -> AdiabaticScan:
+def adiabatic_scan(ratios, consts: Constants, **run) -> AdiabaticScan:
     """Invariant violation |d ln(pL)| versus wall-speed ratio u/v0.
 
     The runs are scan_configs(ratios, **run).  The violation uses
     collision-phase-aligned sampling (see PistonRecord.aligned_delta_ln_pl)
-    and grows monotonically with u/v0.
+    and grows monotonically with u/v0; the largest adiabatic ratio is the
+    largest whose violation stays below _ADIABATIC_THRESHOLD.
     """
     configs = scan_configs(ratios, **run)
     ratios = np.asarray(ratios, dtype=float)
@@ -418,7 +412,7 @@ def adiabatic_scan(ratios, consts: Constants, threshold: float = 1e-2,
         rec = piston_simulate(cfg, consts)
         viol[n] = rec.aligned_delta_ln_pl()
         ds[n] = rec.total_delta_s() / consts.k_boltz
-    ok = np.flatnonzero(viol < threshold)
+    ok = np.flatnonzero(viol < _ADIABATIC_THRESHOLD)
     best = float(ratios[ok].max()) if len(ok) else None
     return AdiabaticScan(ratios=ratios, delta_ln_pl=viol, delta_s_over_k=ds,
-                         threshold=threshold, largest_adiabatic_ratio=best)
+                         largest_adiabatic_ratio=best)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,9 +26,9 @@ def test_natural_unit_defaults():
 
 def test_constants_reject_nonpositive():
     with pytest.raises(ValueError):
-        natural_units(f=-1.0)
+        dataclasses.replace(natural_units(), f=-1.0)
     with pytest.raises(ValueError):
-        natural_units(mass=0.0)
+        dataclasses.replace(natural_units(), mass=0.0)
 
 
 def test_harmonic_minimum():

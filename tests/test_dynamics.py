@@ -48,10 +48,10 @@ def test_linear_force_exact(consts):
 
 
 def test_cpdq_drift_definitional(consts, harmonic_record):
-    drift, f_series = cpdq_diagnostics(harmonic_record, consts)
+    drift = cpdq_diagnostics(harmonic_record)
     assert drift <= 1e-12
     ok = ~harmonic_record.gap_mask
-    assert np.allclose(f_series[ok], consts.f, rtol=1e-14)
+    assert np.allclose(harmonic_record.f_series[ok], consts.f, rtol=1e-14)
 
 
 def test_cpdq_mask_nonempty_through_turning_points(consts, harmonic_record):
@@ -176,4 +176,4 @@ def test_all_masked_record_rejected(consts):
     rec = integrate_hamilton(Potential.free(), 0.0, 0.0,
                              IntegratorConfig(dt=0.01, n_steps=10), consts)
     with pytest.raises(ValueError):
-        cpdq_diagnostics(rec, consts)
+        cpdq_diagnostics(rec)

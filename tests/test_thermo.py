@@ -144,7 +144,7 @@ def test_static_box_exact(consts):
                           consts)
     assert np.all(rec.f_values == rec.f_values[0])
     assert rec.total_delta_s() == 0.0
-    residual, log_res = heat_theorem_residual(rec, consts)
+    residual, log_res = heat_theorem_residual(rec)
     assert np.all(residual == 0.0) and np.all(log_res == 0.0)
 
 
@@ -162,7 +162,7 @@ def test_wall_position_law(consts, slow):
 
 
 def test_heat_theorem_slow(consts, slow):
-    residual, log_res = heat_theorem_residual(slow, consts)
+    residual, log_res = heat_theorem_residual(slow)
     rw = slow.right_wall_indices()
     d_e = np.diff(slow.kinetic[rw])
     assert np.max(np.abs(residual) / np.abs(d_e)) <= 1e-3
@@ -181,13 +181,13 @@ def test_energy_bookkeeping_per_cycle(consts, slow):
 
 
 def test_heat_theorem_log_form_jump(consts, jump):
-    _, log_res = heat_theorem_residual(jump, consts)
+    _, log_res = heat_theorem_residual(jump)
     assert np.max(np.abs(log_res)) <= 1e-12
 
 
 def test_heat_theorem_detects_free_expansion(consts, jump):
     # the jump cycle is irreversible: quasi-static bookkeeping must fail there
-    residual, _ = heat_theorem_residual(jump, consts)
+    residual, _ = heat_theorem_residual(jump)
     scale = jump.kinetic[0]
     assert np.max(np.abs(residual)) > 0.01 * scale
 
@@ -195,21 +195,21 @@ def test_heat_theorem_detects_free_expansion(consts, jump):
 def test_extended_quantities_static(consts):
     rec = piston_simulate(PistonConfig(l0=1.0, v0=1.0, u=0.0, t_end=10.0),
                           consts)
-    ts = extended_quantities(rec, consts)
+    ts = extended_quantities(rec)
     assert np.all(ts.d_l_ext == 0.0) and np.all(ts.d_s == 0.0)
 
 
 @pytest.mark.parametrize("fixture_name", ["slow", "jump"])
 def test_extended_quantities_identities(consts, fixture_name, request):
     rec = request.getfixturevalue(fixture_name)
-    ts = extended_quantities(rec, consts)
+    ts = extended_quantities(rec)
     scale = np.maximum(np.abs(ts.f_dot), 1e-300)
     assert np.max(np.abs(ts.d_l_ext - ts.f_dot) / scale) <= 1e-2
     assert np.max(np.abs(ts.d_l_ext - ts.s_dot_based) / scale) <= 1e-2
 
 
 def test_action_entropy_relation(consts, slow):
-    ts = extended_quantities(slow, consts)
+    ts = extended_quantities(slow)
     assert ts.action_entropy_lhs == pytest.approx(ts.delta_s_over_k, rel=1e-2)
 
 
@@ -257,7 +257,7 @@ def test_log_form_residual_any_piston(u, v0):
     rec = piston_simulate(cfg, consts)
     if len(rec.right_wall_indices()) < 2:
         return
-    _, log_res = heat_theorem_residual(rec, consts)
+    _, log_res = heat_theorem_residual(rec)
     assert np.max(np.abs(log_res)) <= 1e-12
 
 
