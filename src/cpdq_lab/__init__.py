@@ -43,7 +43,6 @@ from .thermo import (
 )
 from .quantum import (
     ConvergenceError,
-    DispersionParams,
     DispersionResult,
     EigenSolution,
     FisherMetrics,

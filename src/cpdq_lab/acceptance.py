@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import (
-    DispersionParams,
     Grid1D,
     IntegratorConfig,
     PistonConfig,
@@ -341,12 +340,9 @@ def criterion_10_rate_bounds() -> list[Check]:
 
 def criterion_11_dispersion() -> list[Check]:
     consts = natural_units()
-    rest = dispersion_checks(DispersionParams(k=0.0, m0=1.0, c=1.0, f=0.5),
-                             consts)
-    massless = dispersion_checks(DispersionParams(k=2.0, m0=0.0, c=1.0, f=0.5),
-                                 consts)
-    nr = dispersion_checks(DispersionParams(k=2.0, m0=1.0, c=1.0, f=0.5),
-                           consts)
+    rest = dispersion_checks(0.0, 1.0, consts)
+    massless = dispersion_checks(2.0, 0.0, consts)
+    nr = dispersion_checks(2.0, 1.0, consts)
     return [
         _le("dispersion/kg_residual_rest", rest.kg_residual, 1e-12),
         _le("dispersion/rest_frequency_err", abs(rest.omega_kg - 1.0), 1e-12),

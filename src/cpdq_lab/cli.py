@@ -7,8 +7,8 @@ Reports are byte-deterministic: fixed key ordering, shortest round-trip
 float repr in strict JSON, %.17g in CSV, and no timestamps -- wall-clock
 timing goes to a sibling timing.json excluded from determinism claims.
 
-Exit codes: 0 all checks pass, 1 computation error, 2 parse or schema
-error, 3 at least one check failed.
+Exit codes: 0 all checks pass, 1 computation error (a RuntimeWarning
+counts as one), 2 parse or schema error, 3 at least one check failed.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from .core import Potential, PotentialKind, natural_units, si_units
 from .dynamics import IntegratorConfig, cpdq_diagnostics, energy_budget, integrate_hamilton
 from .info import LN2, info_ledger, rate_bounds, regime_classify
 from .quantum import (
-    DispersionParams,
     Grid1D,
     appendix_a_consistency,
     bohm_adiabaticity_report,
@@ -40,6 +40,7 @@ from .quantum import (
     variational_ground_state,
 )
 from .thermo import (
+    MAX_EVENTS,
     PistonConfig,
     adiabatic_scan,
     extended_quantities,
@@ -81,7 +82,7 @@ _POTENTIAL_SCHEMA = _object({
 _GRID_SCHEMA = _object({
     "x_min": _NUMBER,
     "x_max": _NUMBER,
-    "n": {"type": "integer", "minimum": 64},
+    "n": {"type": "integer", "minimum": 64, "maximum": 1_000_000},
 }, required=("x_min", "x_max", "n"))
 
 class ScenarioError(ValueError):
@@ -114,6 +115,8 @@ def validate_scenario(cfg: dict) -> None:
                                 "values, none of them zero")
         if params["n_states"] > params["grid"]["n"] - 2:
             raise ScenarioError("n_states exceeds interior grid dimension")
+        if params["n_states"] * params["grid"]["n"] > MAX_EVENTS:
+            raise ScenarioError(f"n_states * grid n exceeds {MAX_EVENTS}")
     if kind == "trajectory" and not _potential(
             params["potential"]).contains(params["q0"]):
         raise ScenarioError("q0 lies outside the potential's domain")
@@ -124,7 +127,7 @@ def validate_scenario(cfg: dict) -> None:
             raise ScenarioError(f"piston scan takes no single-run "
                                 f"key(s) {extra}")
         try:
-            scan_configs(**params["scan"], **_given(params, "l0", "v0", "m"))
+            scan_configs(**params["scan"], **_given(params, "l0", "v0"))
         except ValueError as exc:
             raise ScenarioError(f"piston scan: {exc}") from None
     elif kind == "piston":
@@ -230,7 +233,7 @@ def _run_trajectory(params, consts):
 def _run_piston(params, consts):
     if "scan" in params:
         scan = adiabatic_scan(consts=consts, **params["scan"],
-                              **_given(params, "l0", "v0", "m"))
+                              **_given(params, "l0", "v0"))
         worst = float(np.min(np.diff(scan.delta_ln_pl)))
         table = (["ratio", "delta_ln_pL", "delta_S_over_k"],
                  [scan.ratios, scan.delta_ln_pl, scan.delta_s_over_k])
@@ -334,14 +337,13 @@ def _run_wkb(params, consts):
 
 
 def _run_dispersion(params, consts):
-    p = DispersionParams(**{"c": consts.c, "f": consts.f, **params})
-    res = dispersion_checks(p, consts)
+    res = dispersion_checks(params["k"], params["m0"], consts)
     checks = [
         Check("kg_plane_wave_residual", res.kg_residual, 1e-12),
         Check("nr_plane_wave_residual", res.nr_residual, 1e-12),
     ]
     payload = {"omega_kg": res.omega_kg, "omega_nr": res.omega_nr,
-               **dataclasses.asdict(p)}
+               "c": consts.c, "f": consts.f, **params}
     return checks, {"dispersion.json": payload}
 
 
@@ -387,7 +389,7 @@ KINDS = {
         "q0": _NUMBER,
         "p0": _NUMBER,
         "dt": _POSITIVE,
-        "n_steps": {"type": "integer", "minimum": 4},
+        "n_steps": {"type": "integer", "minimum": 4, "maximum": MAX_EVENTS},
         "energy_drift_tol": _POSITIVE,
         "pzie_tol_bits": _POSITIVE,
     }, required=("potential", "q0", "p0", "dt", "n_steps")), _run_trajectory),
@@ -395,7 +397,6 @@ KINDS = {
         "l0": _POSITIVE,
         "v0": _POSITIVE,
         "u": _NUMBER,
-        "m": _POSITIVE,
         "mode": {"enum": ["constant_speed", "sudden_jump"]},
         "l_end": _POSITIVE,
         "t_end": _POSITIVE,
@@ -428,8 +429,6 @@ KINDS = {
     "dispersion": (_object({
         "k": _NUMBER,
         "m0": _NON_NEGATIVE,
-        "c": _POSITIVE,
-        "f": _POSITIVE,
     }, required=("k", "m0")), _run_dispersion),
     "bounds": (_object({
         "energy": _POSITIVE,
@@ -494,7 +493,9 @@ def run_scenario(path: str | Path, out_dir: str | Path | None = None) -> tuple[d
     consts = dataclasses.replace(base, **cfg.get("constants", {}))
     started = time.perf_counter()
     try:
-        checks, artifacts = KINDS[cfg["kind"]][1](cfg["params"], consts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            checks, artifacts = KINDS[cfg["kind"]][1](cfg["params"], consts)
         elapsed = time.perf_counter() - started
         report = {"version": __version__, "scenario": cfg,
                   "checks": _check_rows(checks),
@@ -517,7 +518,9 @@ def acceptance_suite(filter_tag: str | None = None,
     """Run the acceptance criteria and print one row per check."""
     started = time.perf_counter()
     try:
-        results = run_criteria(filter_tag)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = run_criteria(filter_tag)
         elapsed = time.perf_counter() - started
         if results and out_dir is not None:
             report = {"version": __version__, "criteria": [

@@ -38,6 +38,8 @@ class Constants:
     """Constants of a run, in either natural or SI units.
 
     f       -- action constant of the uncertainty product |p|*delta_q = f
+    mass    -- mass of the one particle every kind models, the piston's
+               enclosed particle included
     f_ref   -- reference action fixing the entropy zero, S = k*ln(f/f_ref);
                equals hbar/2 so that S = 0 in the purely mechanical case
     p_floor -- momentum magnitude below which delta_q = f/|p| is flagged
@@ -50,7 +52,7 @@ class Constants:
     mass: float
     c: float
     f_ref: float
-    p_floor: float = 1e-9
+    p_floor: float
 
     def __post_init__(self):
         for name in ("f", "hbar", "k_boltz", "mass", "c", "f_ref"):
@@ -76,8 +78,6 @@ def si_units() -> Constants:
                      mass=SI_ELECTRON_MASS, c=SI_C, f_ref=SI_HBAR / 2.0,
                      p_floor=1e-40)
 
-
-NATURAL = natural_units()
 
 
 class PotentialKind(str, Enum):

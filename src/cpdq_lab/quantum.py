@@ -158,14 +158,6 @@ class WkbProfile:
     allowed_mask: np.ndarray
 
 
-@dataclass(frozen=True)
-class DispersionParams:
-    k: float
-    m0: float
-    c: float
-    f: float
-
-
 def _quad(y: np.ndarray, h: float, periodic: bool = False) -> float:
     if periodic:
         return float(np.sum(y[:-1]) * h)
@@ -448,15 +440,16 @@ class DispersionResult:
     nr_residual: float
 
 
-def dispersion_checks(params: DispersionParams, consts: Constants) -> DispersionResult:
+def dispersion_checks(k: float, m0: float, consts: Constants) -> DispersionResult:
     """Plane-wave residuals of the relativistic and free-particle equations.
 
     Substituting exp(i(kx - w t)) into the second-order relativistic wave
     equation gives w^2/c^2 = k^2 + (m0 c / 2f)^2; each term is evaluated
     separately and the normalized leftover is returned.  The
-    non-relativistic branch checks w = (2f) k^2 / (2m).
+    non-relativistic branch checks w = (2f) k^2 / (2m), with c, f and m
+    the run's constants.
     """
-    k, m0, c, f = params.k, params.m0, params.c, params.f
+    c, f = consts.c, consts.f
     if not math.isfinite(k):
         raise ValueError("wavenumber must be finite")
     if m0 < 0:

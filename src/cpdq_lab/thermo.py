@@ -115,22 +115,22 @@ class PistonConfig:
     t_end).  sudden_jump: the wall teleports outward to l_end at t_jump
     (u is unused); free expansion, the particle never notices until it
     travels there.  The particle starts at the fixed wall moving right
-    at speed v0.  A config whose record would exceed MAX_EVENTS rows is
-    rejected here, before anything is allocated.
+    at speed v0; its mass is that of the run's constants.  A config
+    whose record would exceed MAX_EVENTS rows, or whose wall brings the
+    particle to rest, is rejected here, before anything is allocated.
     """
 
     l0: float
     v0: float
     u: float = 0.0
-    m: float = 1.0
     mode: str = "constant_speed"
     l_end: float | None = None
     t_end: float | None = None
     t_jump: float | None = None
 
     def __post_init__(self):
-        if self.l0 <= 0 or self.v0 <= 0 or self.m <= 0:
-            raise ValueError("l0, v0 and m must be positive")
+        if self.l0 <= 0 or self.v0 <= 0:
+            raise ValueError("l0 and v0 must be positive")
         if self.mode not in ("constant_speed", "sudden_jump"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "constant_speed":
@@ -156,6 +156,13 @@ class PistonConfig:
         if self.n_events > MAX_EVENTS:
             raise ModelViolationError(
                 f"{self.n_events} events exceed the {MAX_EVENTS}-event cap")
+        if self.mode == "constant_speed" and self.u > 0.0:
+            # the k-th right-wall hit leaves speed |v0 - 2*k*u|; zero
+            # speed means f = 0 and S = -inf
+            k = round(self.v0 / (2.0 * self.u))
+            if 1 <= k <= self.n_right_hits and self.v0 - 2 * k * self.u == 0:
+                raise ModelViolationError(
+                    f"right-wall collision {k} leaves the particle at rest")
 
     @property
     def jump_time(self) -> float:
@@ -218,7 +225,7 @@ class PistonRecord:
 
     @property
     def momentum(self) -> np.ndarray:
-        return self.cfg.m * self.speed
+        return self.consts.mass * self.speed
 
     @property
     def f_values(self) -> np.ndarray:
@@ -231,7 +238,7 @@ class PistonRecord:
     @property
     def k_theta(self) -> np.ndarray:
         # p*qdot = m*v^2, twice the kinetic energy
-        return self.cfg.m * self.speed**2
+        return self.consts.mass * self.speed**2
 
     @property
     def pressure(self) -> np.ndarray:
@@ -239,7 +246,7 @@ class PistonRecord:
 
     @property
     def kinetic(self) -> np.ndarray:
-        return 0.5 * self.cfg.m * self.speed**2
+        return 0.5 * self.consts.mass * self.speed**2
 
     def right_wall_indices(self) -> np.ndarray:
         return np.flatnonzero(self.event == WallEvent.RIGHT)
@@ -382,7 +389,7 @@ class AdiabaticScan:
     largest_adiabatic_ratio: float | None
 
 
-def scan_configs(ratios, l0: float = 1.0, v0: float = 1.0, m: float = 1.0,
+def scan_configs(ratios, l0: float = 1.0, v0: float = 1.0,
                  expansion: float = 2.0) -> list[PistonConfig]:
     """The runs of a wall-speed scan, one per ratio u/v0 in (0, 1).
 
@@ -392,7 +399,7 @@ def scan_configs(ratios, l0: float = 1.0, v0: float = 1.0, m: float = 1.0,
     ratios = np.asarray(ratios, dtype=float)
     if np.any(ratios >= 1.0) or np.any(ratios <= 0.0):
         raise ValueError("ratios must lie in (0, 1)")
-    return [PistonConfig(l0=l0, v0=v0, u=r * v0, m=m, l_end=expansion * l0)
+    return [PistonConfig(l0=l0, v0=v0, u=r * v0, l_end=expansion * l0)
             for r in ratios]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NATURAL, Constants, DofState, GapError, Potential, eval_potential, tderiv
+from .core import Constants, DofState, GapError, Potential, eval_potential, tderiv
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class Trajectory:
     p: np.ndarray
     dt: float
     pot: Potential
-    consts: Constants = NATURAL
+    consts: Constants
 
     def __post_init__(self):
         n = len(self.t)
@@ -56,7 +56,7 @@ class Trajectory:
 
     @classmethod
     def from_samples(cls, t, q, p, pot: Potential,
-                     consts: Constants = NATURAL) -> "Trajectory":
+                     consts: Constants) -> "Trajectory":
         t = np.asarray(t, float)
         return cls(t=t, q=np.asarray(q, float), p=np.asarray(p, float),
                    dt=float(t[1] - t[0]), pot=pot, consts=consts)
@@ -80,8 +80,7 @@ class VariationSeries:
     gap_mask: np.ndarray
 
 
-def lagrangian_eval(q, qdot, pot: Potential,
-                    consts: Constants = NATURAL):
+def lagrangian_eval(q, qdot, pot: Potential, consts: Constants):
     """L = m*qdot^2/2 - V(q) and the conjugate momentum p = m*qdot."""
     v, _, _ = eval_potential(pot, q)
     lagr = 0.5 * consts.mass * np.asarray(qdot, float) ** 2 - v

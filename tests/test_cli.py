@@ -58,14 +58,23 @@ class TestValidation:
         assert code == cli.EXIT_SCHEMA
         assert "paramters" in capsys.readouterr().err
 
-    def test_unknown_param_key(self, tmp_path, capsys):
+    # the particle mass, c and f are set only in the constants block
+    @pytest.mark.parametrize("kind,params,key", [
+        ("bounds", {"energy": 1.0, "theta": 1.0, "extra_knob": 2},
+         "extra_knob"),
+        ("piston", {"l0": 1.0, "v0": 1.0, "u": 1e-3, "l_end": 2.0, "m": 2.0},
+         "m"),
+        ("dispersion", {"k": 1.0, "m0": 1.0, "c": 3.0}, "c"),
+        ("dispersion", {"k": 1.0, "m0": 1.0, "f": 0.5}, "f"),
+    ], ids=["bounds.extra_knob", "piston.m", "dispersion.c", "dispersion.f"])
+    def test_unknown_param_key(self, tmp_path, capsys, kind, params, key):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({
-            "kind": "bounds",
-            "params": {"energy": 1.0, "theta": 1.0, "extra_knob": 2}}))
-        code = cli.main(["run", str(bad), "--out", str(tmp_path / "o")])
+        bad.write_text(json.dumps({"kind": kind, "params": params}))
+        out = tmp_path / "o"
+        code = cli.main(["run", str(bad), "--out", str(out)])
         assert code == cli.EXIT_SCHEMA
-        assert "extra_knob" in capsys.readouterr().err
+        assert f"unknown key(s) [{key!r}]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
@@ -117,6 +126,22 @@ class TestValidation:
         ("trajectory", {"potential": {"kind": "infinite_well", "width": 1.0},
                         "q0": 2.0, "p0": 1.0, "dt": 0.01, "n_steps": 10},
          "q0 lies outside the potential's domain"),
+        # u = v0/(2k) stops the particle at right-wall hit k, which these
+        # runs reach: f = 0 and S = -inf from there on
+        ("piston", {"l0": 1, "v0": 1, "scan": {"ratios": [0.1, 0.5],
+                                                "expansion": 3}},
+         "piston scan: right-wall collision 1 leaves the particle at rest"),
+        ("piston", {"l0": 1, "v0": 1, "u": 0.25, "l_end": 20},
+         "piston: right-wall collision 2 leaves the particle at rest"),
+        ("trajectory", {"potential": {"kind": "harmonic"}, "q0": 1.0,
+                        "p0": 0.0, "dt": 1e-3, "n_steps": 10_000_001},
+         "greater than the maximum of 10000000 at n_steps"),
+        ("tise", dict(TISE_WELL, n_states=1, grid={
+            "x_min": 0.0, "x_max": 1.0, "n": 1_000_001}),
+         "greater than the maximum of 1000000 at grid/n"),
+        ("tise", {"potential": {"kind": "harmonic"},
+                  "grid": {"x_min": -5.0, "x_max": 5.0, "n": 100_000},
+                  "n_states": 99_998}, "n_states * grid n exceeds 10000000"),
     ], ids=["tise_too_many_energies", "tise_zero_energy", "piston_no_l0",
             "piston_l_end_unreachable", "piston_collapsing_box",
             "piston_scan_with_run_keys", "piston_jump_after_end",
@@ -124,7 +149,9 @@ class TestValidation:
             "piston_scan_event_cap", "variational_one_application",
             "tise_grid_past_well", "variational_grid_past_well",
             "wkb_grid_past_well", "tise_n_states_past_grid",
-            "trajectory_q0_outside_well"])
+            "trajectory_q0_outside_well", "piston_scan_stops_particle",
+            "piston_stops_particle", "trajectory_too_many_steps",
+            "tise_grid_too_large", "tise_states_too_large"])
     def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch, kind,
                                   params, named):
         def never(*args, **kwargs):
@@ -242,6 +269,30 @@ class TestRun:
         assert "ConvergenceError" in err and "iterations=3" in err
         assert math.isfinite(float(re.search(r"energy=(\S+)", err)[1]))
         assert not (out / "report.json").exists()
+
+    def test_piston_reads_constants_mass(self, tmp_path):
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps({
+            "kind": "piston", "constants": {"mass": 2.0},
+            "params": {"l0": 1.0, "v0": 1.0, "u": 1e-2, "l_end": 2.0}}))
+        out = tmp_path / "o"
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_OK
+        events = np.loadtxt(out / "events.csv", delimiter=",", skiprows=1)
+        speed, box, f = events[:, 1], events[:, 2], events[:, 4]
+        assert np.max(np.abs(f / (2.0 * speed * box) - 1.0)) \
+            <= 8 * np.finfo(float).eps
+
+    def test_dispersion_reads_constants_c(self, tmp_path):
+        path = tmp_path / "fast_light.json"
+        path.write_text(json.dumps({"kind": "dispersion",
+                                    "constants": {"c": 2.0},
+                                    "params": {"k": 3.0, "m0": 0.0}}))
+        out = tmp_path / "o"
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_OK
+        payload = strict_json(out / "dispersion.json")
+        # massless: omega = c*|k|
+        assert payload["omega_kg"] == 2.0 * 3.0
+        assert (payload["c"], payload["f"]) == (2.0, 0.5)
 
     def test_report_deterministic(self, tmp_path):
         run("piston_sudden_jump.json", tmp_path / "a")
@@ -428,6 +479,31 @@ def test_scipy_loads_only_with_its_solvers(tmp_path, name, loads):
     assert after_run == loads
 
 
+@pytest.mark.parametrize("cfg", [
+    {"kind": "tise", "params": dict(TISE_WELL, n_states=1,
+                                    expected_energies=[1e-310])},
+    {"kind": "trajectory", "units": "si", "params": {
+        "potential": {"kind": "harmonic"}, "q0": 1.0, "p0": 0.0,
+        "dt": 1e-3, "n_steps": 1000}},
+], ids=["tise_tiny_expected_energy", "trajectory_si_electron_blowup"])
+def test_runtime_warning_is_one_exit_1_line(tmp_path, cfg):
+    """A RuntimeWarning ends the run as a computation error.  Run in a
+    fresh interpreter, where warnings print unless the CLI turns them
+    into errors (pytest's own filter would hide the difference)."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpdq_lab.cli", "run", str(path),
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_COMPUTE
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "RuntimeWarning" in lines[0], lines
+
+
 # Schema fuzz: configs the schema admits, bounded so that no run is slow
 # (n_steps <= 2000, grid n <= 256, scan ratios >= 1e-3, |u| <= v0/2).
 def _finite(lo, hi):
@@ -480,9 +556,7 @@ def _tise(draw):
 @st.composite
 def _piston(draw):
     v0 = draw(_finite(0.2, 4))
-    params = {"l0": draw(_finite(0.5, 4)), "v0": v0,
-              **draw(st.fixed_dictionaries({}, optional={
-                  "m": _finite(0.2, 5)}))}
+    params = {"l0": draw(_finite(0.5, 4)), "v0": v0}
     if draw(st.booleans()):
         params["scan"] = draw(st.fixed_dictionaries(
             {"ratios": st.lists(_finite(1e-3, 0.99), min_size=2, max_size=4)},
@@ -498,25 +572,27 @@ def _piston(draw):
         {}, optional={"l_end": _finite(0.2, 4), "t_end": _finite(0.1, 20)}))}
 
 
-def _config(kind, params):
+def _config(kind, params, **constants):
+    optional = {"units": st.sampled_from(["natural", "si"])}
+    if constants:
+        optional["constants"] = st.fixed_dictionaries({}, optional=constants)
     return st.fixed_dictionaries(
-        {"kind": st.just(kind), "params": params},
-        optional={"units": st.sampled_from(["natural", "si"])})
+        {"kind": st.just(kind), "params": params}, optional=optional)
 
 
 _CONFIGS = st.one_of(
     _config("bounds", st.fixed_dictionaries(
         {"energy": _POSITIVE, "theta": _POSITIVE})),
     _config("dispersion", st.fixed_dictionaries(
-        {"k": _finite(-1e300, 1e300), "m0": _finite(0, 1e300)},
-        optional={"c": _POSITIVE, "f": _POSITIVE})),
+        {"k": _finite(-1e300, 1e300), "m0": _finite(0, 1e300)}),
+        c=_POSITIVE, f=_POSITIVE),
     _config("regime", st.fixed_dictionaries(
         {"metrics": st.fixed_dictionaries({
             key: _finite(0, 1e300) for key in
             ("mean_abs_d_i", "max_step_d_i_q", "max_step_d_i_p")})},
         optional={"thresholds": st.lists(_POSITIVE, min_size=2,
                                          max_size=2)})),
-    _config("piston", _piston()),
+    _config("piston", _piston(), mass=_finite(0.2, 5)),
     _config("trajectory", _trajectory()),
     _config("tise", _tise()))
 

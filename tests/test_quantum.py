@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from cpdq_lab import (
     ConvergenceError,
-    DispersionParams,
     Grid1D,
     Potential,
     WaveFunction,
@@ -394,28 +394,24 @@ class TestForceRecovery:
 
 class TestDispersion:
     def test_rest_frequency(self, consts):
-        res = dispersion_checks(DispersionParams(k=0.0, m0=1.0, c=1.0, f=0.5),
-                                consts)
+        res = dispersion_checks(0.0, 1.0, consts)
         # omega(k=0) = m0 c^2 / (2f) = m0 c^2 / hbar
         assert res.omega_kg == pytest.approx(1.0, abs=1e-15)
         assert res.kg_residual <= 1e-12
 
     def test_massless_light_cone(self, consts):
-        res = dispersion_checks(DispersionParams(k=3.0, m0=0.0, c=2.0, f=0.5),
-                                consts)
+        res = dispersion_checks(3.0, 0.0, replace(consts, c=2.0))
         assert res.omega_kg == pytest.approx(6.0, rel=1e-15)
 
     def test_nonrelativistic_branch(self, consts):
-        res = dispersion_checks(DispersionParams(k=2.0, m0=1.0, c=1.0, f=0.5),
-                                consts)
+        res = dispersion_checks(2.0, 1.0, consts)
         # hbar k^2 / 2m with hbar = 2f = 1, m = 1
         assert res.omega_nr == pytest.approx(2.0, abs=1e-15)
         assert res.nr_residual <= 1e-12
 
     def test_rejects_negative_mass(self, consts):
         with pytest.raises(ValueError):
-            dispersion_checks(DispersionParams(k=1.0, m0=-1.0, c=1.0, f=0.5),
-                              consts)
+            dispersion_checks(1.0, -1.0, consts)
 
 
 def test_bohm_report_fields(consts):

@@ -15,7 +15,7 @@ from cpdq_lab import (
     natural_units,
     piston_simulate,
 )
-from cpdq_lab.thermo import WallEvent
+from cpdq_lab.thermo import WallEvent, scan_configs
 
 
 @pytest.fixture(scope="module")
@@ -278,8 +278,32 @@ def test_right_wall_count_closed_form(l0, v0, u, t_end):
     assume(l0 + u * t_end >= l0 / 4)  # keep short of closure: few events
     reach = v0 * t_end / (l0 + u * t_end)
     count = math.ceil((reach + 1) / 2) - 1
-    cfg = PistonConfig(l0=float(l0), v0=float(v0), u=float(u),
-                       t_end=float(t_end))
+    kwargs = dict(l0=float(l0), v0=float(v0), u=float(u), t_end=float(t_end))
+    if any(v0 == 2 * k * u for k in range(1, count + 1)):
+        # the particle would stop at a right-wall hit before t_end
+        with pytest.raises(ModelViolationError, match="at rest"):
+            PistonConfig(**kwargs)
+        return
+    cfg = PistonConfig(**kwargs)
     rec = piston_simulate(cfg, natural_units())
     assert cfg.n_right_hits == len(rec.right_wall_indices()) == count
     assert len(rec.t) == cfg.n_events
+
+
+def test_wall_that_stops_particle_rejected():
+    # oracle: the exact event loop brings v0 = 1 to rest at the second
+    # right-wall hit of a wall moving at u = 1/4 (speed 1 - 2*2/4 = 0)
+    ref = exact_events(Q(1), Q(1), Q(1, 4), Q(76))
+    assert [w for _, w, _, tag in ref if tag == WallEvent.RIGHT][1] == 0
+    with pytest.raises(ModelViolationError,
+                       match="right-wall collision 2 leaves the particle "
+                             "at rest"):
+        PistonConfig(l0=1.0, v0=1.0, u=0.25, l_end=20.0)
+    for ratios, expansion in (([0.1, 0.5], 3.0), ([0.1], 20.0)):
+        with pytest.raises(ModelViolationError, match="at rest"):
+            scan_configs(ratios, expansion=expansion)
+    # the stopping hit k falls at L = 2k*l0: a run ending there, or
+    # before it, keeps a moving particle
+    for u, l_end in ((0.25, 4.0), (0.5, 2.0)):
+        cfg = PistonConfig(l0=1.0, v0=1.0, u=u, l_end=l_end)
+        assert np.all(piston_simulate(cfg, natural_units()).speed > 0)

@@ -28,19 +28,19 @@ def analytic_harmonic(consts, t0=0.0, t1=math.pi, dt=1e-3):
                                    Potential.harmonic(), consts)
 
 
-def test_lagrangian_free():
-    lagr, p = lagrangian_eval(3.7, 2.0, Potential.free())
+def test_lagrangian_free(consts):
+    lagr, p = lagrangian_eval(3.7, 2.0, Potential.free(), consts)
     assert (lagr, p) == (2.0, 2.0)
 
 
-def test_lagrangian_at_rest():
-    lagr, p = lagrangian_eval(1.0, 0.0, Potential.harmonic(1, 1))
+def test_lagrangian_at_rest(consts):
+    lagr, p = lagrangian_eval(1.0, 0.0, Potential.harmonic(1, 1), consts)
     assert (lagr, p) == (-0.5, 0.0)
 
 
-def test_lagrangian_closed_form():
+def test_lagrangian_closed_form(consts):
     # oracle: qdot^2/2 - omega^2 q^2/2 = 4.5 - 2 for omega=2, q=1, qdot=3
-    lagr, p = lagrangian_eval(1.0, 3.0, Potential.harmonic(1, 2))
+    lagr, p = lagrangian_eval(1.0, 3.0, Potential.harmonic(1, 2), consts)
     assert (lagr, p) == (2.5, 3.0)
 
 
