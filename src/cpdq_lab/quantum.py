@@ -22,8 +22,8 @@ is evaluated with the product-rule gradient P' = 2 Re(psi* psi'), which
 makes it a pointwise algebraic identity for any derivative scheme.
 
 scipy is imported inside the two solvers that use it, solve_tise
-(scipy.linalg) and variational_ground_state (scipy.linalg and scipy.fft),
-so a process that never calls them starts without loading scipy.
+(scipy.linalg) and variational_ground_state (scipy.fft only), so a process
+that never calls them starts without loading scipy.
 """
 
 from __future__ import annotations
@@ -270,10 +270,14 @@ class VariationalResult:
     iterations: int
 
 
-# Lanczos vectors kept before an explicit restart from the current Ritz
-# vector.  On the n = 2000 oscillator 16 take 84 applications of P and 40
-# take 44; 16 keeps the solve's extra memory to 16 n floats.
+# Lanczos vectors held at once.  A full basis restarts from its top
+# _THICK_KEEP Ritz vectors and the residual direction (a thick restart).
+# On the n = 2000 oscillator that takes 48 applications of P, where an
+# explicit restart from the top Ritz vector alone took 84 and an
+# unrestarted basis 43; 16 keeps the solve's extra memory to about 16 n
+# floats.
 _LANCZOS_BASIS = 16
+_THICK_KEEP = 4
 # tau, the imaginary-time step of the descent's propagator P
 _TAU = 0.01
 
@@ -287,22 +291,31 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
     propagator P = e^{-tau V/2} S e^{-tau K} S^{-1} e^{-tau V/2}, with S the
     DST-I and the exact sine-basis kinetic exponential.  Its fixed point,
     the dominant eigenvector of P, is found here by a Lanczos iteration on
-    the same P (full reorthogonalisation, restarted from the current Ritz
-    vector every _LANCZOS_BASIS applications), which reaches it in far
-    fewer applications than the descent's e^{-tau (E1 - E0)} per step.
+    the same P, which reaches it in far fewer applications than the
+    descent's e^{-tau (E1 - E0)} per step.  Every new Lanczos vector is
+    reorthogonalised twice against the whole basis.  When the basis holds
+    _LANCZOS_BASIS vectors it restarts thick (Wu and Simon, SIAM J. Matrix
+    Anal. Appl. 22 (2000) 602): the top _THICK_KEEP Ritz vectors and the
+    normalised residual are kept, so the projected matrix is an arrowhead
+    (the kept Ritz values, coupled to the residual direction through its
+    Gram-Schmidt coefficients) followed by a tridiagonal, and its Ritz
+    pairs come from a dense symmetric eigensolve.
 
-    E is the Rayleigh quotient of the sine-basis Hamiltonian at the Ritz
-    vector; its kinetic term comes from the sine coefficients by Parseval,
-    |dst(w)|^2 = 2 (N+1) |w|^2.  The iteration stops at the first
-    application j >= 2 of a restart cycle where E changed by less than tol
-    relative and the Lanczos residual estimate |beta_j s_j| is at most
-    tol * theta_j; an invariant subspace (beta_j at rounding level, at most
+    E is the Rayleigh quotient of the sine-basis Hamiltonian at the top
+    Ritz vector; its kinetic term comes from the sine coefficients by
+    Parseval, |dst(w)|^2 = 2 (N+1) |w|^2.  An application of P costs two
+    transforms; E costs a third and is evaluated only where the answer
+    needs it.  From the second application on, the iteration stops at the
+    first application j where the Lanczos residual estimate |beta_j s_j| is
+    at most tol * theta_j and E changed by less than tol relative from the
+    previous application's Ritz vector; E is evaluated only once the first
+    test holds.  An invariant subspace (beta_j at rounding level, at most
     eps * theta_j) returns its exact Ritz pair.  `iterations` counts
-    applications of P, and max_iters caps them.  The minimum agrees with
-    the finite-difference eigensolver to O(h^2).
+    applications of P, and max_iters caps them; an underflow to zero or the
+    cap raises ConvergenceError with the last Ritz vector and its E.  The
+    minimum agrees with the finite-difference eigensolver to O(h^2).
     """
     from scipy.fft import dst, idst
-    from scipy.linalg import eigh_tridiagonal
 
     if max_iters < 2:
         raise ValueError("max_iters must be at least 2")
@@ -321,6 +334,12 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
         kinetic = (kinetic_eig @ (b * b)) / (2.0 * (n_int + 1))
         return float((kinetic + v_int @ (w * w)) / (w @ w))
 
+    def ritz(s: np.ndarray) -> np.ndarray:
+        u = np.zeros(n_int)
+        for c, b in zip(s, basis):
+            u += np.multiply(b, c, out=scratch)
+        return u
+
     if psi0 is not None:
         u = np.real(psi0.values[1:-1])
     else:
@@ -330,47 +349,66 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
     # here.  One (cap, n) block leaves a large freed hole in the heap after
     # each solve; later allocations fragment it, and a long run's peak
     # memory measurably rose.
-    alpha = np.empty(_LANCZOS_BASIS)
-    beta = np.empty(_LANCZOS_BASIS)
+    basis = [u / math.sqrt(float(u @ u))]
+    proj = np.zeros((_LANCZOS_BASIS, _LANCZOS_BASIS))  # P on the basis
+    gs = np.empty(_LANCZOS_BASIS)
     scratch = np.empty(n_int)
+    kept = 0  # Ritz vectors kept by the last restart
+    prev = last = None  # previous application's Ritz coefficients and E
     applications = 0
     while True:
-        basis = [u / math.sqrt(float(u @ u))]
-        for j in range(1, _LANCZOS_BASIS + 1):
-            w = exp_v * idst(exp_t * dst(exp_v * basis[-1], type=1), type=1)
-            applications += 1
-            alpha[j - 1] = basis[-1] @ w
-            for _ in range(2):  # full reorthogonalisation, twice is enough
-                for b in basis:
-                    w -= np.multiply(b, b @ w, out=scratch)
-            beta[j - 1] = math.sqrt(float(w @ w))
-            ritz, vecs = eigh_tridiagonal(alpha[:j], beta[:j - 1], select="i",
-                                          select_range=(j - 1, j - 1))
-            theta, s = ritz[0], vecs[:, 0]
-            u = np.zeros(n_int)
-            for c, b in zip(s, basis):
-                u += np.multiply(b, c, out=scratch)
+        m = len(basis)
+        w = exp_v * idst(exp_t * dst(exp_v * basis[-1], type=1), type=1)
+        applications += 1
+        proj[m - 1, m - 1] = basis[-1] @ w
+        gs[:m] = 0.0
+        for _ in range(2):  # full reorthogonalisation, twice is enough
+            for i, b in enumerate(basis):
+                c = b @ w
+                w -= np.multiply(b, c, out=scratch)
+                gs[i] += c
+        if m - 1 == kept:
+            proj[kept, :kept] = proj[:kept, kept] = gs[:kept]
+        beta = math.sqrt(float(w @ w))
+        thetas, vecs = np.linalg.eigh(proj[:m, :m])
+        theta, s = thetas[-1], vecs[:, -1]
+        if not theta > 0.0:
+            raise ConvergenceError("the propagator underflows to zero",
+                                   energy=rayleigh(ritz(s)),
+                                   iterations=applications)
+        u = energy = None
+        done = beta <= np.finfo(float).eps * theta
+        if not done and prev is not None and abs(beta * s[-1]) <= tol * theta:
+            u = ritz(s)
             energy = rayleigh(u)
-            if not theta > 0.0:
-                raise ConvergenceError("the propagator underflows to zero",
-                                       energy=energy, iterations=applications)
-            done = beta[j - 1] <= np.finfo(float).eps * theta
-            if j >= 2 and not done:
-                done = (abs(energy - last) < tol * max(abs(energy), 1e-300)
-                        and abs(beta[j - 1] * s[-1]) <= tol * theta)
+            if last is None:
+                last = rayleigh(ritz(prev))
+            done = abs(energy - last) < tol * max(abs(energy), 1e-300)
+        last = energy
+        if done or applications >= max_iters:
+            if u is None:
+                u = ritz(s)
+                energy = rayleigh(u)
             if done:
                 full = _sign_fixed(np.pad(u, 1))
                 return VariationalResult(psi=WaveFunction.normalized(grid, full),
                                          energy=energy, iterations=applications)
-            if applications >= max_iters:
-                raise ConvergenceError(
-                    "Lanczos hit the application cap",
-                    psi=WaveFunction.normalized(grid, np.pad(u, 1)),
-                    energy=energy, iterations=applications)
-            last = energy
-            if j < _LANCZOS_BASIS:
-                w /= beta[j - 1]
-                basis.append(w)
+            raise ConvergenceError(
+                "Lanczos hit the application cap",
+                psi=WaveFunction.normalized(grid, np.pad(u, 1)),
+                energy=energy, iterations=applications)
+        w /= beta
+        if m < _LANCZOS_BASIS:
+            proj[m - 1, m] = proj[m, m - 1] = beta
+            basis.append(w)
+            prev = s
+            continue
+        # thick restart: the top Ritz vectors, best first, then the residual
+        basis = [ritz(y) for y in vecs[:, :-_THICK_KEEP - 1:-1].T] + [w]
+        kept = _THICK_KEEP
+        proj[:] = 0.0
+        proj[:kept, :kept] = np.diag(thetas[:-kept - 1:-1])
+        prev = np.ones(1)
 
 
 def local_wkb_profile(pot: Potential, energy: float, grid: Grid1D,

@@ -441,6 +441,15 @@ def test_schema_subcommand_prints_valid_json(capsys):
     assert schema["properties"]["kind"]["enum"]
 
 
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a new interpreter that imports this package."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 # Run in a fresh interpreter: which scipy modules are loaded after importing
 # the package, and again after running the scenario named in argv.
 SCIPY_PROBE = """
@@ -461,22 +470,33 @@ print(json.dumps([code, seen + [loaded()]]))
     ("piston_scan.json", []),
     ("harmonic_pzie.json", []),
     ("tise_infinite_well.json", ["scipy.linalg"]),
+    # the variational runner also calls solve_tise for its reference
+    ("variational_harmonic.json", ["scipy.linalg", "scipy.fft"]),
 ])
 def test_scipy_loads_only_with_its_solvers(tmp_path, name, loads):
     """Kinds that call no scipy solver start and run without scipy; the
     tise run shows the probe sees the import when it happens."""
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, str(scenario_path(name)),
-         str(tmp_path)], env=env, capture_output=True, text=True,
-        timeout=120)
+    proc = fresh_python("-c", SCIPY_PROBE, str(scenario_path(name)),
+                        str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     code, (after_import, after_run) = json.loads(proc.stdout)
     assert code == cli.EXIT_OK
     assert after_import == []
     assert after_run == loads
+
+
+def test_variational_solver_loads_scipy_fft_only():
+    """The ground-state solve takes its Ritz pairs from numpy, so of scipy
+    it loads only the transforms."""
+    proc = fresh_python("-c", """
+import sys
+from cpdq_lab import Grid1D, Potential, natural_units, variational_ground_state
+variational_ground_state(Potential.harmonic(), Grid1D(-6.0, 6.0, 200),
+                         natural_units())
+print(sorted(m for m in ("scipy.linalg", "scipy.fft") if m in sys.modules))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['scipy.fft']"]
 
 
 @pytest.mark.parametrize("cfg", [
@@ -492,13 +512,8 @@ def test_runtime_warning_is_one_exit_1_line(tmp_path, cfg):
     into errors (pytest's own filter would hide the difference)."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "cpdq_lab.cli", "run", str(path),
-         "--out", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = fresh_python("-m", "cpdq_lab.cli", "run", str(path),
+                        "--out", str(tmp_path / "o"))
     assert proc.returncode == cli.EXIT_COMPUTE
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "RuntimeWarning" in lines[0], lines

@@ -258,6 +258,28 @@ class TestVariational:
         assert np.max(np.abs(short.psi.values - full.psi.values)) \
             <= 1e-7 * np.max(np.abs(full.psi.values))
 
+    def test_thick_restart_matches_an_unrestarted_run(self, consts,
+                                                      monkeypatch):
+        grid = Grid1D(-10.0, 10.0, 2000)
+        thick = variational_ground_state(Potential.harmonic(), grid, consts)
+        assert thick.iterations > quantum._LANCZOS_BASIS
+        monkeypatch.setattr(quantum, "_LANCZOS_BASIS", 100)
+        whole = variational_ground_state(Potential.harmonic(), grid, consts)
+        assert whole.iterations < 100
+        assert thick.energy == pytest.approx(whole.energy, rel=1e-12)
+        assert np.max(np.abs(thick.psi.values - whole.psi.values)) \
+            <= 1e-8 * np.max(np.abs(whole.psi.values))
+
+    def test_application_counts(self, consts):
+        # an explicit restart from the top Ritz vector alone took 84 on the
+        # oscillator; the well converges before the basis fills
+        osc = variational_ground_state(Potential.harmonic(),
+                                       Grid1D(-10.0, 10.0, 2000), consts)
+        assert osc.iterations <= 50
+        well = variational_ground_state(Potential.infinite_well(1.0),
+                                        Grid1D(0.0, 1.0, 2000), consts)
+        assert well.iterations == 7
+
     def test_ground_state_has_no_negative_lobe(self, consts):
         res = variational_ground_state(Potential.harmonic(),
                                        Grid1D(-10.0, 10.0, 2000), consts)
@@ -332,6 +354,17 @@ class TestVariational:
         assert info.value.psi is not None
         assert info.value.iterations == 3
         assert math.isfinite(info.value.energy)
+
+    def test_nonconvergence_after_a_restart_carries_iterate(self, consts):
+        assert 40 > quantum._LANCZOS_BASIS
+        with pytest.raises(ConvergenceError, match="cap") as info:
+            variational_ground_state(Potential.harmonic(),
+                                     Grid1D(-10.0, 10.0, 2000), consts,
+                                     max_iters=40, tol=1e-16)
+        assert info.value.iterations == 40
+        assert math.isfinite(info.value.energy)
+        assert info.value.psi.norm_sq() == pytest.approx(1.0)
+        assert info.value.energy == pytest.approx(0.5, rel=1e-6)
 
 
 class TestWkb:
