@@ -5,6 +5,7 @@ from .core import (
     DofState,
     DomainError,
     GapError,
+    ModelViolationError,
     Potential,
     PotentialKind,
     compton_floor,
@@ -32,7 +33,6 @@ from .dynamics import (
 )
 from .thermo import (
     AdiabaticScan,
-    ModelViolationError,
     PistonConfig,
     PistonRecord,
     ThermoSeries,

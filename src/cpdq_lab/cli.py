@@ -26,11 +26,25 @@ from jsonschema import Draft202012Validator
 
 from . import __version__
 from .acceptance import Check, REGIME_EXPECTED, regime_fixture_metrics, run_criteria
-from .core import Potential, PotentialKind, natural_units, si_units
-from .dynamics import IntegratorConfig, cpdq_diagnostics, energy_budget, integrate_hamilton
+from .core import (
+    Constants,
+    ModelViolationError,
+    Potential,
+    PotentialKind,
+    natural_units,
+    si_units,
+)
+from .dynamics import (
+    IntegratorConfig,
+    check_step_stable,
+    cpdq_diagnostics,
+    energy_budget,
+    integrate_hamilton,
+)
 from .info import LN2, info_ledger, rate_bounds, regime_classify
 from .quantum import (
     Grid1D,
+    _dot,
     appendix_a_consistency,
     bohm_adiabaticity_report,
     check_grid_in_well,
@@ -117,9 +131,14 @@ def validate_scenario(cfg: dict) -> None:
             raise ScenarioError("n_states exceeds interior grid dimension")
         if params["n_states"] * params["grid"]["n"] > MAX_EVENTS:
             raise ScenarioError(f"n_states * grid n exceeds {MAX_EVENTS}")
-    if kind == "trajectory" and not _potential(
-            params["potential"]).contains(params["q0"]):
-        raise ScenarioError("q0 lies outside the potential's domain")
+    if kind == "trajectory":
+        pot = _potential(params["potential"])
+        if not pot.contains(params["q0"]):
+            raise ScenarioError("q0 lies outside the potential's domain")
+        try:
+            check_step_stable(pot, params["dt"], _constants(cfg))
+        except ModelViolationError as exc:
+            raise ScenarioError(f"trajectory: {exc}") from None
     if kind == "piston" and "scan" in params:
         extra = [k for k in ("u", "mode", "l_end", "t_end", "t_jump")
                  if k in params]
@@ -150,6 +169,12 @@ def validate_scenario(cfg: dict) -> None:
 
 def _potential(spec: dict) -> Potential:
     return Potential(**{**spec, "kind": PotentialKind(spec["kind"])})
+
+
+def _constants(cfg: dict) -> Constants:
+    """The run's constants: its unit system with its overrides applied."""
+    base = si_units() if cfg.get("units") == "si" else natural_units()
+    return dataclasses.replace(base, **cfg.get("constants", {}))
 
 
 def _given(params: dict, *keys: str) -> dict:
@@ -204,7 +229,7 @@ def _failure(exc: Exception) -> str:
     """One line naming the exception, its message and any solver payload."""
     payload = "".join(
         f" {key}={getattr(exc, key)!r}"
-        for key in ("iterations", "energy", "last_valid_index")
+        for key in ("iterations", "energy")
         if getattr(exc, key, None) is not None)
     return f"error: computation failed: {type(exc).__name__}: {exc}{payload}"
 
@@ -273,7 +298,8 @@ def _run_tise(params, consts):
     grid = Grid1D(**params["grid"])
     sol = solve_tise(pot, grid, params["n_states"], consts)
     vals = np.stack([s.values.real for s in sol.states])
-    ortho = float(np.max(np.abs(vals @ vals.T * grid.h - np.eye(len(vals)))))
+    ortho = float(np.max(np.abs(_dot(vals, vals.T) * grid.h
+                                - np.eye(len(vals)))))
     nodes_ok = 1.0
     for n, s in enumerate(sol.states):
         v = s.values.real
@@ -489,8 +515,7 @@ def run_scenario(path: str | Path, out_dir: str | Path | None = None) -> tuple[d
         out_dir = cfg.get("out_dir", path.parent / (path.stem + "_out"))
     if cfg["kind"] == "suite":
         return None, acceptance_suite(cfg["params"].get("filter"), out_dir)
-    base = si_units() if cfg.get("units") == "si" else natural_units()
-    consts = dataclasses.replace(base, **cfg.get("constants", {}))
+    consts = _constants(cfg)
     started = time.perf_counter()
     try:
         with warnings.catch_warnings():

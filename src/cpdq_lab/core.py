@@ -24,9 +24,11 @@ SI_ELECTRON_MASS = 9.1093837015e-31  # kg
 class DomainError(ValueError):
     """Coordinate outside a potential's domain."""
 
-    def __init__(self, msg, last_valid_index=None):
-        super().__init__(msg)
-        self.last_valid_index = last_valid_index
+
+class ModelViolationError(ValueError):
+    """The model cannot represent the configuration: a piston the
+    elastic-bounce collision model cannot follow, or a harmonic leapfrog
+    step too long to be stable."""
 
 
 class GapError(ValueError):

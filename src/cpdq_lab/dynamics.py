@@ -2,9 +2,12 @@
 
 Leapfrog (velocity Verlet) is deliberate: the product invariant and the
 thermo module's adiabatic checks are phase-space-area statements, and a
-symplectic scheme keeps the measured drifts honest.  Infinite-well walls
-are resolved by exact folding of the free drift inside a step, not by
-position clamping, so wall energy is exact.
+symplectic scheme keeps the measured drifts honest.  Where the force is
+linear in q the n-step recurrence has a closed form, evaluated for every
+sample at once: exact under a constant force (free, linear), a rotation in
+phase space for the harmonic well, and free drift folded into the walls
+for the infinite well, so wall energy is exact.  Only the soft well is
+stepped one leapfrog step at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constants, DomainError, Potential, PotentialKind, delta_q_series, eval_potential, tderiv
+from .core import (
+    Constants,
+    DomainError,
+    ModelViolationError,
+    Potential,
+    PotentialKind,
+    delta_q_series,
+    eval_potential,
+    tderiv,
+)
 from .variational import Trajectory
 
 
@@ -59,31 +71,102 @@ class TrajectoryRecord:
                    f_series=f_series, gap_mask=gap)
 
 
-def _scalar_force(pot: Potential):
-    """Pure-float force closure; keeps the step loop free of array overhead."""
-    if pot.kind is PotentialKind.LINEAR:
-        f0 = pot.f0
-        return lambda q: f0
-    if pot.kind is PotentialKind.HARMONIC:
-        k = pot.m * pot.omega**2
-        return lambda q: -k * q
-    if pot.kind is PotentialKind.SOFT_WELL:
-        v0, a = pot.v0, pot.a
-        return lambda q: -2.0 * v0 * math.tanh(q / a) / (a * math.cosh(q / a) ** 2)
-    return lambda q: 0.0
+def check_step_stable(pot: Potential, dt: float, consts: Constants) -> None:
+    """Raise ModelViolationError if a harmonic leapfrog step is unstable.
+
+    One step in V = k q^2/2 rotates phase space by theta with
+    sin(theta/2) = sqrt(a)/2, a = k dt^2/m; from a = 4 on there is no such
+    rotation and the recurrence grows without bound.
+    """
+    if pot.kind is PotentialKind.HARMONIC and \
+            not pot.m * pot.omega**2 * dt * dt / consts.mass < 4.0:
+        raise ModelViolationError("harmonic leapfrog step is unstable: "
+                                  "k*dt^2/mass must be below 4")
 
 
-def _fold_into_well(q: float, width: float) -> tuple[float, int]:
-    """Reflect a free-drift endpoint back into [0, width].
+def _harmonic(pot: Potential, q0: float, p0: float, n: int, dt: float,
+              m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed form of n leapfrog steps in V = k q^2/2.
 
-    Returns the folded position and the reflection parity (+1/-1 momentum
-    sign factor).  Exact for any number of wall crossings in one step.
+    One step is the map A = [[cos theta, dt/m], [-k dt (1 - a/4), cos theta]]
+    with a = k dt^2/m and cos theta = 1 - a/2, so
+    A^j = cos(j theta) I + (sin(j theta)/sin theta) (A - cos(theta) I),
+    whose second matrix has a zero diagonal.  theta = 2 asin(sqrt(a)/2) is
+    taken by atan2 from the sine and cosine of theta/2, and sin theta as
+    their doubled product: both keep their relative accuracy at small a,
+    where acos(1 - a/2) would lose it, and near a = 4, where asin and the
+    sine of a theta near pi would.
+    """
+    k = pot.m * pot.omega**2
+    a = k * dt * dt / m
+    sin_half, cos_half = math.sqrt(a) / 2.0, math.sqrt(1.0 - a / 4.0)
+    theta = 2.0 * math.atan2(sin_half, cos_half)
+    sin_theta = 2.0 * sin_half * cos_half
+    phase = np.arange(n + 1, dtype=float)
+    phase *= theta
+    sin_j = np.sin(phase)
+    cos_j = np.cos(phase, out=phase)
+    q = cos_j * q0
+    q += sin_j * (dt / m / sin_theta * p0)
+    sin_j *= -k * dt * (1.0 - a / 4.0) / sin_theta * q0
+    p = np.multiply(cos_j, p0, out=cos_j)
+    p += sin_j
+    return q, p
+
+
+def _constant_force(f0: float, q0: float, p0: float, t: np.ndarray,
+                    m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Leapfrog under a constant force f0, which it integrates exactly:
+    p_j = p0 + t_j f0 and q_j = q0 + t_j p0/m + f0 t_j^2/(2m)."""
+    q = t * (0.5 * f0 / m)
+    q += p0 / m
+    q *= t
+    q += q0
+    p = t * f0
+    p += p0
+    return q, p
+
+
+def _infinite_well(width: float, q0: float, p0: float, t: np.ndarray,
+                   m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Free drift q0 + t_j p0/m folded into [0, width], momentum by parity.
+
+    A sample landing exactly on a wall keeps its incoming momentum: moving
+    right, the drift reaches the left wall at y = 0 from the far side of
+    the period 2*width; moving left, it reaches the right wall at
+    y = width from above.
     """
     period = 2.0 * width
-    y = q % period
-    if y <= width:
-        return y, 1
-    return period - y, -1
+    q = t * (p0 / m)
+    q += q0
+    np.mod(q, period, out=q)
+    over = q > width
+    p = np.where(over | (q == (0.0 if p0 > 0 else width)), -p0, p0)
+    np.subtract(period, q, out=q, where=over)
+    q[0], p[0] = q0, p0  # as given, even on a wall or within its slack
+    return q, p
+
+
+def _soft_well(pot: Potential, q0: float, p0: float, n: int, dt: float,
+               m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Leapfrog in V = v0 tanh^2(q/a), one Python step at a time."""
+    v0, a = pot.v0, pot.a
+
+    def force(x: float) -> float:
+        return -2.0 * v0 * math.tanh(x / a) / (a * math.cosh(x / a) ** 2)
+
+    q = np.empty(n + 1)
+    p = np.empty(n + 1)
+    q[0], p[0] = q0, p0
+    qi, pi = q0, p0
+    fi = force(qi)
+    for i in range(n):
+        ph = pi + 0.5 * dt * fi
+        qi = qi + dt * ph / m
+        fi = force(qi)
+        pi = ph + 0.5 * dt * fi
+        q[i + 1], p[i + 1] = qi, pi
+    return q, p
 
 
 def integrate_hamilton(pot: Potential, q0: float, p0: float,
@@ -91,38 +174,20 @@ def integrate_hamilton(pot: Potential, q0: float, p0: float,
     """Velocity-Verlet integration of qdot = p/m, pdot = -V'(q)."""
     if not bool(pot.contains(q0)):
         raise DomainError("initial position outside potential domain")
+    check_step_stable(pot, cfg.dt, consts)
     m = consts.mass
     n = cfg.n_steps
     dt = cfg.dt
     t = np.arange(n + 1) * dt
-    q = np.empty(n + 1)
-    p = np.empty(n + 1)
-    q[0], p[0] = q0, p0
-
-    if pot.kind is PotentialKind.INFINITE_WELL:
-        # zero force inside: pure drift with exact wall reflections
-        width = pot.width
-        qi, pi = q0, p0
-        for i in range(n):
-            qi, sign = _fold_into_well(qi + dt * pi / m, width)
-            pi = sign * pi
-            q[i + 1], p[i + 1] = qi, pi
+    if pot.kind is PotentialKind.HARMONIC:
+        q, p = _harmonic(pot, q0, p0, n, dt, m)
+    elif pot.kind is PotentialKind.INFINITE_WELL:
+        q, p = _infinite_well(pot.width, q0, p0, t, m)
+    elif pot.kind is PotentialKind.SOFT_WELL:
+        q, p = _soft_well(pot, q0, p0, n, dt, m)
     else:
-        force = _scalar_force(pot)
-        lo, hi = pot.domain()
-        bounded = math.isfinite(lo) or math.isfinite(hi)
-        qi, pi = q0, p0
-        fi = force(qi)
-        for i in range(n):
-            ph = pi + 0.5 * dt * fi
-            qi = qi + dt * ph / m
-            if bounded and not lo <= qi <= hi:
-                raise DomainError(f"step {i + 1} left the domain",
-                                  last_valid_index=i)
-            fi = force(qi)
-            pi = ph + 0.5 * dt * fi
-            q[i + 1], p[i + 1] = qi, pi
-
+        f0 = pot.f0 if pot.kind is PotentialKind.LINEAR else 0.0
+        q, p = _constant_force(f0, q0, p0, t, m)
     traj = Trajectory(t=t, q=q, p=p, dt=dt, pot=pot, consts=consts)
     return TrajectoryRecord.from_trajectory(traj)
 

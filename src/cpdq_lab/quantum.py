@@ -158,6 +158,23 @@ class WkbProfile:
     allowed_mask: np.ndarray
 
 
+# A dot product over more terms than this is summed in pieces of this length,
+# in a fixed order.  OpenBLAS splits one long dot product across its
+# threads, so its rounding would depend on OPENBLAS_NUM_THREADS; a piece
+# this short runs on one thread.
+_DOT_CHUNK = 8192
+
+
+def _dot(x: np.ndarray, y: np.ndarray):
+    """x @ y, contracting x's last axis with y's first; past _DOT_CHUNK
+    terms it is the in-order sum of the pieces' products."""
+    n = y.shape[0]
+    if n <= _DOT_CHUNK:
+        return x @ y
+    return sum(x[..., i:i + _DOT_CHUNK] @ y[i:i + _DOT_CHUNK]
+               for i in range(0, n, _DOT_CHUNK))
+
+
 def _quad(y: np.ndarray, h: float, periodic: bool = False) -> float:
     if periodic:
         return float(np.sum(y[:-1]) * h)
@@ -331,8 +348,8 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
 
     def rayleigh(w: np.ndarray) -> float:
         b = dst(w, type=1)
-        kinetic = (kinetic_eig @ (b * b)) / (2.0 * (n_int + 1))
-        return float((kinetic + v_int @ (w * w)) / (w @ w))
+        kinetic = _dot(kinetic_eig, b * b) / (2.0 * (n_int + 1))
+        return float((kinetic + _dot(v_int, w * w)) / _dot(w, w))
 
     def ritz(s: np.ndarray) -> np.ndarray:
         u = np.zeros(n_int)
@@ -349,7 +366,7 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
     # here.  One (cap, n) block leaves a large freed hole in the heap after
     # each solve; later allocations fragment it, and a long run's peak
     # memory measurably rose.
-    basis = [u / math.sqrt(float(u @ u))]
+    basis = [u / math.sqrt(float(_dot(u, u)))]
     proj = np.zeros((_LANCZOS_BASIS, _LANCZOS_BASIS))  # P on the basis
     gs = np.empty(_LANCZOS_BASIS)
     scratch = np.empty(n_int)
@@ -360,16 +377,16 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
         m = len(basis)
         w = exp_v * idst(exp_t * dst(exp_v * basis[-1], type=1), type=1)
         applications += 1
-        proj[m - 1, m - 1] = basis[-1] @ w
+        proj[m - 1, m - 1] = _dot(basis[-1], w)
         gs[:m] = 0.0
         for _ in range(2):  # full reorthogonalisation, twice is enough
             for i, b in enumerate(basis):
-                c = b @ w
+                c = _dot(b, w)
                 w -= np.multiply(b, c, out=scratch)
                 gs[i] += c
         if m - 1 == kept:
             proj[kept, :kept] = proj[:kept, kept] = gs[:kept]
-        beta = math.sqrt(float(w @ w))
+        beta = math.sqrt(float(_dot(w, w)))
         thetas, vecs = np.linalg.eigh(proj[:m, :m])
         theta, s = thetas[-1], vecs[:, -1]
         if not theta > 0.0:

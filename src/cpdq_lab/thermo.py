@@ -40,17 +40,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Constants
+from .core import Constants, ModelViolationError
 
 # Largest event log a run may record (start, hits, jump and stop rows).
 MAX_EVENTS = 10_000_000
 
 # A scan run is adiabatic while its |d ln(pL)| stays below this.
 _ADIABATIC_THRESHOLD = 1e-2
-
-
-class ModelViolationError(ValueError):
-    """The elastic-bounce collision model cannot represent the configuration."""
 
 
 class WallEvent(IntEnum):

@@ -142,6 +142,14 @@ class TestValidation:
         ("tise", {"potential": {"kind": "harmonic"},
                   "grid": {"x_min": -5.0, "x_max": 5.0, "n": 100_000},
                   "n_states": 99_998}, "n_states * grid n exceeds 10000000"),
+        # k*dt^2/mass is about 1.1e24 for an SI electron
+        (("trajectory", "si"), {"potential": {"kind": "harmonic"},
+                                "q0": 1.0, "p0": 0.0, "dt": 1e-3,
+                                "n_steps": 1000},
+         "trajectory: harmonic leapfrog step is unstable"),
+        ("trajectory", {"potential": {"kind": "harmonic", "omega": 2.0},
+                        "q0": 1.0, "p0": 0.0, "dt": 1.0, "n_steps": 10},
+         "trajectory: harmonic leapfrog step is unstable"),
     ], ids=["tise_too_many_energies", "tise_zero_energy", "piston_no_l0",
             "piston_l_end_unreachable", "piston_collapsing_box",
             "piston_scan_with_run_keys", "piston_jump_after_end",
@@ -151,9 +159,12 @@ class TestValidation:
             "wkb_grid_past_well", "tise_n_states_past_grid",
             "trajectory_q0_outside_well", "piston_scan_stops_particle",
             "piston_stops_particle", "trajectory_too_many_steps",
-            "tise_grid_too_large", "tise_states_too_large"])
+            "tise_grid_too_large", "tise_states_too_large",
+            "trajectory_si_electron_blowup", "trajectory_harmonic_step_at_4"])
     def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch, kind,
                                   params, named):
+        # kind names the scenario kind, or is (kind, units)
+        kind, units = kind if isinstance(kind, tuple) else (kind, "natural")
         def never(*args, **kwargs):
             raise AssertionError("computed a rejected config")
         for name in ("solve_tise", "piston_simulate", "adiabatic_scan",
@@ -161,7 +172,8 @@ class TestValidation:
                      "integrate_hamilton"):
             monkeypatch.setattr(cli, name, never)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"kind": kind, "params": params}))
+        bad.write_text(json.dumps({"kind": kind, "units": units,
+                                   "params": params}))
         out = tmp_path / "o"
         assert cli.main(["run", str(bad), "--out", str(out)]) \
             == cli.EXIT_SCHEMA
@@ -441,10 +453,11 @@ def test_schema_subcommand_prints_valid_json(capsys):
     assert schema["properties"]["kind"]["enum"]
 
 
-def fresh_python(*args: str) -> subprocess.CompletedProcess:
-    """`python *args` in a new interpreter that imports this package."""
+def fresh_python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """`python *args` in a new interpreter that imports this package, with
+    the environment variables `env` set."""
     src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -502,10 +515,11 @@ print(sorted(m for m in ("scipy.linalg", "scipy.fft") if m in sys.modules))
 @pytest.mark.parametrize("cfg", [
     {"kind": "tise", "params": dict(TISE_WELL, n_states=1,
                                     expected_energies=[1e-310])},
-    {"kind": "trajectory", "units": "si", "params": {
-        "potential": {"kind": "harmonic"}, "q0": 1.0, "p0": 0.0,
+    # stable steps, but p^2 overflows in the kinetic energy
+    {"kind": "trajectory", "params": {
+        "potential": {"kind": "harmonic"}, "q0": 1e160, "p0": 0,
         "dt": 1e-3, "n_steps": 1000}},
-], ids=["tise_tiny_expected_energy", "trajectory_si_electron_blowup"])
+], ids=["tise_tiny_expected_energy", "trajectory_energy_overflow"])
 def test_runtime_warning_is_one_exit_1_line(tmp_path, cfg):
     """A RuntimeWarning ends the run as a computation error.  Run in a
     fresh interpreter, where warnings print unless the CLI turns them
@@ -517,6 +531,38 @@ def test_runtime_warning_is_one_exit_1_line(tmp_path, cfg):
     assert proc.returncode == cli.EXIT_COMPUTE
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "RuntimeWarning" in lines[0], lines
+
+
+# A dot product of 20,000 terms, summed by quantum._dot, as hex.
+DOT_PROBE = """
+import numpy as np
+from cpdq_lab.quantum import _dot
+x, y = np.random.default_rng(1).standard_normal((2, 20_000))
+print(float(_dot(x, y)).hex(), float(_dot(x, x)).hex())
+"""
+
+
+def test_large_grid_bytes_independent_of_blas_threads(tmp_path):
+    """OpenBLAS splits a dot product of more than about 10,000 terms across
+    its threads.  quantum._dot sums 8192-term pieces in order instead, so
+    a variational run on 20,000 points writes the same bytes under one and
+    two BLAS threads, and so does the dot product itself."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "variational", "params": {
+        "potential": {"kind": "harmonic"},
+        "grid": {"x_min": -10.0, "x_max": 10.0, "n": 20_000}}}))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = fresh_python("-m", "cpdq_lab.cli", "run", str(path), "--out",
+                            str(out), OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        dot = fresh_python("-c", DOT_PROBE, OPENBLAS_NUM_THREADS=threads)
+        assert dot.returncode == 0, dot.stderr
+        runs.append((dot.stdout, {p.name: p.read_bytes() for p in out.iterdir()
+                                  if p.name != "timing.json"}))
+    assert sorted(runs[0][1]) == ["ground_state.csv", "report.json"]
+    assert runs[0] == runs[1]
 
 
 # Schema fuzz: configs the schema admits, bounded so that no run is slow

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cpdq_lab import (
     DomainError,
     IntegratorConfig,
+    ModelViolationError,
     Potential,
     cpdq_diagnostics,
     energy_budget,
@@ -16,6 +18,7 @@ from cpdq_lab import (
     natural_units,
     newton_uncertainty_residual,
 )
+from cpdq_lab.dynamics import check_step_stable
 
 
 def test_config_validation():
@@ -177,3 +180,126 @@ def test_all_masked_record_rejected(consts):
                              IntegratorConfig(dt=0.01, n_steps=10), consts)
     with pytest.raises(ValueError):
         cpdq_diagnostics(rec)
+
+
+def _verlet_exact(force, q0, p0, dt, n, width=None):
+    """n velocity-Verlet steps at unit mass in exact rational arithmetic.
+
+    With a width the drift is folded back into [0, width] one step at a
+    time; a step that lands exactly on a wall keeps its momentum.
+    """
+    q, p = Fraction(q0), Fraction(p0)
+    qs, ps = [q], [p]
+    for _ in range(n):
+        half = p + dt / 2 * force(q)
+        q = q + dt * half
+        if width is not None:
+            y = q % (2 * width)
+            q, half = (y, half) if y <= width else (2 * width - y, -half)
+        p = half + dt / 2 * force(q)
+        qs.append(q)
+        ps.append(p)
+    return np.array([float(x) for x in qs]), np.array([float(x) for x in ps])
+
+
+def _closed_form(pot, q0, p0, dt, n):
+    rec = integrate_hamilton(pot, float(q0), float(p0),
+                             IntegratorConfig(dt=float(dt), n_steps=n),
+                             natural_units())
+    return rec.traj.q, rec.traj.p
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize("pot, force, q0, p0, dt, n, tol", [
+    (Potential.free(), lambda q: 0, F(1, 4), F(3, 2), F(1, 8), 40, 0.0),
+    (Potential.linear(0.75), lambda q: F(3, 4), F(-1, 2), F(1, 4), F(1, 16),
+     60, 0.0),
+    (Potential.harmonic(), lambda q: -q, F(1), F(-1, 2), F(1, 16), 60, 1e-15),
+    # k dt^2/m = 63/16 = 3.9375, just inside the stability limit 4; theta
+    # is near pi, and the phase j*theta carries about j*theta*eps
+    (Potential.harmonic(m=63.0), lambda q: -63 * q, F(1), F(1, 3), F(1, 4),
+     60, 60 * math.pi * np.finfo(float).eps),
+], ids=["free", "linear", "harmonic", "harmonic_a_3.9375"])
+def test_closed_form_matches_exact_verlet(pot, force, q0, p0, dt, n, tol):
+    q, p = _closed_form(pot, q0, p0, dt, n)
+    q_ref, p_ref = _verlet_exact(force, q0, p0, dt, n)
+    scale = max(np.max(np.abs(q_ref)), np.max(np.abs(p_ref)))
+    assert np.max(np.abs(q - q_ref)) <= tol * scale
+    assert np.max(np.abs(p - p_ref)) <= tol * scale
+
+
+@pytest.mark.parametrize("width, q0, p0, dt, n", [
+    # 5/4 of drift per step: five widths, several walls crossed per step
+    (F(1, 4), F(1, 8), F(5, 2), F(1, 2), 40),
+    (F(1, 4), F(1, 8), F(-5, 2), F(1, 2), 40),
+    # lands exactly on both walls, moving right and moving left
+    (F(1), F(1, 2), F(1), F(1, 4), 24),
+    (F(1), F(1, 2), F(-1), F(1, 4), 24),
+    (F(1), F(0), F(3, 2), F(1, 4), 40),
+], ids=["multi_wall_right", "multi_wall_left", "walls_from_right_mover",
+        "walls_from_left_mover", "start_on_wall"])
+def test_well_matches_exact_folded_verlet(width, q0, p0, dt, n):
+    q, p = _closed_form(Potential.infinite_well(float(width)), q0, p0, dt, n)
+    q_ref, p_ref = _verlet_exact(lambda q: 0, q0, p0, dt, n, width)
+    np.testing.assert_array_equal(q, q_ref)
+    np.testing.assert_array_equal(p, p_ref)
+
+
+def test_well_wall_landing_keeps_incoming_momentum(consts):
+    # width 1, q0 = 1/2, dt = 1/4: sample 2 lands on one wall, sample 6 on
+    # the other, each still moving into it
+    pot = Potential.infinite_well(1.0)
+    cfg = IntegratorConfig(dt=0.25, n_steps=8)
+    right = integrate_hamilton(pot, 0.5, 1.0, cfg, consts).traj
+    left = integrate_hamilton(pot, 0.5, -1.0, cfg, consts).traj
+    assert (right.q[2], right.p[2], right.q[6], right.p[6]) == (1, 1, 0, -1)
+    assert (left.q[2], left.p[2], left.q[6], left.p[6]) == (0, -1, 1, 1)
+
+
+def _verlet_loop(force, q0, p0, dt, n, m=1.0):
+    """Plain float velocity Verlet, one step at a time."""
+    q = np.empty(n + 1)
+    p = np.empty(n + 1)
+    q[0], p[0] = q0, p0
+    f = force(q0)
+    for i in range(n):
+        half = p[i] + 0.5 * dt * f
+        q[i + 1] = q[i] + dt * half / m
+        f = force(q[i + 1])
+        p[i + 1] = half + 0.5 * dt * f
+    return q, p
+
+
+@pytest.mark.parametrize("pot, force, q0, p0", [
+    (Potential.harmonic(), lambda q: -q, 1.0, 0.0),
+    (Potential.harmonic(2.0, 1.3), lambda q: -2.0 * 1.3**2 * q, 0.7, -1.1),
+    (Potential.linear(0.7), lambda q: 0.7, 0.3, -1.0),
+], ids=["harmonic", "harmonic_m2_omega1.3", "linear"])
+def test_closed_form_matches_step_loop_long_run(consts, pot, force, q0, p0):
+    # 62,832 steps, ten periods of the unit oscillator
+    dt = 1e-3
+    n = int(round(10 * 2 * math.pi / dt))
+    rec = integrate_hamilton(pot, q0, p0, IntegratorConfig(dt=dt, n_steps=n),
+                             consts)
+    q_ref, p_ref = _verlet_loop(force, q0, p0, dt, n)
+    scale = max(np.max(np.abs(q_ref)), np.max(np.abs(p_ref)))
+    assert np.max(np.abs(rec.traj.q - q_ref)) <= 1e-12 * scale
+    assert np.max(np.abs(rec.traj.p - p_ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("omega, dt", [(2.0, 1.0), (3.0, 1.0), (1.0, 1e3)],
+                         ids=["a_4", "a_9", "a_1e6"])
+def test_unstable_harmonic_step_raises(consts, omega, dt):
+    with pytest.raises(ModelViolationError, match="unstable"):
+        integrate_hamilton(Potential.harmonic(omega=omega), 1.0, 0.0,
+                           IntegratorConfig(dt=dt, n_steps=10), consts)
+
+
+def test_step_limit_only_binds_the_harmonic_kind(consts):
+    # k dt^2/m is far past 4 for the stiff oscillator, not for the others
+    rec = integrate_hamilton(Potential.linear(2.0), 0.0, 0.0,
+                             IntegratorConfig(dt=10.0, n_steps=10), consts)
+    assert rec.traj.q[-1] == 0.5 * 2.0 * 100.0**2
+    check_step_stable(Potential.harmonic(omega=1.99), 1.0, consts)
