@@ -2,13 +2,11 @@
 
 from .core import (
     Constants,
-    DofState,
     DomainError,
     GapError,
     ModelViolationError,
     Potential,
     PotentialKind,
-    compton_floor,
     eval_potential,
     natural_units,
     si_units,
@@ -19,7 +17,6 @@ from .variational import (
     action_and_variation,
     custom_variation,
     first_order_dL,
-    lagrange_residual,
     lagrangian_eval,
     special_variation,
 )

@@ -154,7 +154,7 @@ def criterion_2_action_decomposition() -> list[Check]:
                       eps * np.sin(np.pi * (t - t[i1]) / (t[i2] - t[i1])) ** 2,
                       0.0)
     fixtures["harmonic_custom"] = (
-        harmonic.traj, custom_variation(harmonic.traj, window, eps), i1, i2)
+        harmonic.traj, custom_variation(harmonic.traj, window), i1, i2)
     pert = _perturbed(harmonic)
     fixtures["perturbed_special"] = (pert, special_variation(pert, eps), i1, i2)
 

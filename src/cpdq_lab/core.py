@@ -1,4 +1,4 @@
-"""Physical constants, unit systems, 1-D potentials, and the elementary state.
+"""Physical constants, unit systems, 1-D potentials, and the delta_q series.
 
 Everything downstream is built on the action-valued invariant of a moving
 degree of freedom: the product of momentum magnitude and trajectory
@@ -92,7 +92,7 @@ class PotentialKind(str, Enum):
 
 @dataclass(frozen=True)
 class Potential:
-    """A built-in 1-D potential with analytic V, V' and V''.
+    """A built-in 1-D potential with analytic V and V'.
 
     Conventions:
       linear        V = -f0*q  (constant force +f0)
@@ -148,68 +148,33 @@ class Potential:
 
 
 def eval_potential(pot: Potential, q):
-    """Return (V, dV/dq, d2V/dq2) at q; q may be a scalar or array.
+    """Return (V, dV/dq) at q; q may be a scalar or array.
 
     Raises DomainError for coordinates outside the potential's domain.
     """
     q = np.asarray(q, dtype=float)
     if not np.all(pot.contains(q)):
         raise DomainError(f"coordinate outside domain of {pot.kind.value}")
-    zeros = np.zeros_like(q)
     if pot.kind is PotentialKind.FREE or pot.kind is PotentialKind.INFINITE_WELL:
-        v, dv, d2v = zeros, zeros, zeros
+        v = dv = np.zeros_like(q)
     elif pot.kind is PotentialKind.LINEAR:
         v = -pot.f0 * q
         dv = np.full_like(q, -pot.f0)
-        d2v = zeros
     elif pot.kind is PotentialKind.HARMONIC:
         k = pot.m * pot.omega**2
         v = 0.5 * k * q * q
         dv = k * q
-        d2v = np.full_like(q, k)
     elif pot.kind is PotentialKind.SOFT_WELL:
         u = q / pot.a
         th = np.tanh(u)
         sech2 = 1.0 / np.cosh(u) ** 2
         v = pot.v0 * th * th
         dv = 2.0 * pot.v0 * th * sech2 / pot.a
-        d2v = 2.0 * pot.v0 * (sech2 * sech2 - 2.0 * th * th * sech2) / pot.a**2
     else:  # pragma: no cover
         raise ValueError(f"unknown potential kind {pot.kind}")
     if q.ndim == 0:
-        return float(v), float(dv), float(d2v)
-    return v, dv, d2v
-
-
-def compton_floor(mass: float, consts: Constants) -> float:
-    """Smallest meaningful position uncertainty: (h / (mass*c)) / (4*pi)."""
-    if mass <= 0:
-        raise ValueError("mass must be positive")
-    return consts.h / (4.0 * math.pi * mass * consts.c)
-
-
-@dataclass(frozen=True)
-class DofState:
-    """One degree of freedom at an instant: (t, q, p) plus derived delta_q.
-
-    delta_q = f/|p| when |p| exceeds the configured floor, else None
-    (flagged undefined: the uncertainty diverges at turning points).
-    """
-
-    t: float
-    q: float
-    p: float
-    delta_q: float | None
-
-    @classmethod
-    def from_phase(cls, t: float, q: float, p: float,
-                   consts: Constants) -> "DofState":
-        dq = consts.f / abs(p) if abs(p) > consts.p_floor else None
-        return cls(t=t, q=q, p=p, delta_q=dq)
-
-    @property
-    def defined(self) -> bool:
-        return self.delta_q is not None
+        return float(v), float(dv)
+    return v, dv
 
 
 def delta_q_series(p, consts: Constants) -> tuple[np.ndarray, np.ndarray]:

@@ -63,7 +63,7 @@ class TrajectoryRecord:
     def from_trajectory(cls, traj: Trajectory) -> "TrajectoryRecord":
         consts = traj.consts
         kinetic = traj.p**2 / (2.0 * consts.mass)
-        potential, _, _ = eval_potential(traj.pot, traj.q)
+        potential, _ = eval_potential(traj.pot, traj.q)
         dq, gap = delta_q_series(traj.p, consts)
         f_series = np.abs(traj.p) * dq
         return cls(traj=traj, energy_t=kinetic, energy_v=potential,

@@ -146,7 +146,7 @@ def trajectory_regime_metrics(rec: TrajectoryRecord):
     """
     ledger = info_ledger(rec)
     mean_abs = float(np.mean(np.abs(ledger.d_i_q + ledger.d_i_p)))
-    _, dv, _ = eval_potential(rec.traj.pot, rec.traj.q)
+    _, dv = eval_potential(rec.traj.pot, rec.traj.q)
     two_t = 2.0 * rec.energy_t
     e_total = float(rec.energy_e[0])
     ok = (~rec.gap_mask) & (rec.energy_t >= _KINETIC_FRACTION * e_total)

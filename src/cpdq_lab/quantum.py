@@ -150,8 +150,6 @@ class FisherMetrics:
 
 @dataclass(frozen=True)
 class WkbProfile:
-    grid: Grid1D
-    energy: float
     k_of_x: np.ndarray
     delta_x_of_x: np.ndarray
     validity_metric: np.ndarray
@@ -438,7 +436,7 @@ def local_wkb_profile(pot: Potential, energy: float, grid: Grid1D,
     to hold.  Classically forbidden points are NaN-masked.
     """
     x = grid.x
-    v, dv, _ = eval_potential(pot, x)
+    v, dv = eval_potential(pot, x)
     allowed = energy - v > 0
     if not np.any(allowed):
         raise ValueError("no classically allowed region at this energy")
@@ -448,9 +446,8 @@ def local_wkb_profile(pot: Potential, energy: float, grid: Grid1D,
         delta_x = 1.0 / (2.0 * k)
         validity = np.abs(dv) * delta_x / (2.0 * (energy - v))
         validity = np.where(allowed, validity, np.nan)
-    return WkbProfile(grid=grid, energy=energy, k_of_x=k,
-                      delta_x_of_x=delta_x, validity_metric=validity,
-                      allowed_mask=allowed)
+    return WkbProfile(k_of_x=k, delta_x_of_x=delta_x,
+                      validity_metric=validity, allowed_mask=allowed)
 
 
 def appendix_a_consistency(pot: Potential, energy: float, grid: Grid1D,
@@ -465,7 +462,7 @@ def appendix_a_consistency(pot: Potential, energy: float, grid: Grid1D,
     """
     profile = local_wkb_profile(pot, energy, grid, consts)
     x = grid.x
-    v, dv, _ = eval_potential(pot, x)
+    v, dv = eval_potential(pot, x)
     admitted = (energy - v) >= kinetic_fraction * energy
     if not np.any(admitted):
         raise ValueError("empty admitted region")
@@ -533,7 +530,7 @@ def bohm_adiabaticity_report(pot: Potential, energy: float, grid: Grid1D,
     from the eigensolver.
     """
     profile = local_wkb_profile(pot, energy, grid, consts)
-    v, dv, _ = eval_potential(pot, grid.x)
+    v, dv = eval_potential(pot, grid.x)
     ok = profile.allowed_mask
     p_local = 2.0 * consts.f * profile.k_of_x[ok]
     dv_dt = np.abs(dv[ok]) * p_local / consts.mass

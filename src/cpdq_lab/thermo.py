@@ -45,9 +45,6 @@ from .core import Constants, ModelViolationError
 # Largest event log a run may record (start, hits, jump and stop rows).
 MAX_EVENTS = 10_000_000
 
-# A scan run is adiabatic while its |d ln(pL)| stays below this.
-_ADIABATIC_THRESHOLD = 1e-2
-
 
 class WallEvent(IntEnum):
     INIT = 0
@@ -108,12 +105,14 @@ class PistonConfig:
     """Box of initial size l0 whose right wall moves.
 
     constant_speed: L(t) = l0 + u*t until L reaches l_end (or t reaches
-    t_end).  sudden_jump: the wall teleports outward to l_end at t_jump
-    (u is unused); free expansion, the particle never notices until it
-    travels there.  The particle starts at the fixed wall moving right
-    at speed v0; its mass is that of the run's constants.  A config
-    whose record would exceed MAX_EVENTS rows, or whose wall brings the
-    particle to rest, is rejected here, before anything is allocated.
+    t_end).  sudden_jump: the wall teleports outward to l_end at t_jump;
+    free expansion, the particle never notices until it travels there.
+    Each mode rejects the other's key: t_jump for constant_speed, a
+    nonzero u for sudden_jump.  The particle starts at the fixed wall
+    moving right at speed v0; its mass is that of the run's constants.
+    A config whose record would exceed MAX_EVENTS rows, or whose wall
+    brings the particle to rest, is rejected here, before anything is
+    allocated.
     """
 
     l0: float
@@ -130,6 +129,8 @@ class PistonConfig:
         if self.mode not in ("constant_speed", "sudden_jump"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "constant_speed":
+            if self.t_jump is not None:
+                raise ValueError("t_jump applies only to mode sudden_jump")
             if abs(self.u) >= self.v0:
                 raise ModelViolationError(
                     "wall speed must stay below the particle speed")
@@ -145,6 +146,8 @@ class PistonConfig:
                     raise ModelViolationError(
                         "box closes before t_end: need t_end < l0/|u|")
         else:
+            if self.u != 0.0:
+                raise ValueError("sudden_jump takes no wall speed u")
             if self.l_end is None or self.l_end <= self.l0:
                 raise ValueError("sudden_jump needs l_end > l0 (expansion)")
             if not 0.0 < self.jump_time < self.stop_time:
@@ -216,7 +219,6 @@ class PistonRecord:
     speed: np.ndarray
     box_l: np.ndarray
     event: np.ndarray
-    cfg: PistonConfig
     consts: Constants
 
     @property
@@ -281,7 +283,7 @@ def piston_simulate(cfg: PistonConfig, consts: Constants) -> PistonRecord:
         i = rows.stop
     t[i], speed[i], event[i] = cfg.stop_time, speed[i - 1], WallEvent.STOP
     box_l[i] = leg.box + leg.u * (t[i] - leg.t0)
-    return PistonRecord(t=t, speed=speed, box_l=box_l, event=event, cfg=cfg,
+    return PistonRecord(t=t, speed=speed, box_l=box_l, event=event,
                         consts=consts)
 
 
@@ -382,7 +384,6 @@ class AdiabaticScan:
     ratios: np.ndarray
     delta_ln_pl: np.ndarray
     delta_s_over_k: np.ndarray
-    largest_adiabatic_ratio: float | None
 
 
 def scan_configs(ratios, l0: float = 1.0, v0: float = 1.0,
@@ -400,12 +401,12 @@ def scan_configs(ratios, l0: float = 1.0, v0: float = 1.0,
 
 
 def adiabatic_scan(ratios, consts: Constants, **run) -> AdiabaticScan:
-    """Invariant violation |d ln(pL)| versus wall-speed ratio u/v0.
+    """Invariant violation |d ln(pL)| and entropy change versus u/v0.
 
     The runs are scan_configs(ratios, **run).  The violation uses
     collision-phase-aligned sampling (see PistonRecord.aligned_delta_ln_pl)
-    and grows monotonically with u/v0; the largest adiabatic ratio is the
-    largest whose violation stays below _ADIABATIC_THRESHOLD.
+    and grows monotonically with u/v0; delta_s_over_k is each run's total
+    entropy change in units of k.
     """
     configs = scan_configs(ratios, **run)
     ratios = np.asarray(ratios, dtype=float)
@@ -415,7 +416,4 @@ def adiabatic_scan(ratios, consts: Constants, **run) -> AdiabaticScan:
         rec = piston_simulate(cfg, consts)
         viol[n] = rec.aligned_delta_ln_pl()
         ds[n] = rec.total_delta_s() / consts.k_boltz
-    ok = np.flatnonzero(viol < _ADIABATIC_THRESHOLD)
-    best = float(ratios[ok].max()) if len(ok) else None
-    return AdiabaticScan(ratios=ratios, delta_ln_pl=viol, delta_s_over_k=ds,
-                         largest_adiabatic_ratio=best)
+    return AdiabaticScan(ratios=ratios, delta_ln_pl=viol, delta_s_over_k=ds)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constants, DofState, GapError, Potential, eval_potential, tderiv
+from .core import Constants, GapError, Potential, eval_potential, tderiv
 
 
 @dataclass(frozen=True)
@@ -50,44 +50,30 @@ class Trajectory:
     def qdot(self) -> np.ndarray:
         return self.p / self.consts.mass
 
-    def state_at(self, i: int) -> DofState:
-        return DofState.from_phase(float(self.t[i]), float(self.q[i]),
-                                   float(self.p[i]), self.consts)
-
-    @classmethod
-    def from_samples(cls, t, q, p, pot: Potential,
-                     consts: Constants) -> "Trajectory":
-        t = np.asarray(t, float)
-        return cls(t=t, q=np.asarray(q, float), p=np.asarray(p, float),
-                   dt=float(t[1] - t[0]), pot=pot, consts=consts)
-
 
 @dataclass(frozen=True)
 class VariationSeries:
     """A path variation (delta_q, delta_qdot) aligned with a trajectory.
 
-    For source "special", delta_q = epsilon/p pointwise, so
+    For special_variation, delta_q = epsilon/p pointwise, so
     p[i]*delta_q[i] == epsilon wherever the gap mask is clear.
     delta_qdot is always the discrete time derivative of delta_q;
     NaNs mark flagged gaps (|p| at or below the momentum floor) and
     propagate one stencil width into delta_qdot.
     """
 
-    epsilon: float
     delta_q: np.ndarray
     delta_qdot: np.ndarray
-    source: str
     gap_mask: np.ndarray
 
 
 def lagrangian_eval(q, qdot, pot: Potential, consts: Constants):
-    """L = m*qdot^2/2 - V(q) and the conjugate momentum p = m*qdot."""
-    v, _, _ = eval_potential(pot, q)
+    """L = m*qdot^2/2 - V(q)."""
+    v, _ = eval_potential(pot, q)
     lagr = 0.5 * consts.mass * np.asarray(qdot, float) ** 2 - v
-    p = consts.mass * np.asarray(qdot, float)
     if np.ndim(q) == 0 and np.ndim(qdot) == 0:
-        return float(lagr), float(p)
-    return lagr, p
+        return float(lagr)
+    return lagr
 
 
 def special_variation(traj: Trajectory, epsilon: float) -> VariationSeries:
@@ -96,18 +82,16 @@ def special_variation(traj: Trajectory, epsilon: float) -> VariationSeries:
     with np.errstate(divide="ignore"):
         dq = np.where(gap, np.nan, epsilon / traj.p)
     dqdot = tderiv(dq, traj.dt)
-    return VariationSeries(epsilon=float(epsilon), delta_q=dq,
-                           delta_qdot=dqdot, source="special", gap_mask=gap)
+    return VariationSeries(delta_q=dq, delta_qdot=dqdot, gap_mask=gap)
 
 
-def custom_variation(traj: Trajectory, delta_q, epsilon: float) -> VariationSeries:
-    """Wrap a caller-supplied delta_q series; epsilon is its nominal scale."""
+def custom_variation(traj: Trajectory, delta_q) -> VariationSeries:
+    """Wrap a caller-supplied delta_q series."""
     dq = np.asarray(delta_q, dtype=float)
     if len(dq) != len(traj):
         raise ValueError("variation length must match trajectory")
     dqdot = tderiv(dq, traj.dt)
-    return VariationSeries(epsilon=float(epsilon), delta_q=dq,
-                           delta_qdot=dqdot, source="custom",
+    return VariationSeries(delta_q=dq, delta_qdot=dqdot,
                            gap_mask=np.zeros(len(dq), dtype=bool))
 
 
@@ -119,14 +103,8 @@ def first_order_dL(traj: Trajectory, var: VariationSeries) -> np.ndarray:
     """
     if len(var.delta_q) != len(traj):
         raise ValueError("variation not aligned with trajectory")
-    _, dv, _ = eval_potential(traj.pot, traj.q)
+    _, dv = eval_potential(traj.pot, traj.q)
     return (-dv) * var.delta_q + traj.p * var.delta_qdot
-
-
-def lagrange_residual(traj: Trajectory) -> np.ndarray:
-    """Equation-of-motion defect d(p)/dt + V'(q), zero on actual trajectories."""
-    _, dv, _ = eval_potential(traj.pot, traj.q)
-    return tderiv(traj.p, traj.dt) + dv
 
 
 def action_and_variation(traj: Trajectory, var: VariationSeries,
@@ -153,16 +131,16 @@ def action_and_variation(traj: Trajectory, var: VariationSeries,
 
     q, p = traj.q[sl], traj.p[sl]
     qdot = traj.qdot[sl]
-    lagr, _ = lagrangian_eval(q, qdot, traj.pot, traj.consts)
+    lagr = lagrangian_eval(q, qdot, traj.pot, traj.consts)
     action = np.trapezoid(lagr, dx=traj.dt)
 
     d_boundary = p[-1] * dq[-1] - p[0] * dq[0]
 
-    _, dv, _ = eval_potential(traj.pot, q)
+    _, dv = eval_potential(traj.pot, q)
     pdot = tderiv(traj.p, traj.dt)[sl]
     d_bulk = np.trapezoid((-dv - pdot) * dq, dx=traj.dt)
 
-    lagr_var, _ = lagrangian_eval(q + dq, qdot + dqdot, traj.pot, traj.consts)
+    lagr_var = lagrangian_eval(q + dq, qdot + dqdot, traj.pot, traj.consts)
     d_direct = np.trapezoid(lagr_var, dx=traj.dt) - action
 
     return float(action), float(d_boundary), float(d_bulk), float(d_direct)

@@ -150,6 +150,10 @@ class TestValidation:
         ("trajectory", {"potential": {"kind": "harmonic", "omega": 2.0},
                         "q0": 1.0, "p0": 0.0, "dt": 1.0, "n_steps": 10},
          "trajectory: harmonic leapfrog step is unstable"),
+        ("piston", {"l0": 1, "v0": 1, "u": 0.5, "mode": "sudden_jump",
+                    "l_end": 2}, "piston: sudden_jump takes no wall speed u"),
+        ("piston", {"l0": 1, "v0": 1, "u": 0.01, "l_end": 2, "t_jump": 1},
+         "piston: t_jump applies only to mode sudden_jump"),
     ], ids=["tise_too_many_energies", "tise_zero_energy", "piston_no_l0",
             "piston_l_end_unreachable", "piston_collapsing_box",
             "piston_scan_with_run_keys", "piston_jump_after_end",
@@ -160,7 +164,8 @@ class TestValidation:
             "trajectory_q0_outside_well", "piston_scan_stops_particle",
             "piston_stops_particle", "trajectory_too_many_steps",
             "tise_grid_too_large", "tise_states_too_large",
-            "trajectory_si_electron_blowup", "trajectory_harmonic_step_at_4"])
+            "trajectory_si_electron_blowup", "trajectory_harmonic_step_at_4",
+            "piston_jump_with_u", "piston_constant_speed_with_t_jump"])
     def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch, kind,
                                   params, named):
         # kind names the scenario kind, or is (kind, units)

@@ -1,20 +1,11 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cpdq_lab import (
-    DofState,
-    DomainError,
-    Potential,
-    compton_floor,
-    eval_potential,
-    natural_units,
-    si_units,
-)
+from cpdq_lab import DomainError, Potential, eval_potential, natural_units
 from cpdq_lab.core import delta_q_series, tderiv
 
 
@@ -32,23 +23,22 @@ def test_constants_reject_nonpositive():
 
 
 def test_harmonic_minimum():
-    assert eval_potential(Potential.harmonic(1, 1), 0.0) == (0.0, 0.0, 1.0)
+    assert eval_potential(Potential.harmonic(1, 1), 0.0) == (0.0, 0.0)
 
 
 def test_linear_convention():
     # V = -f0*q: constant force +f0
-    assert eval_potential(Potential.linear(2.0), 3.0) == (-6.0, -2.0, 0.0)
+    assert eval_potential(Potential.linear(2.0), 3.0) == (-6.0, -2.0)
 
 
 def test_harmonic_closed_form():
     # oracle: V = m*omega^2*q^2/2 evaluated by hand for m=1, omega=2, q=1
-    v, dv, d2v = eval_potential(Potential.harmonic(1, 2), 1.0)
-    assert (v, dv, d2v) == (2.0, 4.0, 4.0)
+    assert eval_potential(Potential.harmonic(1, 2), 1.0) == (2.0, 4.0)
 
 
 def test_infinite_well_domain():
     pot = Potential.infinite_well(1.0)
-    v, dv, _ = eval_potential(pot, 0.5)
+    v, dv = eval_potential(pot, 0.5)
     assert v == 0.0 and dv == 0.0
     with pytest.raises(DomainError):
         eval_potential(pot, 1.5)
@@ -66,38 +56,10 @@ def test_derivative_consistency_100_points(pot, span):
     rng = np.random.default_rng(42)
     q = rng.uniform(-span, span, size=100)
     h = 1e-4
-    _, dv, _ = eval_potential(pot, q)
-    vp, _, _ = eval_potential(pot, q + h)
-    vm, _, _ = eval_potential(pot, q - h)
+    _, dv = eval_potential(pot, q)
+    vp, _ = eval_potential(pot, q + h)
+    vm, _ = eval_potential(pot, q - h)
     assert np.max(np.abs(dv - (vp - vm) / (2 * h))) <= 1e-5
-
-
-def test_second_derivative_consistency():
-    pot = Potential.soft_well(2.0, 0.7)
-    q = np.linspace(-2, 2, 41)
-    h = 1e-4
-    _, _, d2v = eval_potential(pot, q)
-    _, dvp, _ = eval_potential(pot, q + h)
-    _, dvm, _ = eval_potential(pot, q - h)
-    assert np.max(np.abs(d2v - (dvp - dvm) / (2 * h))) <= 1e-5
-
-
-def test_compton_floor_electron():
-    # oracle: known electron Compton wavelength 2.42631e-12 m over 4*pi
-    got = compton_floor(9.1093837015e-31, si_units())
-    assert got == pytest.approx(2.42631023867e-12 / (4 * math.pi), rel=1e-9)
-
-
-def test_compton_floor_natural_units():
-    # h = 2*pi, m = c = 1: wavelength 2*pi, floor 1/2
-    assert compton_floor(1.0, natural_units()) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_compton_floor_monotone_in_mass():
-    c = si_units()
-    assert compton_floor(1.0, c) < compton_floor(1e-5, c)
-    with pytest.raises(ValueError):
-        compton_floor(-1.0, c)
 
 
 @given(p=st.floats(min_value=1e-8, max_value=1e8,
@@ -105,15 +67,15 @@ def test_compton_floor_monotone_in_mass():
        sign=st.sampled_from([-1.0, 1.0]))
 def test_product_invariant(p, sign):
     c = natural_units()
-    state = DofState.from_phase(0.0, 0.0, sign * p, c)
-    assert state.defined
-    assert abs(abs(state.p) * state.delta_q - c.f) <= 1e-12 * c.f
+    dq, gap = delta_q_series(np.array([sign * p]), c)
+    assert not gap[0]
+    assert abs(p * dq[0] - c.f) <= 1e-12 * c.f
 
 
 def test_turning_point_flagged():
     c = natural_units()
-    assert not DofState.from_phase(0.0, 1.0, 0.0, c).defined
-    assert not DofState.from_phase(0.0, 1.0, 1e-10, c).defined
+    dq, gap = delta_q_series(np.array([0.0, 1e-10]), c)
+    assert gap.tolist() == [True, True] and np.all(np.isnan(dq))
 
 
 def test_delta_q_series_mask():

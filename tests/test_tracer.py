@@ -1,0 +1,39 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import cpdq_lab.cli as cli
+
+TOOL = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+spec = importlib.util.spec_from_file_location("tracer", TOOL)
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+
+
+def scenario(tmp_path, name, kind, params):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"kind": kind, "params": params}))
+    return path
+
+
+def test_tracer_finds_every_traced_name(tmp_path):
+    # the benchmark's tracer looks up each traced function by name and
+    # reads some of their arguments; a renamed or deleted one breaks it
+    traj = scenario(tmp_path, "traj", "trajectory", {
+        "potential": {"kind": "harmonic"}, "q0": 1.0, "p0": 0.0,
+        "dt": 1e-3, "n_steps": 1000})
+    n = 64
+    tise = scenario(tmp_path, "tise", "tise", {
+        "potential": {"kind": "harmonic"},
+        "grid": {"x_min": -5.0, "x_max": 5.0, "n": n}, "n_states": 2})
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert cli.run_scenario(traj, tmp_path / "traj_out")[1] == 0
+        assert cli.run_scenario(tise, tmp_path / "tise_out")[1] == 0
+    finally:
+        t.uninstall()
+    _, counts = t.take()
+    assert counts["dynamics.steps"] == 1000
+    assert counts["quantum.eigen_dim"] == n - 2
+    assert counts["core.eval_potential_calls"] > 0

@@ -11,12 +11,13 @@ from cpdq_lab import (
     Trajectory,
     action_and_variation,
     custom_variation,
+    eval_potential,
     first_order_dL,
-    lagrange_residual,
     lagrangian_eval,
     natural_units,
     special_variation,
 )
+from cpdq_lab.core import tderiv
 
 EPS = 1e-6 * 0.5  # default variation scale, 1e-6 * f
 
@@ -24,45 +25,36 @@ EPS = 1e-6 * 0.5  # default variation scale, 1e-6 * f
 def analytic_harmonic(consts, t0=0.0, t1=math.pi, dt=1e-3):
     """Exact solution q = cos t, p = -sin t of the unit oscillator."""
     t = np.arange(t0, t1 + dt / 2, dt)
-    return Trajectory.from_samples(t, np.cos(t), -np.sin(t),
-                                   Potential.harmonic(), consts)
+    return Trajectory(t=t, q=np.cos(t), p=-np.sin(t), dt=dt,
+                      pot=Potential.harmonic(), consts=consts)
 
 
 def test_lagrangian_free(consts):
-    lagr, p = lagrangian_eval(3.7, 2.0, Potential.free(), consts)
-    assert (lagr, p) == (2.0, 2.0)
+    assert lagrangian_eval(3.7, 2.0, Potential.free(), consts) == 2.0
 
 
 def test_lagrangian_at_rest(consts):
-    lagr, p = lagrangian_eval(1.0, 0.0, Potential.harmonic(1, 1), consts)
-    assert (lagr, p) == (-0.5, 0.0)
+    assert lagrangian_eval(1.0, 0.0, Potential.harmonic(1, 1), consts) == -0.5
 
 
 def test_lagrangian_closed_form(consts):
     # oracle: qdot^2/2 - omega^2 q^2/2 = 4.5 - 2 for omega=2, q=1, qdot=3
-    lagr, p = lagrangian_eval(1.0, 3.0, Potential.harmonic(1, 2), consts)
-    assert (lagr, p) == (2.5, 3.0)
-
-
-def test_trajectory_state_view(consts):
-    traj = analytic_harmonic(consts, t0=0.3, t1=1.0)
-    s = traj.state_at(5)
-    assert s.t == traj.t[5] and s.q == traj.q[5] and s.p == traj.p[5]
-    assert s.defined and abs(abs(s.p) * s.delta_q - consts.f) <= 1e-12
+    assert lagrangian_eval(1.0, 3.0, Potential.harmonic(1, 2), consts) == 2.5
 
 
 def test_trajectory_validation(consts):
     t = np.array([0.0, 1.0, 2.0, 3.1, 4.0])
     with pytest.raises(ValueError):
-        Trajectory.from_samples(t, t, t, Potential.free(), consts)
+        Trajectory(t=t, q=t, p=t, dt=1.0, pot=Potential.free(), consts=consts)
     with pytest.raises(ValueError):
-        Trajectory.from_samples(t[:3], t[:3], t[:3], Potential.free(), consts)
+        Trajectory(t=t[:3], q=t[:3], p=t[:3], dt=1.0, pot=Potential.free(),
+                   consts=consts)
 
 
 def test_special_variation_constant_momentum(consts):
     t = np.arange(0.0, 1.0, 1e-2)
-    traj = Trajectory.from_samples(t, 2.0 * t, np.full_like(t, 2.0),
-                                   Potential.free(), consts)
+    traj = Trajectory(t=t, q=2.0 * t, p=np.full_like(t, 2.0), dt=1e-2,
+                      pot=Potential.free(), consts=consts)
     var = special_variation(traj, 1e-6)
     assert np.all(var.delta_q == 5e-7)
     assert np.all(var.delta_qdot == 0.0)
@@ -94,8 +86,8 @@ def test_special_variation_invariance(scale):
 
 def test_first_order_dL_free_machine_zero(consts):
     t = np.arange(0.0, 2.0, 1e-2)
-    traj = Trajectory.from_samples(t, 2.0 * t, np.full_like(t, 2.0),
-                                   Potential.free(), consts)
+    traj = Trajectory(t=t, q=2.0 * t, p=np.full_like(t, 2.0), dt=1e-2,
+                      pot=Potential.free(), consts=consts)
     var = special_variation(traj, 1e-6)
     assert np.max(np.abs(first_order_dL(traj, var))) == 0.0
 
@@ -112,7 +104,8 @@ def test_first_order_dL_detects_non_solution(consts):
     base = analytic_harmonic(consts, t0=0.4, t1=math.pi - 0.4)
     q = base.q + 0.01 * np.sin(3.0 * base.t)
     p = base.p + 0.03 * np.cos(3.0 * base.t)
-    pert = Trajectory.from_samples(base.t, q, p, base.pot, consts)
+    pert = Trajectory(t=base.t, q=q, p=p, dt=base.dt, pot=base.pot,
+                      consts=consts)
     dl = first_order_dL(pert, special_variation(pert, EPS))
     assert np.nanmax(np.abs(dl)) > 100 * 1e-4 * EPS
 
@@ -124,35 +117,12 @@ def test_first_order_dL_alignment_error(consts, harmonic_record):
         first_order_dL(harmonic_record.traj, var)
 
 
-def test_lagrange_residual_on_solution(consts):
-    traj = analytic_harmonic(consts)
-    res = lagrange_residual(traj)
-    assert np.max(np.abs(res)) <= 5.0 * traj.dt**2  # O(dt^2)
-
-
-def test_lagrange_residual_uniform_force(consts):
-    # oracle: q = t^2/2, p = t solves constant unit force
-    t = np.arange(0.0, 2.0, 1e-3)
-    traj = Trajectory.from_samples(t, 0.5 * t * t, t,
-                                   Potential.linear(1.0), consts)
-    assert np.max(np.abs(lagrange_residual(traj))) <= 5.0 * traj.dt**2
-
-
-def test_lagrange_residual_non_solution(consts):
-    # a straight line through a harmonic well misses by |q| exactly
-    t = np.arange(0.0, 1.0, 1e-3)
-    traj = Trajectory.from_samples(t, t, np.ones_like(t),
-                                   Potential.harmonic(), consts)
-    res = lagrange_residual(traj)
-    assert np.allclose(res[2:-2], traj.q[2:-2], atol=1e-9)
-
-
 def test_residual_bounds_first_order_dL(consts, harmonic_record):
     # |dL| <= C * eps * residual where the band is well conditioned
     traj = harmonic_record.traj
     var = special_variation(traj, EPS)
     dl = first_order_dL(traj, var)
-    res = lagrange_residual(traj)
+    res = tderiv(traj.p, traj.dt) + eval_potential(traj.pot, traj.q)[1]
     mask = np.isfinite(dl) & (np.abs(traj.p) >= 0.5 * np.abs(traj.p).max())
     r = np.max(np.abs(res[mask]))
     assert np.max(np.abs(dl[mask])) <= 100.0 * EPS * r
@@ -182,7 +152,7 @@ class TestActionDecomposition:
         window = EPS * np.sin(np.pi * (t - t[i1]) / (t[i2] - t[i1])) ** 2
         window[:i1] = 0.0
         window[i2:] = 0.0
-        var = custom_variation(traj, window, EPS)
+        var = custom_variation(traj, window)
         action, d_bnd, _, d_dir = action_and_variation(traj, var, i1, i2)
         assert d_bnd == 0.0
         span = (i2 - i1) * traj.dt
@@ -192,7 +162,8 @@ class TestActionDecomposition:
         traj, _, i1, i2 = self.fixture(consts)
         q = traj.q + 0.01 * np.sin(3.0 * traj.t)
         p = traj.p + 0.03 * np.cos(3.0 * traj.t)
-        pert = Trajectory.from_samples(traj.t, q, p, traj.pot, consts)
+        pert = Trajectory(t=traj.t, q=q, p=p, dt=traj.dt, pot=traj.pot,
+                          consts=consts)
         var = special_variation(pert, EPS)
         _, _, d_blk, _ = action_and_variation(pert, var, i1, i2)
         span = (i2 - i1) * traj.dt
