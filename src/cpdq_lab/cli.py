@@ -4,8 +4,10 @@ Each scenario kind is one entry of KINDS: the schema of its params and a
 runner that returns its checks and artifacts without doing any I/O.
 
 Reports are byte-deterministic: fixed key ordering, shortest round-trip
-float repr in strict JSON, %.17g in CSV, and no timestamps -- wall-clock
-timing goes to a sibling timing.json excluded from determinism claims.
+float repr in strict JSON, %.17g in CSV (formatted once per distinct value
+of a column that repeats), and no timestamps -- wall-clock timing (compute
+and write seconds) goes to a sibling timing.json excluded from
+determinism claims.
 
 Exit codes: 0 all checks pass, 1 computation error (a RuntimeWarning
 counts as one), 2 parse or schema error, 3 at least one check failed.
@@ -183,14 +185,49 @@ def _given(params: dict, *keys: str) -> dict:
 
 
 _CSV_BLOCK_ROWS = 1000
+# A column of at least _CSV_PROBES rows is formatted once per distinct value
+# when about _CSV_PROBES strided rows show at most _CSV_DISTINCT values and
+# every row holds one of them.  Shorter columns, and columns with a value no
+# sampled row holds, are formatted per value: there the lookup saves less
+# than it costs.
+_CSV_PROBES = 64
+_CSV_DISTINCT = 8
+
+
+def _csv_field(c: np.ndarray) -> tuple[str, np.ndarray | None]:
+    """One column's row-template field and the values it consumes.
+
+    Values are told apart by their float64 bit pattern, so 0.0 and -0.0,
+    and NaNs of other sign or payload, each keep their own "%.17g" text.
+    A constant column becomes a literal that consumes nothing; a column
+    of a few values becomes a %s field fed the preformatted strings.
+    """
+    n = len(c)
+    if n < _CSV_PROBES:
+        return "%.17g", c
+    bits = c.view(np.int64)
+    probe = set(bits[::n // _CSV_PROBES].tolist())
+    if len(probe) > _CSV_DISTINCT:
+        return "%.17g", c
+    keys = np.array(sorted(probe), dtype=np.int64)
+    inv = np.minimum(np.searchsorted(keys, bits), len(keys) - 1)
+    if not np.array_equal(keys[inv], bits):
+        return "%.17g", c
+    texts = ["%.17g" % x for x in keys.view(float).tolist()]
+    if len(texts) == 1:
+        return texts[0], None
+    return "%s", np.array(texts, dtype=object)[inv]
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write equal-length columns as CSV, every value as float in %.17g.
 
-    Rows go out in blocks of _CSV_BLOCK_ROWS, each formatted by one `%` on
-    a repeated row template, so the per-float loop runs in C with the same
-    conversion as "%.17g" % float(x); the whole table is never stacked.
+    Each distinct value of a column that repeats (a constant f, the two
+    momenta of a well) is formatted once (_csv_field); other columns are
+    formatted per value.  Rows go out in blocks of _CSV_BLOCK_ROWS, each
+    formatted by one `%` on a repeated row template, so the per-float loop
+    runs in C with the same conversion as "%.17g" % float(x); the whole
+    table is never stacked.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
     lengths = {len(c) for c in cols}
@@ -198,12 +235,18 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
         raise ValueError(f"{path}: columns differ in length "
                          f"{sorted(lengths)}")
     n_rows = max(lengths, default=0)
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    fields = [_csv_field(c) for c in cols]
+    row = ",".join(f for f, _ in fields) + "\n"
+    values = [v for _, v in fields if v is not None]
+    k = len(values)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in cols])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            m = min(_CSV_BLOCK_ROWS, n_rows - i)
+            flat = [None] * (m * k)
+            for j, v in enumerate(values):
+                flat[j::k] = v[i:i + m].tolist()
+            fh.write(row * m % tuple(flat))
 
 
 def _write_artifacts(out: Path, artifacts: dict) -> None:
@@ -525,9 +568,10 @@ def run_scenario(path: str | Path, out_dir: str | Path | None = None) -> tuple[d
         report = {"version": __version__, "scenario": cfg,
                   "checks": _check_rows(checks),
                   "artifacts": sorted(artifacts)}
-        _write_artifacts(Path(out_dir), {
-            **artifacts, "report.json": report,
-            "timing.json": {"elapsed_s": elapsed}})
+        writing = time.perf_counter()
+        _write_artifacts(Path(out_dir), {**artifacts, "report.json": report})
+        _write_artifacts(Path(out_dir), {"timing.json": {
+            "elapsed_s": elapsed, "write_s": time.perf_counter() - writing}})
     except Exception as exc:
         print(_failure(exc), file=sys.stderr)
         return None, EXIT_COMPUTE

@@ -226,18 +226,32 @@ def strict_csv(path: Path, header: list[str]) -> None:
             float(field)
 
 
+# run beside the bundled scenarios: no bundled one has these shapes (an
+# infinite-well trajectory's p, delta_q, f, T, V and E take at most two
+# values each)
+EXTRA_SCENARIOS = {"trajectory_infinite_well.json": {
+    "kind": "trajectory", "params": {
+        "potential": {"kind": "infinite_well", "width": 1.3},
+        "q0": 0.4, "p0": -2.5, "dt": 0.001, "n_steps": 5000}}}
+
+
 class TestRun:
-    @pytest.mark.parametrize("name", RUNNABLE_SCENARIOS)
+    @pytest.mark.parametrize("name",
+                             RUNNABLE_SCENARIOS + sorted(EXTRA_SCENARIOS))
     def test_bundled_scenarios_pass(self, tmp_path, monkeypatch, name):
-        headers = {}
+        tables = {}
         write_csv = cli.write_csv
 
         def recording(path, header, columns):
-            headers[Path(path).name] = header
+            tables[Path(path).name] = header, columns
             write_csv(path, header, columns)
         monkeypatch.setattr(cli, "write_csv", recording)
+        path = scenario_path(name)
+        if name in EXTRA_SCENARIOS:
+            path = tmp_path / name
+            path.write_text(json.dumps(EXTRA_SCENARIOS[name]))
         out = tmp_path / "out"
-        assert run(name, out) == cli.EXIT_OK
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_OK
         report = strict_json(out / "report.json")
         assert all(c["pass"] for c in report["checks"])
         assert report["artifacts"]
@@ -246,7 +260,10 @@ class TestRun:
             if artifact.endswith(".json"):
                 strict_json(out / artifact)
             else:
-                strict_csv(out / artifact, headers[artifact])
+                header, columns = tables[artifact]
+                strict_csv(out / artifact, header)
+                assert (out / artifact).read_text() \
+                    == ",".join(header) + "\n" + old_csv_rows(columns)
 
     def test_harmonic_pzie_scenario(self, tmp_path):
         assert run("harmonic_pzie.json", tmp_path / "out") == cli.EXIT_OK
@@ -325,6 +342,7 @@ class TestRun:
         assert "elapsed" not in report
         timing = json.loads((tmp_path / "out" / "timing.json").read_text())
         assert timing["elapsed_s"] >= 0.0
+        assert timing["write_s"] >= 0.0
 
 
 def old_csv_rows(columns) -> str:
@@ -339,6 +357,23 @@ B = cli._CSV_BLOCK_ROWS
 EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
                -2.2250738585072009e-308, 1.7976931348623157e308,
                -1.7976931348623157e308]
+# a NaN with its sign bit set and a quiet NaN with another payload
+OTHER_NANS = np.array([0xFFF8000000000000, 0x7FF8000000000001],
+                      dtype=np.uint64).view(float)
+
+
+def long_table(n: int) -> list[np.ndarray]:
+    """Columns of the shapes write_csv formats once per distinct value,
+    beside a unique column and one whose strided samples look constant."""
+    k = np.arange(n)
+    unique = k / 3.0 + 0.1
+    fooled = unique.copy()
+    fooled[::max(2, n // 64)] = 0.5
+    f_gaps = np.where(k % 17 == 3, np.nan, 0.5)
+    zeros = np.where(k % 3 == 0, -0.0, 0.0)
+    nans = np.resize(np.concatenate([OTHER_NANS, [np.nan, 1.5, -1.5]]), n)
+    momenta = np.where(k % 5 < 2, 2.5, -2.5)
+    return [unique, np.full(n, 0.1), f_gaps, zeros, nans, momenta, fooled]
 
 
 class TestWriteCsv:
@@ -361,6 +396,26 @@ class TestWriteCsv:
         cli.write_csv(path, header, columns)
         expected = ",".join(header) + "\n" + old_csv_rows(columns)
         assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("n_rows", [63, 64, 65, 3 * B + 7])
+    def test_repeated_values_match_per_row_formula(self, tmp_path, n_rows):
+        columns = long_table(n_rows)
+        for name, table in (("mixed", columns), ("constant", [
+                np.full(n_rows, -0.0), np.full(n_rows, 1e300),
+                np.full(n_rows, OTHER_NANS[0])])):
+            header = [f"c{k}" for k in range(len(table))]
+            path = tmp_path / f"{name}.csv"
+            cli.write_csv(path, header, table)
+            expected = ",".join(header) + "\n" + old_csv_rows(table)
+            assert path.read_bytes() == expected.encode()
+        text = (tmp_path / "mixed.csv").read_text()
+        assert {row.split(",")[3] for row in text.splitlines()[1:]} \
+            == {"0", "-0"}
+        # from _CSV_PROBES rows on, the repeating columns take the literal
+        # and the %s fields; the unique and the fooled column stay per value
+        fields = [cli._csv_field(c)[0] for c in columns]
+        assert fields == (["%.17g"] * 7 if n_rows < cli._CSV_PROBES else [
+            "%.17g", "0.10000000000000001", "%s", "%s", "%s", "%s", "%.17g"])
 
     def test_ragged_columns_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
