@@ -22,7 +22,6 @@ from .variational import (
 )
 from .dynamics import (
     IntegratorConfig,
-    TrajectoryRecord,
     cpdq_diagnostics,
     energy_budget,
     integrate_hamilton,

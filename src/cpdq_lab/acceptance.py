@@ -19,7 +19,6 @@ from . import (
     PistonConfig,
     Potential,
     RegimeLabel,
-    TrajectoryRecord,
     Trajectory,
     WaveFunction,
     action_and_variation,
@@ -96,8 +95,7 @@ def _harmonic_10_periods(consts, dt=1e-3, periods=10):
                               IntegratorConfig(dt=dt, n_steps=n), consts)
 
 
-def _perturbed(rec: TrajectoryRecord) -> Trajectory:
-    traj = rec.traj
+def _perturbed(traj: Trajectory) -> Trajectory:
     t = traj.t
     q = traj.q + 0.01 * np.sin(3.0 * t)
     p = traj.p + traj.consts.mass * 0.03 * np.cos(3.0 * t)
@@ -109,9 +107,9 @@ def criterion_1_stationarity() -> list[Check]:
     """First-order Lagrangian change under the special variation."""
     consts = natural_units()
     t0 = time.perf_counter()
-    rec = _harmonic_10_periods(consts)
+    traj = _harmonic_10_periods(consts)
     eps = 1e-6 * consts.f
-    energy = float(rec.energy_e[0])
+    energy = float(traj.energy_e[0])
     bound = 1e-4 * eps * energy
 
     def max_dl_of(traj: Trajectory) -> float:
@@ -119,8 +117,8 @@ def criterion_1_stationarity() -> list[Check]:
         away = np.isfinite(dl) & (np.abs(traj.p) >= 0.5 * np.abs(traj.p).max())
         return float(np.max(np.abs(dl[away])))
 
-    max_dl = max_dl_of(rec.traj)
-    max_dl_p = max_dl_of(_perturbed(rec))
+    max_dl = max_dl_of(traj)
+    max_dl_p = max_dl_of(_perturbed(traj))
     elapsed = time.perf_counter() - t0
     return [
         _le("stationarity/actual_max_dL_over_bound", max_dl / bound, 1.0),
@@ -137,24 +135,24 @@ def criterion_2_action_decomposition() -> list[Check]:
 
     harmonic = _harmonic_10_periods(consts, periods=2)
     energy = float(harmonic.energy_e[0])
-    dt = harmonic.traj.dt
+    dt = harmonic.dt
     i1, i2 = int(round(0.6 / dt)), int(round(2.2 / dt))
     span = (i2 - i1) * dt
 
     free = integrate_hamilton(Potential.free(), 0.0, 2.0,
                               IntegratorConfig(dt=1e-3, n_steps=2000), consts)
     fixtures = {
-        "free_special": (free.traj, special_variation(free.traj, eps), 100, 1900),
-        "harmonic_special": (harmonic.traj, special_variation(harmonic.traj, eps), i1, i2),
+        "free_special": (free, special_variation(free, eps), 100, 1900),
+        "harmonic_special": (harmonic, special_variation(harmonic, eps), i1, i2),
     }
-    t = harmonic.traj.t
+    t = harmonic.t
     # sin^2 window: vanishes with its slope at both ends, so the discrete
     # delta_qdot stays clean across the window edges
     window = np.where((t >= t[i1]) & (t <= t[i2]),
                       eps * np.sin(np.pi * (t - t[i1]) / (t[i2] - t[i1])) ** 2,
                       0.0)
     fixtures["harmonic_custom"] = (
-        harmonic.traj, custom_variation(harmonic.traj, window), i1, i2)
+        harmonic, custom_variation(harmonic, window), i1, i2)
     pert = _perturbed(harmonic)
     fixtures["perturbed_special"] = (pert, special_variation(pert, eps), i1, i2)
 
@@ -309,8 +307,7 @@ def criterion_8_extended_quantities() -> list[Check]:
 
 def criterion_9_pzie() -> list[Check]:
     consts = natural_units()
-    rec = _harmonic_10_periods(consts)
-    cum = info_ledger(rec).total
+    cum = info_ledger(_harmonic_10_periods(consts)).total
     checks = [_le("pzie/conservative_cumulative_bits", abs(cum), 1e-6)]
     for name, cfg in (("slow", _SLOW_DOUBLING), ("jump", _SUDDEN_DOUBLING)):
         rec = piston_simulate(cfg, consts)
@@ -357,9 +354,9 @@ def regime_fixture_metrics(name: str, consts):
     """The four quadrant fixtures used by the regime criterion and CLI."""
     if name == "classical_trajectory":
         n = int(round(2.0 * math.pi / 1e-3))
-        rec = integrate_hamilton(Potential.harmonic(), 100.0, 0.0,
-                                 IntegratorConfig(dt=1e-3, n_steps=n), consts)
-        return trajectory_regime_metrics(rec)
+        traj = integrate_hamilton(Potential.harmonic(), 100.0, 0.0,
+                                  IntegratorConfig(dt=1e-3, n_steps=n), consts)
+        return trajectory_regime_metrics(traj)
     if name == "quantum_profile":
         pot = Potential.soft_well(50.0, 0.2)
         grid = Grid1D(-3.0, 3.0, 4001)

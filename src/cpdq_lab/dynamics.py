@@ -23,8 +23,6 @@ from .core import (
     ModelViolationError,
     Potential,
     PotentialKind,
-    delta_q_series,
-    eval_potential,
     tderiv,
 )
 from .variational import Trajectory
@@ -40,35 +38,6 @@ class IntegratorConfig:
             raise ValueError("dt must be positive")
         if self.n_steps < 4:
             raise ValueError("need at least 4 steps")
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """A trajectory with attached energy and uncertainty-band series.
-
-    f_series[i] = |p[i]| * delta_q_series[i] wherever the gap mask is
-    clear; by construction of delta_q = f/|p| this equals the configured
-    f up to round-off, which cpdq_diagnostics verifies.
-    """
-
-    traj: Trajectory
-    energy_t: np.ndarray
-    energy_v: np.ndarray
-    energy_e: np.ndarray
-    delta_q_series: np.ndarray
-    f_series: np.ndarray
-    gap_mask: np.ndarray
-
-    @classmethod
-    def from_trajectory(cls, traj: Trajectory) -> "TrajectoryRecord":
-        consts = traj.consts
-        kinetic = traj.p**2 / (2.0 * consts.mass)
-        potential, _ = eval_potential(traj.pot, traj.q)
-        dq, gap = delta_q_series(traj.p, consts)
-        f_series = np.abs(traj.p) * dq
-        return cls(traj=traj, energy_t=kinetic, energy_v=potential,
-                   energy_e=kinetic + potential, delta_q_series=dq,
-                   f_series=f_series, gap_mask=gap)
 
 
 def check_step_stable(pot: Potential, dt: float, consts: Constants) -> None:
@@ -170,7 +139,7 @@ def _soft_well(pot: Potential, q0: float, p0: float, n: int, dt: float,
 
 
 def integrate_hamilton(pot: Potential, q0: float, p0: float,
-                       cfg: IntegratorConfig, consts: Constants) -> TrajectoryRecord:
+                       cfg: IntegratorConfig, consts: Constants) -> Trajectory:
     """Velocity-Verlet integration of qdot = p/m, pdot = -V'(q)."""
     if not bool(pot.contains(q0)):
         raise DomainError("initial position outside potential domain")
@@ -188,24 +157,23 @@ def integrate_hamilton(pot: Potential, q0: float, p0: float,
     else:
         f0 = pot.f0 if pot.kind is PotentialKind.LINEAR else 0.0
         q, p = _constant_force(f0, q0, p0, t, m)
-    traj = Trajectory(t=t, q=q, p=p, dt=dt, pot=pot, consts=consts)
-    return TrajectoryRecord.from_trajectory(traj)
+    return Trajectory(t=t, q=q, p=p, dt=dt, pot=pot, consts=consts)
 
 
-def cpdq_diagnostics(rec: TrajectoryRecord) -> float:
+def cpdq_diagnostics(traj: Trajectory) -> float:
     """Max relative drift of the measured product |p|*delta_q from f.
 
     A self-consistency check: away from masked turning points the drift
     is round-off only.
     """
-    ok = ~rec.gap_mask
+    ok = ~traj.gap_mask
     if not np.any(ok):
         raise ValueError("record is fully masked; no defined uncertainty band")
-    f = rec.traj.consts.f
-    return float((np.abs(rec.f_series[ok] - f) / f).max())
+    f = traj.consts.f
+    return float((np.abs(traj.f_series[ok] - f) / f).max())
 
 
-def newton_uncertainty_residual(rec: TrajectoryRecord) -> np.ndarray:
+def newton_uncertainty_residual(traj: Trajectory) -> np.ndarray:
     """Defect of the uncertainty form of Newton's law.
 
     residual = pdot + p*qdot*(d ln delta_q / dq), with the logarithmic
@@ -214,13 +182,12 @@ def newton_uncertainty_residual(rec: TrajectoryRecord) -> np.ndarray:
     so the check is not circular.  NaN where the band is masked or where
     qdot vanishes (turning points).
     """
-    traj = rec.traj
-    ok = ~rec.gap_mask
+    ok = ~traj.gap_mask
     if np.count_nonzero(ok) < 5:
         raise ValueError("need at least 5 unmasked samples")
     dt = traj.dt
     with np.errstate(invalid="ignore", divide="ignore"):
-        log_dq = np.log(rec.delta_q_series)
+        log_dq = np.log(traj.delta_q_series)
         dlog = tderiv(log_dq, dt)
         dqdt = tderiv(traj.q, dt)
         slope = np.where(np.abs(dqdt) > 0, dlog / dqdt, np.nan)
@@ -228,12 +195,12 @@ def newton_uncertainty_residual(rec: TrajectoryRecord) -> np.ndarray:
     return res
 
 
-def energy_budget(rec: TrajectoryRecord):
+def energy_budget(traj: Trajectory):
     """Per-step work-energy residual dT + dV and the relative energy drift."""
-    d_kin = np.diff(rec.energy_t)
-    d_pot = np.diff(rec.energy_v)
+    d_kin = np.diff(traj.energy_t)
+    d_pot = np.diff(traj.energy_v)
     residual = d_kin + d_pot
-    e0 = rec.energy_e[0]
+    e0 = traj.energy_e[0]
     scale = abs(e0) if e0 != 0 else 1.0
-    drift = float(np.max(np.abs(rec.energy_e - e0)) / scale)
+    drift = float(np.max(np.abs(traj.energy_e - e0)) / scale)
     return residual, drift

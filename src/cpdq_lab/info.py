@@ -21,8 +21,8 @@ from enum import Enum
 import numpy as np
 
 from .core import Constants, eval_potential
-from .dynamics import TrajectoryRecord
 from .thermo import PistonRecord
+from .variational import Trajectory
 
 LN2 = math.log(2.0)
 
@@ -93,16 +93,16 @@ def _ledger_from_logs(log_dq: np.ndarray, log_p: np.ndarray) -> InfoLedger:
 def info_ledger(rec) -> InfoLedger:
     """Per-interval position/momentum information increments, in bits.
 
-    Trajectory records are reduced to their unmasked samples (increments
+    Trajectories are reduced to their unmasked samples (increments
     bridge flagged turning-point gaps, preserving the telescoping sum);
     piston records use every logged event.
     """
-    if isinstance(rec, TrajectoryRecord):
+    if isinstance(rec, Trajectory):
         ok = ~rec.gap_mask
         if not np.any(ok):
             raise ValueError("record fully masked")
         return _ledger_from_logs(np.log(rec.delta_q_series[ok]),
-                                 np.log(np.abs(rec.traj.p[ok])))
+                                 np.log(np.abs(rec.p[ok])))
     if isinstance(rec, PistonRecord):
         return _ledger_from_logs(np.log(rec.box_l), np.log(rec.momentum))
     raise TypeError(f"no ledger for {type(rec).__name__}")
@@ -136,7 +136,7 @@ def regime_classify(mean_abs_d_i: float, max_step_d_i_q: float,
                         tol_zero=tol_zero, tol_small=tol_small, label=label)
 
 
-def trajectory_regime_metrics(rec: TrajectoryRecord):
+def trajectory_regime_metrics(traj: Trajectory):
     """(mean |dI|, max per-crossing dI_q, max per-crossing dI_p) for a trajectory.
 
     The per-crossing increments are |V'| * delta_q / (2T) in bits, the
@@ -144,15 +144,15 @@ def trajectory_regime_metrics(rec: TrajectoryRecord):
     uncertainty interval, evaluated away from turning points where the
     kinetic energy is at least _KINETIC_FRACTION of E.
     """
-    ledger = info_ledger(rec)
+    ledger = info_ledger(traj)
     mean_abs = float(np.mean(np.abs(ledger.d_i_q + ledger.d_i_p)))
-    _, dv = eval_potential(rec.traj.pot, rec.traj.q)
-    two_t = 2.0 * rec.energy_t
-    e_total = float(rec.energy_e[0])
-    ok = (~rec.gap_mask) & (rec.energy_t >= _KINETIC_FRACTION * e_total)
+    _, dv = eval_potential(traj.pot, traj.q)
+    two_t = 2.0 * traj.energy_t
+    e_total = float(traj.energy_e[0])
+    ok = (~traj.gap_mask) & (traj.energy_t >= _KINETIC_FRACTION * e_total)
     if not np.any(ok):
         raise ValueError("no samples clear the kinetic-fraction mask")
-    crossing = np.abs(dv[ok]) * rec.delta_q_series[ok] / two_t[ok] / LN2
+    crossing = np.abs(dv[ok]) * traj.delta_q_series[ok] / two_t[ok] / LN2
     max_step = float(crossing.max())
     return mean_abs, max_step, max_step
 

@@ -47,7 +47,7 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-class UnboundStateWarning(UserWarning):
+class UnboundStateWarning(RuntimeWarning):
     pass
 
 
@@ -458,12 +458,14 @@ def appendix_a_consistency(pot: Potential, energy: float, grid: Grid1D,
     of the equation of motion pdot = -p*xdot*(d ln delta_x/dx) with the
     logarithmic slope from divided differences of the sampled delta_x
     series, and compare against the analytic -V'(x).  Returns the max
-    relative residual over the region where E - V >= kinetic_fraction*E.
+    relative residual over the classically allowed points where
+    E - V >= kinetic_fraction*E (for E <= 0 the second test alone would
+    admit forbidden points).
     """
     profile = local_wkb_profile(pot, energy, grid, consts)
     x = grid.x
     v, dv = eval_potential(pot, x)
-    admitted = (energy - v) >= kinetic_fraction * energy
+    admitted = profile.allowed_mask & ((energy - v) >= kinetic_fraction * energy)
     if not np.any(admitted):
         raise ValueError("empty admitted region")
     # largest contiguous admitted block keeps the difference stencil clean

@@ -14,15 +14,23 @@ tolerances compose with the O(dt^2) integrator in `dynamics`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import Constants, GapError, Potential, eval_potential, tderiv
+from .core import (Constants, GapError, Potential, delta_q_series,
+                   eval_potential, tderiv)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled (t, q, p) history in a static potential."""
+    """Uniformly sampled (t, q, p) history in a static potential.
+
+    The energy and uncertainty-band series are computed on first use.
+    f_series[i] = |p[i]| * delta_q_series[i] wherever the gap mask is
+    clear; by construction of delta_q = f/|p| this equals the configured
+    f up to round-off, which dynamics.cpdq_diagnostics verifies.
+    """
 
     t: np.ndarray
     q: np.ndarray
@@ -49,6 +57,34 @@ class Trajectory:
     @property
     def qdot(self) -> np.ndarray:
         return self.p / self.consts.mass
+
+    @cached_property
+    def energy_t(self) -> np.ndarray:
+        return self.p**2 / (2.0 * self.consts.mass)
+
+    @cached_property
+    def energy_v(self) -> np.ndarray:
+        return eval_potential(self.pot, self.q)[0]
+
+    @cached_property
+    def energy_e(self) -> np.ndarray:
+        return self.energy_t + self.energy_v
+
+    @cached_property
+    def _band(self) -> tuple[np.ndarray, np.ndarray]:
+        return delta_q_series(self.p, self.consts)  # core's delta_q and gap rule
+
+    @property
+    def delta_q_series(self) -> np.ndarray:
+        return self._band[0]
+
+    @property
+    def gap_mask(self) -> np.ndarray:
+        return self._band[1]
+
+    @cached_property
+    def f_series(self) -> np.ndarray:
+        return np.abs(self.p) * self.delta_q_series
 
 
 @dataclass(frozen=True)
@@ -78,7 +114,7 @@ def lagrangian_eval(q, qdot, pot: Potential, consts: Constants):
 
 def special_variation(traj: Trajectory, epsilon: float) -> VariationSeries:
     """The variation delta_q = epsilon/p, with gaps where |p| <= p_floor."""
-    gap = np.abs(traj.p) <= traj.consts.p_floor
+    gap = traj.gap_mask
     with np.errstate(divide="ignore"):
         dq = np.where(gap, np.nan, epsilon / traj.p)
     dqdot = tderiv(dq, traj.dt)

@@ -17,7 +17,7 @@ def consts():
 
 
 @pytest.fixture(scope="session")
-def harmonic_record(consts):
+def harmonic_traj(consts):
     """Leapfrog harmonic oscillator, m = omega = 1, dt = 1e-3, 10 periods."""
     n = int(round(10 * 2 * math.pi / 1e-3))
     return integrate_hamilton(Potential.harmonic(), 1.0, 0.0,

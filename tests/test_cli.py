@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -290,6 +291,35 @@ class TestRun:
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) \
             == cli.EXIT_COMPUTE
+
+    def test_descending_scan_checks_in_ratio_order(self, tmp_path):
+        # the violation grows with u/v0 however the ratios are listed;
+        # scan.csv keeps the order given
+        values = {}
+        for name, ratios in (("up", [0.01, 0.1, 0.3]),
+                             ("down", [0.3, 0.1, 0.01])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"kind": "piston", "params": {
+                "l0": 1.0, "v0": 1.0, "scan": {"ratios": ratios}}}))
+            report, code = cli.run_scenario(path, tmp_path / name)
+            assert code == cli.EXIT_OK
+            values[name] = report["checks"][0]["value"]
+            table = np.loadtxt(tmp_path / name / "scan.csv", delimiter=",",
+                               skiprows=1)
+            assert list(table[:, 0]) == ratios
+        assert values["down"] == values["up"]
+
+    def test_negative_energy_wkb_is_finite(self, tmp_path):
+        # E < 0 under V = -q: only q > 1 is allowed, and only those points
+        # enter the force-recovery check
+        path = tmp_path / "below.json"
+        path.write_text(json.dumps({"kind": "wkb", "params": {
+            "potential": {"kind": "linear", "f0": 1.0}, "energy": -1.0,
+            "grid": {"x_min": -4.5, "x_max": 5.0, "n": 400}}}))
+        report, code = cli.run_scenario(path, tmp_path / "o")
+        assert code == cli.EXIT_CHECK
+        assert math.isfinite(report["checks"][0]["value"])
+        strict_json(tmp_path / "o" / "report.json")
 
     def test_solver_failure_payload_exits_1(self, tmp_path, capsys):
         path = tmp_path / "capped.json"
@@ -584,13 +614,36 @@ def test_runtime_warning_is_one_exit_1_line(tmp_path, cfg):
     """A RuntimeWarning ends the run as a computation error.  Run in a
     fresh interpreter, where warnings print unless the CLI turns them
     into errors (pytest's own filter would hide the difference)."""
+    lines = fresh_run_stderr(tmp_path, cfg)
+    assert len(lines) == 1 and "RuntimeWarning" in lines[0], lines
+
+
+def fresh_run_stderr(tmp_path, cfg) -> list[str]:
+    """stderr lines of `cpdq-lab run` on cfg in a fresh interpreter, which
+    must end in exit 1."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     proc = fresh_python("-m", "cpdq_lab.cli", "run", str(path),
                         "--out", str(tmp_path / "o"))
     assert proc.returncode == cli.EXIT_COMPUTE
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and "RuntimeWarning" in lines[0], lines
+    return proc.stderr.splitlines()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "tise", "params": {
+        "potential": {"kind": "soft_well", "v0": 1, "a": 0.5},
+        "grid": {"x_min": -5, "x_max": 5, "n": 400}, "n_states": 30}},
+    # the report's level spacing takes the two lowest states
+    {"kind": "wkb", "params": {
+        "potential": {"kind": "soft_well", "v0": 0.5, "a": 0.2},
+        "energy": 0.3, "grid": {"x_min": -3, "x_max": 3, "n": 400},
+        "with_bohm_report": True}},
+], ids=["tise_states_above_well", "wkb_bohm_states_above_well"])
+def test_unbound_states_are_one_exit_1_line(tmp_path, cfg):
+    """States above the edge potential are not the bound states asked
+    for: the run ends as a computation error, not a printed warning."""
+    lines = fresh_run_stderr(tmp_path, cfg)
+    assert len(lines) == 1 and "UnboundStateWarning" in lines[0], lines
 
 
 # A dot product of 20,000 terms, summed by quantum._dot, as hex.
@@ -675,6 +728,17 @@ def _tise(draw):
 
 
 @st.composite
+def _wkb(draw):
+    potential = draw(_POTENTIALS)
+    return {"potential": potential, "grid": draw(_grid_for(potential)),
+            "energy": draw(_finite(-60, 60)),
+            **draw(st.fixed_dictionaries({}, optional={
+                "kinetic_fraction": st.floats(0.0, 1.0, exclude_min=True,
+                                              exclude_max=True),
+                "with_bohm_report": st.booleans()}))}
+
+
+@st.composite
 def _piston(draw):
     v0 = draw(_finite(0.2, 4))
     params = {"l0": draw(_finite(0.5, 4)), "v0": v0}
@@ -715,10 +779,10 @@ _CONFIGS = st.one_of(
                                          max_size=2)})),
     _config("piston", _piston(), mass=_finite(0.2, 5)),
     _config("trajectory", _trajectory()),
-    _config("tise", _tise()))
+    _config("tise", _tise()),
+    _config("wkb", _wkb()))
 
 
-@pytest.mark.filterwarnings("ignore::cpdq_lab.quantum.UnboundStateWarning")
 @settings(max_examples=150, deadline=None)
 @given(cfg=_CONFIGS)
 def test_admitted_configs_end_cleanly(tmp_path_factory, cfg):
@@ -732,11 +796,13 @@ def test_admitted_configs_end_cleanly(tmp_path_factory, cfg):
     path.write_text(json.dumps(cfg, allow_nan=False))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
+            contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
         code = cli.main(["run", str(path), "--out", str(out)])
     assert code in (cli.EXIT_OK, cli.EXIT_COMPUTE, cli.EXIT_SCHEMA,
                     cli.EXIT_CHECK)
-    lines = err.getvalue().splitlines()
+    # outside pytest a warning that escapes the run prints on stderr
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
     assert len(lines) == (1 if code in (cli.EXIT_COMPUTE, cli.EXIT_SCHEMA)
                           else 0), lines
     for artifact in out.glob("*") if out.exists() else ():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -30,113 +31,136 @@ def test_config_validation():
 
 
 def test_free_motion_exact(consts):
-    rec = integrate_hamilton(Potential.free(), 0.0, 2.0,
-                             IntegratorConfig(dt=0.01, n_steps=100), consts)
-    assert rec.traj.q[-1] == pytest.approx(2.0, abs=1e-13)
-    assert np.all(rec.traj.p == 2.0)
+    traj = integrate_hamilton(Potential.free(), 0.0, 2.0,
+                              IntegratorConfig(dt=0.01, n_steps=100), consts)
+    assert traj.q[-1] == pytest.approx(2.0, abs=1e-13)
+    assert np.all(traj.p == 2.0)
 
 
-def test_harmonic_period_return(consts, harmonic_record):
+def test_harmonic_period_return(consts, harmonic_traj):
     # oracle: q = cos t returns to 1 after 2*pi
-    dt = harmonic_record.traj.dt
+    dt = harmonic_traj.dt
     i = int(round(2 * math.pi / dt))
-    assert abs(harmonic_record.traj.q[i] - 1.0) <= 1e-5
+    assert abs(harmonic_traj.q[i] - 1.0) <= 1e-5
 
 
 def test_linear_force_exact(consts):
     # oracle: q = t^2/2, p = t under unit force from rest
-    rec = integrate_hamilton(Potential.linear(1.0), 0.0, 0.0,
-                             IntegratorConfig(dt=1e-3, n_steps=2000), consts)
-    assert rec.traj.q[-1] == pytest.approx(2.0, abs=1e-10)
-    assert rec.traj.p[-1] == pytest.approx(2.0, abs=1e-10)
+    traj = integrate_hamilton(Potential.linear(1.0), 0.0, 0.0,
+                              IntegratorConfig(dt=1e-3, n_steps=2000), consts)
+    assert traj.q[-1] == pytest.approx(2.0, abs=1e-10)
+    assert traj.p[-1] == pytest.approx(2.0, abs=1e-10)
 
 
-def test_cpdq_drift_definitional(consts, harmonic_record):
-    drift = cpdq_diagnostics(harmonic_record)
+def test_cpdq_drift_definitional(consts, harmonic_traj):
+    drift = cpdq_diagnostics(harmonic_traj)
     assert drift <= 1e-12
-    ok = ~harmonic_record.gap_mask
-    assert np.allclose(harmonic_record.f_series[ok], consts.f, rtol=1e-14)
+    ok = ~harmonic_traj.gap_mask
+    assert np.allclose(harmonic_traj.f_series[ok], consts.f, rtol=1e-14)
 
 
-def test_cpdq_mask_nonempty_through_turning_points(consts, harmonic_record):
-    assert harmonic_record.gap_mask.any()
-    assert not harmonic_record.gap_mask.all()
+def test_returned_series_match_their_formulas(consts):
+    # m = 0.7, V = k q^2/2 with k = 1.3 * 1.5^2, and a p_floor wide enough
+    # to mask a few samples at each turning point
+    c = dataclasses.replace(consts, mass=0.7, p_floor=0.05)
+    traj = integrate_hamilton(Potential.harmonic(1.3, 1.5), 1.0, 0.0,
+                              IntegratorConfig(dt=1e-2, n_steps=2000), c)
+    p, q = traj.p, traj.q
+    kinetic = p * p / (2.0 * 0.7)
+    potential = 0.5 * (1.3 * 1.5 * 1.5) * q * q
+    np.testing.assert_allclose(traj.energy_t, kinetic, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(traj.energy_v, potential, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(traj.energy_e, kinetic + potential,
+                               rtol=1e-14, atol=0)
+    gap = np.abs(p) <= 0.05
+    assert 0 < np.count_nonzero(gap) < len(traj)
+    assert np.array_equal(traj.gap_mask, gap)
+    dq = traj.delta_q_series
+    assert np.array_equal(np.isnan(dq), gap)
+    np.testing.assert_allclose(dq[~gap], 0.5 / np.abs(p[~gap]), rtol=1e-15)
+    assert np.array_equal(np.isnan(traj.f_series), gap)
+    np.testing.assert_allclose(traj.f_series[~gap], 0.5, rtol=1e-15)
+    assert traj.delta_q_series is dq  # computed once, on first use
+
+
+def test_cpdq_mask_nonempty_through_turning_points(consts, harmonic_traj):
+    assert harmonic_traj.gap_mask.any()
+    assert not harmonic_traj.gap_mask.all()
 
 
 def test_cpdq_free_particle_constant(consts):
-    rec = integrate_hamilton(Potential.free(), 0.0, 2.0,
-                             IntegratorConfig(dt=0.01, n_steps=100), consts)
-    assert np.all(rec.f_series == consts.f)
+    traj = integrate_hamilton(Potential.free(), 0.0, 2.0,
+                              IntegratorConfig(dt=0.01, n_steps=100), consts)
+    assert np.all(traj.f_series == consts.f)
 
 
 def test_newton_residual_free_zero(consts):
-    rec = integrate_hamilton(Potential.free(), 0.0, 2.0,
-                             IntegratorConfig(dt=0.01, n_steps=100), consts)
-    res = newton_uncertainty_residual(rec)
+    traj = integrate_hamilton(Potential.free(), 0.0, 2.0,
+                              IntegratorConfig(dt=0.01, n_steps=100), consts)
+    res = newton_uncertainty_residual(traj)
     # both terms vanish; edge stencils leave round-off only
     assert np.nanmax(np.abs(res)) <= 1e-12
 
 
-def test_newton_residual_harmonic(consts, harmonic_record):
-    res = newton_uncertainty_residual(harmonic_record)
-    traj = harmonic_record.traj
+def test_newton_residual_harmonic(consts, harmonic_traj):
+    res = newton_uncertainty_residual(harmonic_traj)
+    traj = harmonic_traj
     # quarter period centred on max speed, away from both turning points
     quarter = (np.abs(traj.p) >= math.sin(math.pi / 4)) & np.isfinite(res)
     rel = np.max(np.abs(res[quarter])) / np.max(np.abs(traj.q))
     assert rel <= 1e-3
 
 
-def test_newton_residual_detects_perturbation(consts, harmonic_record):
+def test_newton_residual_detects_perturbation(consts, harmonic_traj):
     # perturb the positions without touching p: the band shape delta_q(q)
     # no longer matches the momentum history and the defect must show it
-    from cpdq_lab import Trajectory, TrajectoryRecord
+    from cpdq_lab import Trajectory
 
-    traj = harmonic_record.traj
+    traj = harmonic_traj
     q = traj.q + 0.05 * np.sin(3.0 * traj.t)
-    pert = TrajectoryRecord.from_trajectory(
-        Trajectory(t=traj.t, q=q, p=traj.p, dt=traj.dt, pot=traj.pot,
-                   consts=consts))
+    pert = Trajectory(t=traj.t, q=q, p=traj.p, dt=traj.dt, pot=traj.pot,
+                      consts=consts)
     res = newton_uncertainty_residual(pert)
-    mask = np.isfinite(res) & (np.abs(pert.traj.p) >= 0.7)
+    mask = np.isfinite(res) & (np.abs(pert.p) >= 0.7)
     assert np.max(np.abs(res[mask])) > 0.05
 
 
-def test_newton_matches_lagrange_residual(consts, harmonic_record):
-    traj = harmonic_record.traj
-    newton = newton_uncertainty_residual(harmonic_record)
+def test_newton_matches_lagrange_residual(consts, harmonic_traj):
+    traj = harmonic_traj
+    newton = newton_uncertainty_residual(harmonic_traj)
     lagrange = tderiv(traj.p, traj.dt) + eval_potential(traj.pot, traj.q)[1]
     span = (np.abs(traj.p) >= math.sin(math.pi / 4)) & np.isfinite(newton)
     tol = 10.0 * np.max(np.abs(lagrange[span]))
     assert np.max(np.abs(newton[span])) <= tol
 
 
-def test_energy_budget_harmonic(consts, harmonic_record):
-    _, drift = energy_budget(harmonic_record)
+def test_energy_budget_harmonic(consts, harmonic_traj):
+    _, drift = energy_budget(harmonic_traj)
     assert drift <= 1e-6
 
 
 def test_energy_budget_free(consts):
-    rec = integrate_hamilton(Potential.free(), 0.0, 2.0,
-                             IntegratorConfig(dt=0.01, n_steps=100), consts)
-    residual, drift = energy_budget(rec)
+    traj = integrate_hamilton(Potential.free(), 0.0, 2.0,
+                              IntegratorConfig(dt=0.01, n_steps=100), consts)
+    residual, drift = energy_budget(traj)
     assert np.all(residual == 0.0) and drift == 0.0
 
 
 def test_energy_budget_linear_per_step(consts):
-    rec = integrate_hamilton(Potential.linear(1.0), 0.0, 1.0,
-                             IntegratorConfig(dt=1e-3, n_steps=2000), consts)
-    residual, _ = energy_budget(rec)
-    assert np.max(np.abs(residual)) <= 1e-9 * abs(rec.energy_e[0])
+    traj = integrate_hamilton(Potential.linear(1.0), 0.0, 1.0,
+                              IntegratorConfig(dt=1e-3, n_steps=2000), consts)
+    residual, _ = energy_budget(traj)
+    assert np.max(np.abs(residual)) <= 1e-9 * abs(traj.energy_e[0])
 
 
 def test_symplectic_bound_100_periods(consts):
     dt = 1e-2
     n = int(round(100 * 2 * math.pi / dt))
-    rec = integrate_hamilton(Potential.harmonic(), 1.0, 0.0,
-                             IntegratorConfig(dt=dt, n_steps=n), consts)
-    e0 = rec.energy_e[0]
+    traj = integrate_hamilton(Potential.harmonic(), 1.0, 0.0,
+                              IntegratorConfig(dt=dt, n_steps=n), consts)
+    e0 = traj.energy_e[0]
     # no secular drift: bounded by C*dt^2*E for all t, C = 1 is generous
-    assert np.max(np.abs(rec.energy_e - e0)) <= dt**2 * e0
+    assert np.max(np.abs(traj.energy_e - e0)) <= dt**2 * e0
 
 
 @given(q0=st.floats(-2, 2), p0=st.floats(-2, 2),
@@ -146,28 +170,28 @@ def test_time_reversal(q0, p0, pot):
     consts = natural_units()
     cfg = IntegratorConfig(dt=1e-2, n_steps=200)
     fwd = integrate_hamilton(pot, q0, p0, cfg, consts)
-    back = integrate_hamilton(pot, fwd.traj.q[-1], -fwd.traj.p[-1], cfg, consts)
-    assert abs(back.traj.q[-1] - q0) <= 1e-10
-    assert abs(-back.traj.p[-1] - p0) <= 1e-10
+    back = integrate_hamilton(pot, fwd.q[-1], -fwd.p[-1], cfg, consts)
+    assert abs(back.q[-1] - q0) <= 1e-10
+    assert abs(-back.p[-1] - p0) <= 1e-10
 
 
 def test_infinite_well_reflections_exact(consts):
     pot = Potential.infinite_well(1.0)
-    rec = integrate_hamilton(pot, 0.3, 1.7,
-                             IntegratorConfig(dt=0.013, n_steps=5000), consts)
-    assert np.all((rec.traj.q >= 0.0) & (rec.traj.q <= 1.0))
-    assert np.all(np.abs(rec.traj.p) == 1.7)  # elastic walls, exact speed
-    _, drift = energy_budget(rec)
+    traj = integrate_hamilton(pot, 0.3, 1.7,
+                              IntegratorConfig(dt=0.013, n_steps=5000), consts)
+    assert np.all((traj.q >= 0.0) & (traj.q <= 1.0))
+    assert np.all(np.abs(traj.p) == 1.7)  # elastic walls, exact speed
+    _, drift = energy_budget(traj)
     assert drift == 0.0
 
 
 def test_infinite_well_multi_crossing_step(consts):
     # one step drifts several box lengths; folding must stay exact
     pot = Potential.infinite_well(0.05)
-    rec = integrate_hamilton(pot, 0.02, 3.0,
-                             IntegratorConfig(dt=0.1, n_steps=50), consts)
-    assert np.all((rec.traj.q >= 0.0) & (rec.traj.q <= 0.05))
-    assert np.all(np.abs(rec.traj.p) == 3.0)
+    traj = integrate_hamilton(pot, 0.02, 3.0,
+                              IntegratorConfig(dt=0.1, n_steps=50), consts)
+    assert np.all((traj.q >= 0.0) & (traj.q <= 0.05))
+    assert np.all(np.abs(traj.p) == 3.0)
 
 
 def test_initial_position_outside_domain(consts):
@@ -177,10 +201,10 @@ def test_initial_position_outside_domain(consts):
 
 
 def test_all_masked_record_rejected(consts):
-    rec = integrate_hamilton(Potential.free(), 0.0, 0.0,
-                             IntegratorConfig(dt=0.01, n_steps=10), consts)
+    traj = integrate_hamilton(Potential.free(), 0.0, 0.0,
+                              IntegratorConfig(dt=0.01, n_steps=10), consts)
     with pytest.raises(ValueError):
-        cpdq_diagnostics(rec)
+        cpdq_diagnostics(traj)
 
 
 def _verlet_exact(force, q0, p0, dt, n, width=None):
@@ -204,10 +228,10 @@ def _verlet_exact(force, q0, p0, dt, n, width=None):
 
 
 def _closed_form(pot, q0, p0, dt, n):
-    rec = integrate_hamilton(pot, float(q0), float(p0),
-                             IntegratorConfig(dt=float(dt), n_steps=n),
-                             natural_units())
-    return rec.traj.q, rec.traj.p
+    traj = integrate_hamilton(pot, float(q0), float(p0),
+                              IntegratorConfig(dt=float(dt), n_steps=n),
+                              natural_units())
+    return traj.q, traj.p
 
 
 F = Fraction
@@ -253,8 +277,8 @@ def test_well_wall_landing_keeps_incoming_momentum(consts):
     # the other, each still moving into it
     pot = Potential.infinite_well(1.0)
     cfg = IntegratorConfig(dt=0.25, n_steps=8)
-    right = integrate_hamilton(pot, 0.5, 1.0, cfg, consts).traj
-    left = integrate_hamilton(pot, 0.5, -1.0, cfg, consts).traj
+    right = integrate_hamilton(pot, 0.5, 1.0, cfg, consts)
+    left = integrate_hamilton(pot, 0.5, -1.0, cfg, consts)
     assert (right.q[2], right.p[2], right.q[6], right.p[6]) == (1, 1, 0, -1)
     assert (left.q[2], left.p[2], left.q[6], left.p[6]) == (0, -1, 1, 1)
 
@@ -282,12 +306,12 @@ def test_closed_form_matches_step_loop_long_run(consts, pot, force, q0, p0):
     # 62,832 steps, ten periods of the unit oscillator
     dt = 1e-3
     n = int(round(10 * 2 * math.pi / dt))
-    rec = integrate_hamilton(pot, q0, p0, IntegratorConfig(dt=dt, n_steps=n),
-                             consts)
+    traj = integrate_hamilton(pot, q0, p0, IntegratorConfig(dt=dt, n_steps=n),
+                              consts)
     q_ref, p_ref = _verlet_loop(force, q0, p0, dt, n)
     scale = max(np.max(np.abs(q_ref)), np.max(np.abs(p_ref)))
-    assert np.max(np.abs(rec.traj.q - q_ref)) <= 1e-12 * scale
-    assert np.max(np.abs(rec.traj.p - p_ref)) <= 1e-12 * scale
+    assert np.max(np.abs(traj.q - q_ref)) <= 1e-12 * scale
+    assert np.max(np.abs(traj.p - p_ref)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("omega, dt", [(2.0, 1.0), (3.0, 1.0), (1.0, 1e3)],
@@ -300,7 +324,7 @@ def test_unstable_harmonic_step_raises(consts, omega, dt):
 
 def test_step_limit_only_binds_the_harmonic_kind(consts):
     # k dt^2/m is far past 4 for the stiff oscillator, not for the others
-    rec = integrate_hamilton(Potential.linear(2.0), 0.0, 0.0,
-                             IntegratorConfig(dt=10.0, n_steps=10), consts)
-    assert rec.traj.q[-1] == 0.5 * 2.0 * 100.0**2
+    traj = integrate_hamilton(Potential.linear(2.0), 0.0, 0.0,
+                              IntegratorConfig(dt=10.0, n_steps=10), consts)
+    assert traj.q[-1] == 0.5 * 2.0 * 100.0**2
     check_step_stable(Potential.harmonic(omega=1.99), 1.0, consts)

@@ -26,12 +26,12 @@ from cpdq_lab.info import LN2
 
 
 class TestLedger:
-    def test_conservative_trajectory_pzie(self, consts, harmonic_record):
-        ledger = info_ledger(harmonic_record)
+    def test_conservative_trajectory_pzie(self, consts, harmonic_traj):
+        ledger = info_ledger(harmonic_traj)
         assert abs(ledger.total) <= 1e-6
 
-    def test_increments_cancel_pointwise(self, consts, harmonic_record):
-        ledger = info_ledger(harmonic_record)
+    def test_increments_cancel_pointwise(self, consts, harmonic_traj):
+        ledger = info_ledger(harmonic_traj)
         assert np.max(np.abs(ledger.d_i_q + ledger.d_i_p)) <= 1e-12
 
     def test_free_particle_identically_zero(self, consts):

@@ -424,6 +424,18 @@ class TestForceRecovery:
                                      Grid1D(-5.0, 5.0, 512), consts)
         assert res == 0.0
 
+    def test_negative_energy_admits_only_allowed_points(self, consts):
+        # V = -q shifted by 2 is V = -q less 2: E = -1 on [-4.5, 5] has the
+        # kinetic energy q - 1 that E = 1 has on [-6.5, 3], where a kinetic
+        # fraction near 0 admits every allowed point and nothing else
+        below = appendix_a_consistency(Potential.linear(1.0), -1.0,
+                                       Grid1D(-4.5, 5.0, 400), consts)
+        above = appendix_a_consistency(Potential.linear(1.0), 1.0,
+                                       Grid1D(-6.5, 3.0, 400), consts,
+                                       kinetic_fraction=1e-12)
+        assert math.isfinite(below)
+        assert below == pytest.approx(above, rel=1e-12)
+
 
 class TestDispersion:
     def test_rest_frequency(self, consts):

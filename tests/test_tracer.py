@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import cpdq_lab.cli as cli
+from cpdq_lab import Grid1D, PistonConfig, Potential, natural_units, quantum
 
 TOOL = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 spec = importlib.util.spec_from_file_location("tracer", TOOL)
@@ -26,14 +27,30 @@ def test_tracer_finds_every_traced_name(tmp_path):
     tise = scenario(tmp_path, "tise", "tise", {
         "potential": {"kind": "harmonic"},
         "grid": {"x_min": -5.0, "x_max": 5.0, "n": n}, "n_states": 2})
+    piston_params = {"l0": 1.0, "v0": 1.0, "u": 0.01, "l_end": 2.0}
+    piston = scenario(tmp_path, "piston", "piston", piston_params)
+    well = scenario(tmp_path, "well", "variational", {
+        "potential": {"kind": "infinite_well"},
+        "grid": {"x_min": 0.0, "x_max": 1.0, "n": 256}})
+    consts = natural_units()
+    psi = quantum.solve_tise(Potential.harmonic(), Grid1D(-5.0, 5.0, n), 1,
+                             consts).states[0]
     t = tracer.Tracer()
     try:
         t.install()
         assert cli.run_scenario(traj, tmp_path / "traj_out")[1] == 0
         assert cli.run_scenario(tise, tmp_path / "tise_out")[1] == 0
+        assert cli.run_scenario(piston, tmp_path / "piston_out")[1] == 0
+        report, code = cli.run_scenario(well, tmp_path / "well_out")
+        assert code == 0
+        quantum.fisher_metrics(psi)
     finally:
         t.uninstall()
     _, counts = t.take()
     assert counts["dynamics.steps"] == 1000
-    assert counts["quantum.eigen_dim"] == n - 2
+    assert counts["quantum.eigen_dim"] == (n - 2) + (256 - 2)
+    assert counts["thermo.events"] == PistonConfig(**piston_params).n_events
+    checks = {c["name"]: c["value"] for c in report["checks"]}
+    assert counts["quantum.descent_iters"] == checks["iterations"] > 0
+    assert counts["quantum.fisher_points"] == n
     assert counts["core.eval_potential_calls"] > 0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,12 +68,22 @@ def test_special_variation_matches_analytic_momentum(consts):
     assert np.allclose(var.delta_q, 1e-6 / (-np.sin(traj.t)), rtol=1e-13)
 
 
-def test_special_variation_gap_mask(consts, harmonic_record):
-    var = special_variation(harmonic_record.traj, EPS)
-    expected = np.abs(harmonic_record.traj.p) <= consts.p_floor
+def test_special_variation_gap_mask(consts, harmonic_traj):
+    var = special_variation(harmonic_traj, EPS)
+    expected = np.abs(harmonic_traj.p) <= consts.p_floor
     assert np.array_equal(var.gap_mask, expected)
     assert expected[0]  # starts at a turning point
     assert np.all(np.isnan(var.delta_q[var.gap_mask]))
+
+
+def test_special_variation_reads_trajectory_gap_mask(consts):
+    # one gap rule: the variation is undefined exactly where delta_q is
+    traj = analytic_harmonic(replace(consts, p_floor=0.1))
+    var = special_variation(traj, EPS)
+    assert np.array_equal(var.gap_mask, traj.gap_mask)
+    assert np.array_equal(np.isnan(var.delta_q),
+                          np.isnan(traj.delta_q_series))
+    assert 0 < np.count_nonzero(traj.gap_mask) < len(traj)
 
 
 @given(scale=st.floats(min_value=1e-9, max_value=1e-3))
@@ -110,16 +121,16 @@ def test_first_order_dL_detects_non_solution(consts):
     assert np.nanmax(np.abs(dl)) > 100 * 1e-4 * EPS
 
 
-def test_first_order_dL_alignment_error(consts, harmonic_record):
+def test_first_order_dL_alignment_error(consts, harmonic_traj):
     short = analytic_harmonic(consts, t0=0.4, t1=1.0)
     var = special_variation(short, EPS)
     with pytest.raises(ValueError):
-        first_order_dL(harmonic_record.traj, var)
+        first_order_dL(harmonic_traj, var)
 
 
-def test_residual_bounds_first_order_dL(consts, harmonic_record):
+def test_residual_bounds_first_order_dL(consts, harmonic_traj):
     # |dL| <= C * eps * residual where the band is well conditioned
-    traj = harmonic_record.traj
+    traj = harmonic_traj
     var = special_variation(traj, EPS)
     dl = first_order_dL(traj, var)
     res = tderiv(traj.p, traj.dt) + eval_potential(traj.pot, traj.q)[1]
@@ -169,10 +180,10 @@ class TestActionDecomposition:
         span = (i2 - i1) * traj.dt
         assert abs(d_blk) > 10 * 1e-4 * EPS * 0.5 * span
 
-    def test_gap_rejected(self, consts, harmonic_record):
-        var = special_variation(harmonic_record.traj, EPS)
+    def test_gap_rejected(self, consts, harmonic_traj):
+        var = special_variation(harmonic_traj, EPS)
         with pytest.raises(GapError):
-            action_and_variation(harmonic_record.traj, var, 0, 100)
+            action_and_variation(harmonic_traj, var, 0, 100)
 
     def test_bad_indices(self, consts):
         traj, var, _, _ = self.fixture(consts)
