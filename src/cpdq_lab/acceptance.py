@@ -91,7 +91,7 @@ def _ge(name, value, tol):
 
 def _harmonic_10_periods(consts, dt=1e-3, periods=10):
     n = int(round(periods * 2.0 * math.pi / dt))
-    return integrate_hamilton(Potential.harmonic(), 1.0, 0.0,
+    return integrate_hamilton(Potential("harmonic"), 1.0, 0.0,
                               IntegratorConfig(dt=dt, n_steps=n), consts)
 
 
@@ -139,7 +139,7 @@ def criterion_2_action_decomposition() -> list[Check]:
     i1, i2 = int(round(0.6 / dt)), int(round(2.2 / dt))
     span = (i2 - i1) * dt
 
-    free = integrate_hamilton(Potential.free(), 0.0, 2.0,
+    free = integrate_hamilton(Potential("free"), 0.0, 2.0,
                               IntegratorConfig(dt=1e-3, n_steps=2000), consts)
     fixtures = {
         "free_special": (free, special_variation(free, eps), 100, 1900),
@@ -178,14 +178,14 @@ def criterion_3_eigensolver() -> list[Check]:
     consts = natural_units()
     t0 = time.perf_counter()
     grid = Grid1D(-10.0, 10.0, 2000)
-    sol = solve_tise(Potential.harmonic(), grid, 6, consts)
+    sol = solve_tise(Potential("harmonic"), grid, 6, consts)
     worst = max(abs(sol.energies[n] - (n + 0.5)) / (n + 0.5) for n in range(6))
 
-    well = solve_tise(Potential.infinite_well(1.0), Grid1D(0.0, 1.0, 2000),
+    well = solve_tise(Potential("infinite_well", width=1.0), Grid1D(0.0, 1.0, 2000),
                       1, consts)
     well_err = abs(well.energies[0] - math.pi**2 / 2.0) / (math.pi**2 / 2.0)
 
-    fine = solve_tise(Potential.harmonic(), Grid1D(-10.0, 10.0, 3999), 1, consts)
+    fine = solve_tise(Potential("harmonic"), Grid1D(-10.0, 10.0, 3999), 1, consts)
     ratio = abs(sol.energies[0] - 0.5) / abs(fine.energies[0] - 0.5)
     elapsed = time.perf_counter() - t0
     return [
@@ -233,8 +233,8 @@ def criterion_5_variational() -> list[Check]:
     consts = natural_units()
     checks = []
     for name, pot, grid in (
-            ("harmonic", Potential.harmonic(), Grid1D(-10.0, 10.0, 2000)),
-            ("well", Potential.infinite_well(1.0), Grid1D(0.0, 1.0, 2000))):
+            ("harmonic", Potential("harmonic"), Grid1D(-10.0, 10.0, 2000)),
+            ("well", Potential("infinite_well", width=1.0), Grid1D(0.0, 1.0, 2000))):
         sol = solve_tise(pot, grid, 1, consts)
         res = variational_ground_state(pot, grid, consts, max_iters=5000)
         rel = abs(res.energy - sol.energies[0]) / abs(sol.energies[0])
@@ -245,9 +245,9 @@ def criterion_5_variational() -> list[Check]:
 
 def criterion_6_appendix_a() -> list[Check]:
     consts = natural_units()
-    harm = appendix_a_consistency(Potential.harmonic(), 10.0,
+    harm = appendix_a_consistency(Potential("harmonic"), 10.0,
                                   Grid1D(-4.2, 4.2, 8401), consts)
-    lin = appendix_a_consistency(Potential.linear(1.0), 5.0,
+    lin = appendix_a_consistency(Potential("linear", f0=1.0), 5.0,
                                  Grid1D(-4.5, 5.0, 9501), consts)
     return [
         _le("force_recovery/harmonic_E10", harm, 1e-3),
@@ -354,11 +354,11 @@ def regime_fixture_metrics(name: str, consts):
     """The four quadrant fixtures used by the regime criterion and CLI."""
     if name == "classical_trajectory":
         n = int(round(2.0 * math.pi / 1e-3))
-        traj = integrate_hamilton(Potential.harmonic(), 100.0, 0.0,
+        traj = integrate_hamilton(Potential("harmonic"), 100.0, 0.0,
                                   IntegratorConfig(dt=1e-3, n_steps=n), consts)
         return trajectory_regime_metrics(traj)
     if name == "quantum_profile":
-        pot = Potential.soft_well(50.0, 0.2)
+        pot = Potential("soft_well", v0=50.0, a=0.2)
         grid = Grid1D(-3.0, 3.0, 4001)
         sol = solve_tise(pot, grid, 1, consts)
         profile = local_wkb_profile(pot, float(sol.energies[0]), grid, consts)

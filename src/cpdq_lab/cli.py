@@ -47,6 +47,7 @@ from .info import LN2, info_ledger, rate_bounds, regime_classify
 from .quantum import (
     Grid1D,
     _dot,
+    admitted_block,
     appendix_a_consistency,
     bohm_adiabaticity_report,
     check_grid_in_well,
@@ -122,6 +123,11 @@ def validate_scenario(cfg: dict) -> None:
     _check_schema(SCHEMA, cfg)
     kind, params = cfg["kind"], cfg["params"]
     _check_schema(KINDS[kind][0], params, f"params for kind {kind!r}: ")
+    if "potential" in params:
+        try:
+            pot = Potential(**params["potential"])
+        except ValueError as exc:
+            raise ScenarioError(f"potential: {exc}") from None
     if kind == "regime" and ("fixture" in params) == ("metrics" in params):
         raise ScenarioError("regime needs exactly one of fixture/metrics")
     if kind == "tise":
@@ -134,7 +140,6 @@ def validate_scenario(cfg: dict) -> None:
         if params["n_states"] * params["grid"]["n"] > MAX_EVENTS:
             raise ScenarioError(f"n_states * grid n exceeds {MAX_EVENTS}")
     if kind == "trajectory":
-        pot = _potential(params["potential"])
         if not pot.contains(params["q0"]):
             raise ScenarioError("q0 lies outside the potential's domain")
         try:
@@ -163,14 +168,16 @@ def validate_scenario(cfg: dict) -> None:
                                 "right-wall collision")
     if "grid" in params:
         try:
-            check_grid_in_well(_potential(params["potential"]),
-                               Grid1D(**params["grid"]))
+            grid = Grid1D(**params["grid"])
+            check_grid_in_well(pot, grid)
         except ValueError as exc:
             raise ScenarioError(f"grid: {exc}") from None
-
-
-def _potential(spec: dict) -> Potential:
-    return Potential(**{**spec, "kind": PotentialKind(spec["kind"])})
+    if kind == "wkb":
+        try:
+            admitted_block(pot, params["energy"], grid,
+                           **_given(params, "kinetic_fraction"))
+        except ValueError as exc:
+            raise ScenarioError(f"wkb: {exc}") from None
 
 
 def _constants(cfg: dict) -> Constants:
@@ -278,7 +285,7 @@ def _failure(exc: Exception) -> str:
 
 
 def _run_trajectory(params, consts):
-    pot = _potential(params["potential"])
+    pot = Potential(**params["potential"])
     cfg = IntegratorConfig(dt=params["dt"], n_steps=params["n_steps"])
     traj = integrate_hamilton(pot, params["q0"], params["p0"], cfg, consts)
     drift = cpdq_diagnostics(traj)
@@ -338,7 +345,7 @@ def _run_piston(params, consts):
 
 
 def _run_tise(params, consts):
-    pot = _potential(params["potential"])
+    pot = Potential(**params["potential"])
     grid = Grid1D(**params["grid"])
     sol = solve_tise(pot, grid, params["n_states"], consts)
     vals = np.stack([s.values.real for s in sol.states])
@@ -373,7 +380,7 @@ def _run_tise(params, consts):
 
 
 def _run_variational(params, consts):
-    pot = _potential(params["potential"])
+    pot = Potential(**params["potential"])
     grid = Grid1D(**params["grid"])
     max_iters = params.get("max_iters", 5000)
     res = variational_ground_state(pot, grid, consts, max_iters=max_iters,
@@ -389,7 +396,7 @@ def _run_variational(params, consts):
 
 
 def _run_wkb(params, consts):
-    pot = _potential(params["potential"])
+    pot = Potential(**params["potential"])
     grid = Grid1D(**params["grid"])
     energy = params["energy"]
     profile = local_wkb_profile(pot, energy, grid, consts)

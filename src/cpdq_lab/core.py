@@ -9,7 +9,7 @@ an enclosed (thermodynamic) degree of freedom carries f = f_ref * exp(S/k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -57,11 +57,9 @@ class Constants:
     p_floor: float
 
     def __post_init__(self):
-        for name in ("f", "hbar", "k_boltz", "mass", "c", "f_ref"):
+        for name in ("f", "hbar", "k_boltz", "mass", "c", "f_ref", "p_floor"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.p_floor < 0.0:
-            raise ValueError("p_floor must be non-negative")
 
     @property
     def h(self) -> float:
@@ -90,9 +88,23 @@ class PotentialKind(str, Enum):
     SOFT_WELL = "soft_well"
 
 
+# the parameters each kind reads; every other field stays unset
+_PARAMS = {
+    PotentialKind.FREE: (),
+    PotentialKind.LINEAR: ("f0",),
+    PotentialKind.HARMONIC: ("m", "omega"),
+    PotentialKind.INFINITE_WELL: ("width",),
+    PotentialKind.SOFT_WELL: ("v0", "a"),
+}
+
+
 @dataclass(frozen=True)
 class Potential:
     """A built-in 1-D potential with analytic V and V'.
+
+    Potential(kind, **params) takes the kind by name or as a PotentialKind
+    and only the parameters that kind reads (_PARAMS); each defaults to 1
+    and all but f0 must be positive.
 
     Conventions:
       linear        V = -f0*q  (constant force +f0)
@@ -103,47 +115,32 @@ class Potential:
     """
 
     kind: PotentialKind
-    f0: float = 1.0
-    m: float = 1.0
-    omega: float = 1.0
-    width: float = 1.0
-    v0: float = 1.0
-    a: float = 1.0
+    f0: float | None = None
+    m: float | None = None
+    omega: float | None = None
+    width: float | None = None
+    v0: float | None = None
+    a: float | None = None
 
-    @staticmethod
-    def free() -> "Potential":
-        return Potential(PotentialKind.FREE)
-
-    @staticmethod
-    def linear(f0: float) -> "Potential":
-        return Potential(PotentialKind.LINEAR, f0=f0)
-
-    @staticmethod
-    def harmonic(m: float = 1.0, omega: float = 1.0) -> "Potential":
-        if m <= 0 or omega <= 0:
-            raise ValueError("harmonic potential needs m > 0 and omega > 0")
-        return Potential(PotentialKind.HARMONIC, m=m, omega=omega)
-
-    @staticmethod
-    def infinite_well(width: float) -> "Potential":
-        if width <= 0:
-            raise ValueError("well width must be positive")
-        return Potential(PotentialKind.INFINITE_WELL, width=width)
-
-    @staticmethod
-    def soft_well(v0: float, a: float) -> "Potential":
-        if v0 <= 0 or a <= 0:
-            raise ValueError("soft well needs v0 > 0 and a > 0")
-        return Potential(PotentialKind.SOFT_WELL, v0=v0, a=a)
-
-    def domain(self) -> tuple[float, float]:
-        if self.kind is PotentialKind.INFINITE_WELL:
-            return (0.0, self.width)
-        return (-math.inf, math.inf)
+    def __post_init__(self):
+        kind = PotentialKind(self.kind)
+        object.__setattr__(self, "kind", kind)
+        for name in (f.name for f in fields(self)[1:]):
+            value = getattr(self, name)
+            if name not in _PARAMS[kind]:
+                if value is not None:
+                    raise ValueError(f"{kind.value} potential takes no {name}")
+            elif value is None:
+                object.__setattr__(self, name, 1.0)
+            elif name != "f0" and value <= 0:
+                raise ValueError(f"{kind.value} potential needs {name} > 0")
 
     def contains(self, q) -> np.ndarray | bool:
         """Whether q lies in the domain; each wall has 1e-12 of slack."""
-        lo, hi = self.domain()
+        if self.kind is PotentialKind.INFINITE_WELL:
+            lo, hi = 0.0, self.width
+        else:
+            lo, hi = -math.inf, math.inf
         return (np.asarray(q) >= lo - 1e-12) & (np.asarray(q) <= hi + 1e-12)
 
 

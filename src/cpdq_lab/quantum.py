@@ -450,6 +450,27 @@ def local_wkb_profile(pot: Potential, energy: float, grid: Grid1D,
                       validity_metric=validity, allowed_mask=allowed)
 
 
+def admitted_block(pot: Potential, energy: float, grid: Grid1D,
+                   kinetic_fraction: float = 0.1) -> np.ndarray:
+    """Indices of the largest contiguous block of classically allowed grid
+    points where E - V >= kinetic_fraction*E (for E <= 0 the second test
+    alone would admit forbidden points).
+
+    Raises ValueError if no point is allowed, or if the block is shorter
+    than the 5 points the difference stencils need.
+    """
+    v = eval_potential(pot, grid.x)[0]
+    allowed = energy - v > 0
+    if not np.any(allowed):
+        raise ValueError("no classically allowed region at this energy")
+    idx = np.flatnonzero(allowed & ((energy - v) >= kinetic_fraction * energy))
+    breaks = np.flatnonzero(np.diff(idx) > 1)
+    seg = max(np.split(idx, breaks + 1), key=len)
+    if len(seg) < 5:
+        raise ValueError("admitted region too short for stencils")
+    return seg
+
+
 def appendix_a_consistency(pot: Potential, energy: float, grid: Grid1D,
                            consts: Constants, kinetic_fraction: float = 0.1) -> float:
     """Recover the force from the uncertainty profile and compare to -V'.
@@ -458,23 +479,12 @@ def appendix_a_consistency(pot: Potential, energy: float, grid: Grid1D,
     of the equation of motion pdot = -p*xdot*(d ln delta_x/dx) with the
     logarithmic slope from divided differences of the sampled delta_x
     series, and compare against the analytic -V'(x).  Returns the max
-    relative residual over the classically allowed points where
-    E - V >= kinetic_fraction*E (for E <= 0 the second test alone would
-    admit forbidden points).
+    relative residual over the admitted block (admitted_block), whose
+    contiguity keeps the difference stencil clean.
     """
+    seg = admitted_block(pot, energy, grid, kinetic_fraction)
     profile = local_wkb_profile(pot, energy, grid, consts)
-    x = grid.x
-    v, dv = eval_potential(pot, x)
-    admitted = profile.allowed_mask & ((energy - v) >= kinetic_fraction * energy)
-    if not np.any(admitted):
-        raise ValueError("empty admitted region")
-    # largest contiguous admitted block keeps the difference stencil clean
-    idx = np.flatnonzero(admitted)
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    segments = np.split(idx, breaks + 1)
-    seg = max(segments, key=len)
-    if len(seg) < 5:
-        raise ValueError("admitted region too short for stencils")
+    dv = eval_potential(pot, grid.x)[1]
     dx_series = profile.delta_x_of_x[seg]
     p_series = consts.f / dx_series
     slope = np.gradient(np.log(dx_series), grid.h, edge_order=2)

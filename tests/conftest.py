@@ -20,5 +20,5 @@ def consts():
 def harmonic_traj(consts):
     """Leapfrog harmonic oscillator, m = omega = 1, dt = 1e-3, 10 periods."""
     n = int(round(10 * 2 * math.pi / 1e-3))
-    return integrate_hamilton(Potential.harmonic(), 1.0, 0.0,
+    return integrate_hamilton(Potential("harmonic"), 1.0, 0.0,
                               IntegratorConfig(dt=1e-3, n_steps=n), consts)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdq_lab import acceptance, cli
+from cpdq_lab import acceptance, cli, core
 
 
 SCENARIOS = Path(str(resources.files("cpdq_lab") / "scenarios"))
@@ -155,6 +155,29 @@ class TestValidation:
                     "l_end": 2}, "piston: sudden_jump takes no wall speed u"),
         ("piston", {"l0": 1, "v0": 1, "u": 0.01, "l_end": 2, "t_jump": 1},
          "piston: t_jump applies only to mode sudden_jump"),
+        # a potential key its kind does not read
+        ("trajectory", {"potential": {"kind": "free", "omega": 3}, "q0": 1,
+                        "p0": 1, "dt": 0.01, "n_steps": 100},
+         "potential: free potential takes no omega"),
+        ("trajectory", {"potential": {"kind": "harmonic", "f0": 2},
+                        "q0": 1, "p0": 0, "dt": 0.01, "n_steps": 100},
+         "potential: harmonic potential takes no f0"),
+        ("wkb", {"potential": {"kind": "linear", "f0": 1, "width": 2},
+                 "energy": 5, "grid": {"x_min": -4, "x_max": 4, "n": 100}},
+         "potential: linear potential takes no width"),
+        ("tise", dict(TISE_WELL, n_states=1,
+                      potential={"kind": "infinite_well", "m": 2}),
+         "potential: infinite_well potential takes no m"),
+        ("variational", dict(HARMONIC, potential={
+            "kind": "soft_well", "v0": 2, "a": 0.5, "omega": 1}),
+         "potential: soft_well potential takes no omega"),
+        # the force-recovery check needs 5 contiguous admitted points
+        ("wkb", {"potential": {"kind": "harmonic"}, "energy": -1,
+                 "grid": {"x_min": -4, "x_max": 4, "n": 100}},
+         "wkb: no classically allowed region at this energy"),
+        ("wkb", {"potential": {"kind": "harmonic"}, "energy": 0.001,
+                 "grid": {"x_min": -4, "x_max": 4, "n": 100}},
+         "wkb: admitted region too short for stencils"),
     ], ids=["tise_too_many_energies", "tise_zero_energy", "piston_no_l0",
             "piston_l_end_unreachable", "piston_collapsing_box",
             "piston_scan_with_run_keys", "piston_jump_after_end",
@@ -166,7 +189,11 @@ class TestValidation:
             "piston_stops_particle", "trajectory_too_many_steps",
             "tise_grid_too_large", "tise_states_too_large",
             "trajectory_si_electron_blowup", "trajectory_harmonic_step_at_4",
-            "piston_jump_with_u", "piston_constant_speed_with_t_jump"])
+            "piston_jump_with_u", "piston_constant_speed_with_t_jump",
+            "free_potential_omega", "harmonic_potential_f0",
+            "linear_potential_width", "infinite_well_potential_m",
+            "soft_well_potential_omega", "wkb_no_allowed_region",
+            "wkb_admitted_region_too_short"])
     def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch, kind,
                                   params, named):
         # kind names the scenario kind, or is (kind, units)
@@ -283,10 +310,11 @@ class TestRun:
             == cli.EXIT_CHECK
 
     def test_computation_error_exits_1(self, tmp_path):
-        cfg = {"kind": "wkb", "params": {
+        # at rest at the bottom of the well |p| stays below p_floor, so
+        # no sample has a defined delta_q
+        cfg = {"kind": "trajectory", "params": {
             "potential": {"kind": "harmonic"},
-            "energy": -5.0,
-            "grid": {"x_min": -1.0, "x_max": 1.0, "n": 128}}}
+            "q0": 0.0, "p0": 0.0, "dt": 0.01, "n_steps": 100}}
         path = tmp_path / "err.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) \
@@ -543,6 +571,18 @@ def test_schema_subcommand_prints_valid_json(capsys):
     assert schema["properties"]["kind"]["enum"]
 
 
+def test_potential_schema_matches_model():
+    """The potential schema offers exactly the parameters some kind reads,
+    positive where the model requires it, and every kind."""
+    props = cli._POTENTIAL_SCHEMA["properties"]
+    params = set().union(*core._PARAMS.values())
+    assert set(core._PARAMS) == set(core.PotentialKind)
+    assert set(props) == {"kind"} | params
+    assert {k for k, v in props.items() if "exclusiveMinimum" in v} \
+        == params - {"f0"}
+    assert props["kind"]["enum"] == [k.value for k in core.PotentialKind]
+
+
 def fresh_python(*args: str, **env: str) -> subprocess.CompletedProcess:
     """`python *args` in a new interpreter that imports this package, with
     the environment variables `env` set."""
@@ -594,7 +634,7 @@ def test_variational_solver_loads_scipy_fft_only():
     proc = fresh_python("-c", """
 import sys
 from cpdq_lab import Grid1D, Potential, natural_units, variational_ground_state
-variational_ground_state(Potential.harmonic(), Grid1D(-6.0, 6.0, 200),
+variational_ground_state(Potential("harmonic"), Grid1D(-6.0, 6.0, 200),
                          natural_units())
 print(sorted(m for m in ("scipy.linalg", "scipy.fft") if m in sys.modules))
 """)
@@ -739,6 +779,14 @@ def _wkb(draw):
 
 
 @st.composite
+def _variational(draw):
+    potential = draw(_POTENTIALS)
+    return {"potential": potential, "grid": draw(_grid_for(potential)),
+            **draw(st.fixed_dictionaries({}, optional={
+                "max_iters": st.integers(2, 400), "tol": _POSITIVE}))}
+
+
+@st.composite
 def _piston(draw):
     v0 = draw(_finite(0.2, 4))
     params = {"l0": draw(_finite(0.5, 4)), "v0": v0}
@@ -780,6 +828,7 @@ _CONFIGS = st.one_of(
     _config("piston", _piston(), mass=_finite(0.2, 5)),
     _config("trajectory", _trajectory()),
     _config("tise", _tise()),
+    _config("variational", _variational()),
     _config("wkb", _wkb()))
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cpdq_lab import DomainError, Potential, eval_potential, natural_units
+from cpdq_lab import (DomainError, Potential, PotentialKind, eval_potential,
+                      natural_units)
 from cpdq_lab.core import delta_q_series, tderiv
 
 
@@ -20,24 +21,61 @@ def test_constants_reject_nonpositive():
         dataclasses.replace(natural_units(), f=-1.0)
     with pytest.raises(ValueError):
         dataclasses.replace(natural_units(), mass=0.0)
+    with pytest.raises(ValueError, match="p_floor must be positive"):
+        dataclasses.replace(natural_units(), p_floor=0.0)
+
+
+# each kind's parameters, declared apart from core._PARAMS (see README)
+KIND_PARAMS = {"free": (), "linear": ("f0",), "harmonic": ("m", "omega"),
+               "infinite_well": ("width",), "soft_well": ("v0", "a")}
+FOREIGN = [(kind, key) for kind, own in KIND_PARAMS.items()
+           for key in ("f0", "m", "omega", "width", "v0", "a")
+           if key not in own]
+
+
+@pytest.mark.parametrize("kind,key", FOREIGN,
+                         ids=[f"{k}.{key}" for k, key in FOREIGN])
+def test_potential_rejects_foreign_key(kind, key):
+    with pytest.raises(ValueError, match=f"^{kind} potential takes no {key}$"):
+        Potential(kind, **{key: 1.0})
+
+
+@pytest.mark.parametrize("kind,key", [
+    (kind, key) for kind, own in KIND_PARAMS.items()
+    for key in own if key != "f0"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_potential_rejects_nonpositive(kind, key, value):
+    with pytest.raises(ValueError, match=f"{kind} potential needs {key} > 0"):
+        Potential(kind, **{key: value})
+
+
+def test_potential_defaults_and_kind_forms():
+    # each parameter of the kind defaults to 1; f0 may take any sign
+    assert Potential("harmonic") == Potential(PotentialKind.HARMONIC,
+                                              m=1.0, omega=1.0)
+    assert Potential("soft_well").v0 == Potential("soft_well").a == 1.0
+    assert Potential("linear", f0=-2.0).f0 == -2.0
+    assert Potential("free").kind is PotentialKind.FREE
 
 
 def test_harmonic_minimum():
-    assert eval_potential(Potential.harmonic(1, 1), 0.0) == (0.0, 0.0)
+    pot = Potential("harmonic", m=1, omega=1)
+    assert eval_potential(pot, 0.0) == (0.0, 0.0)
 
 
 def test_linear_convention():
     # V = -f0*q: constant force +f0
-    assert eval_potential(Potential.linear(2.0), 3.0) == (-6.0, -2.0)
+    assert eval_potential(Potential("linear", f0=2.0), 3.0) == (-6.0, -2.0)
 
 
 def test_harmonic_closed_form():
     # oracle: V = m*omega^2*q^2/2 evaluated by hand for m=1, omega=2, q=1
-    assert eval_potential(Potential.harmonic(1, 2), 1.0) == (2.0, 4.0)
+    pot = Potential("harmonic", m=1, omega=2)
+    assert eval_potential(pot, 1.0) == (2.0, 4.0)
 
 
 def test_infinite_well_domain():
-    pot = Potential.infinite_well(1.0)
+    pot = Potential("infinite_well", width=1.0)
     v, dv = eval_potential(pot, 0.5)
     assert v == 0.0 and dv == 0.0
     with pytest.raises(DomainError):
@@ -47,10 +85,10 @@ def test_infinite_well_domain():
 
 
 @pytest.mark.parametrize("pot,span", [
-    (Potential.harmonic(1.0, 2.0), 5.0),
-    (Potential.linear(3.0), 5.0),
-    (Potential.soft_well(2.0, 0.7), 3.0),
-    (Potential.free(), 5.0),
+    (Potential("harmonic", m=1.0, omega=2.0), 5.0),
+    (Potential("linear", f0=3.0), 5.0),
+    (Potential("soft_well", v0=2.0, a=0.7), 3.0),
+    (Potential("free"), 5.0),
 ])
 def test_derivative_consistency_100_points(pot, span):
     rng = np.random.default_rng(42)

@@ -31,7 +31,7 @@ def test_config_validation():
 
 
 def test_free_motion_exact(consts):
-    traj = integrate_hamilton(Potential.free(), 0.0, 2.0,
+    traj = integrate_hamilton(Potential("free"), 0.0, 2.0,
                               IntegratorConfig(dt=0.01, n_steps=100), consts)
     assert traj.q[-1] == pytest.approx(2.0, abs=1e-13)
     assert np.all(traj.p == 2.0)
@@ -46,7 +46,7 @@ def test_harmonic_period_return(consts, harmonic_traj):
 
 def test_linear_force_exact(consts):
     # oracle: q = t^2/2, p = t under unit force from rest
-    traj = integrate_hamilton(Potential.linear(1.0), 0.0, 0.0,
+    traj = integrate_hamilton(Potential("linear", f0=1.0), 0.0, 0.0,
                               IntegratorConfig(dt=1e-3, n_steps=2000), consts)
     assert traj.q[-1] == pytest.approx(2.0, abs=1e-10)
     assert traj.p[-1] == pytest.approx(2.0, abs=1e-10)
@@ -63,8 +63,8 @@ def test_returned_series_match_their_formulas(consts):
     # m = 0.7, V = k q^2/2 with k = 1.3 * 1.5^2, and a p_floor wide enough
     # to mask a few samples at each turning point
     c = dataclasses.replace(consts, mass=0.7, p_floor=0.05)
-    traj = integrate_hamilton(Potential.harmonic(1.3, 1.5), 1.0, 0.0,
-                              IntegratorConfig(dt=1e-2, n_steps=2000), c)
+    traj = integrate_hamilton(Potential("harmonic", m=1.3, omega=1.5), 1.0,
+                              0.0, IntegratorConfig(dt=1e-2, n_steps=2000), c)
     p, q = traj.p, traj.q
     kinetic = p * p / (2.0 * 0.7)
     potential = 0.5 * (1.3 * 1.5 * 1.5) * q * q
@@ -89,13 +89,13 @@ def test_cpdq_mask_nonempty_through_turning_points(consts, harmonic_traj):
 
 
 def test_cpdq_free_particle_constant(consts):
-    traj = integrate_hamilton(Potential.free(), 0.0, 2.0,
+    traj = integrate_hamilton(Potential("free"), 0.0, 2.0,
                               IntegratorConfig(dt=0.01, n_steps=100), consts)
     assert np.all(traj.f_series == consts.f)
 
 
 def test_newton_residual_free_zero(consts):
-    traj = integrate_hamilton(Potential.free(), 0.0, 2.0,
+    traj = integrate_hamilton(Potential("free"), 0.0, 2.0,
                               IntegratorConfig(dt=0.01, n_steps=100), consts)
     res = newton_uncertainty_residual(traj)
     # both terms vanish; edge stencils leave round-off only
@@ -140,14 +140,14 @@ def test_energy_budget_harmonic(consts, harmonic_traj):
 
 
 def test_energy_budget_free(consts):
-    traj = integrate_hamilton(Potential.free(), 0.0, 2.0,
+    traj = integrate_hamilton(Potential("free"), 0.0, 2.0,
                               IntegratorConfig(dt=0.01, n_steps=100), consts)
     residual, drift = energy_budget(traj)
     assert np.all(residual == 0.0) and drift == 0.0
 
 
 def test_energy_budget_linear_per_step(consts):
-    traj = integrate_hamilton(Potential.linear(1.0), 0.0, 1.0,
+    traj = integrate_hamilton(Potential("linear", f0=1.0), 0.0, 1.0,
                               IntegratorConfig(dt=1e-3, n_steps=2000), consts)
     residual, _ = energy_budget(traj)
     assert np.max(np.abs(residual)) <= 1e-9 * abs(traj.energy_e[0])
@@ -156,7 +156,7 @@ def test_energy_budget_linear_per_step(consts):
 def test_symplectic_bound_100_periods(consts):
     dt = 1e-2
     n = int(round(100 * 2 * math.pi / dt))
-    traj = integrate_hamilton(Potential.harmonic(), 1.0, 0.0,
+    traj = integrate_hamilton(Potential("harmonic"), 1.0, 0.0,
                               IntegratorConfig(dt=dt, n_steps=n), consts)
     e0 = traj.energy_e[0]
     # no secular drift: bounded by C*dt^2*E for all t, C = 1 is generous
@@ -164,8 +164,9 @@ def test_symplectic_bound_100_periods(consts):
 
 
 @given(q0=st.floats(-2, 2), p0=st.floats(-2, 2),
-       pot=st.sampled_from([Potential.harmonic(), Potential.linear(0.5),
-                            Potential.soft_well(2.0, 0.7), Potential.free()]))
+       pot=st.sampled_from([Potential("harmonic"), Potential("linear", f0=0.5),
+                            Potential("soft_well", v0=2.0, a=0.7),
+                            Potential("free")]))
 def test_time_reversal(q0, p0, pot):
     consts = natural_units()
     cfg = IntegratorConfig(dt=1e-2, n_steps=200)
@@ -176,7 +177,7 @@ def test_time_reversal(q0, p0, pot):
 
 
 def test_infinite_well_reflections_exact(consts):
-    pot = Potential.infinite_well(1.0)
+    pot = Potential("infinite_well", width=1.0)
     traj = integrate_hamilton(pot, 0.3, 1.7,
                               IntegratorConfig(dt=0.013, n_steps=5000), consts)
     assert np.all((traj.q >= 0.0) & (traj.q <= 1.0))
@@ -187,7 +188,7 @@ def test_infinite_well_reflections_exact(consts):
 
 def test_infinite_well_multi_crossing_step(consts):
     # one step drifts several box lengths; folding must stay exact
-    pot = Potential.infinite_well(0.05)
+    pot = Potential("infinite_well", width=0.05)
     traj = integrate_hamilton(pot, 0.02, 3.0,
                               IntegratorConfig(dt=0.1, n_steps=50), consts)
     assert np.all((traj.q >= 0.0) & (traj.q <= 0.05))
@@ -196,12 +197,12 @@ def test_infinite_well_multi_crossing_step(consts):
 
 def test_initial_position_outside_domain(consts):
     with pytest.raises(DomainError):
-        integrate_hamilton(Potential.infinite_well(1.0), 2.0, 1.0,
+        integrate_hamilton(Potential("infinite_well", width=1.0), 2.0, 1.0,
                            IntegratorConfig(dt=0.01, n_steps=10), consts)
 
 
 def test_all_masked_record_rejected(consts):
-    traj = integrate_hamilton(Potential.free(), 0.0, 0.0,
+    traj = integrate_hamilton(Potential("free"), 0.0, 0.0,
                               IntegratorConfig(dt=0.01, n_steps=10), consts)
     with pytest.raises(ValueError):
         cpdq_diagnostics(traj)
@@ -238,13 +239,13 @@ F = Fraction
 
 
 @pytest.mark.parametrize("pot, force, q0, p0, dt, n, tol", [
-    (Potential.free(), lambda q: 0, F(1, 4), F(3, 2), F(1, 8), 40, 0.0),
-    (Potential.linear(0.75), lambda q: F(3, 4), F(-1, 2), F(1, 4), F(1, 16),
-     60, 0.0),
-    (Potential.harmonic(), lambda q: -q, F(1), F(-1, 2), F(1, 16), 60, 1e-15),
+    (Potential("free"), lambda q: 0, F(1, 4), F(3, 2), F(1, 8), 40, 0.0),
+    (Potential("linear", f0=0.75), lambda q: F(3, 4), F(-1, 2), F(1, 4),
+     F(1, 16), 60, 0.0),
+    (Potential("harmonic"), lambda q: -q, F(1), F(-1, 2), F(1, 16), 60, 1e-15),
     # k dt^2/m = 63/16 = 3.9375, just inside the stability limit 4; theta
     # is near pi, and the phase j*theta carries about j*theta*eps
-    (Potential.harmonic(m=63.0), lambda q: -63 * q, F(1), F(1, 3), F(1, 4),
+    (Potential("harmonic", m=63.0), lambda q: -63 * q, F(1), F(1, 3), F(1, 4),
      60, 60 * math.pi * np.finfo(float).eps),
 ], ids=["free", "linear", "harmonic", "harmonic_a_3.9375"])
 def test_closed_form_matches_exact_verlet(pot, force, q0, p0, dt, n, tol):
@@ -266,7 +267,8 @@ def test_closed_form_matches_exact_verlet(pot, force, q0, p0, dt, n, tol):
 ], ids=["multi_wall_right", "multi_wall_left", "walls_from_right_mover",
         "walls_from_left_mover", "start_on_wall"])
 def test_well_matches_exact_folded_verlet(width, q0, p0, dt, n):
-    q, p = _closed_form(Potential.infinite_well(float(width)), q0, p0, dt, n)
+    q, p = _closed_form(Potential("infinite_well", width=float(width)),
+                        q0, p0, dt, n)
     q_ref, p_ref = _verlet_exact(lambda q: 0, q0, p0, dt, n, width)
     np.testing.assert_array_equal(q, q_ref)
     np.testing.assert_array_equal(p, p_ref)
@@ -275,7 +277,7 @@ def test_well_matches_exact_folded_verlet(width, q0, p0, dt, n):
 def test_well_wall_landing_keeps_incoming_momentum(consts):
     # width 1, q0 = 1/2, dt = 1/4: sample 2 lands on one wall, sample 6 on
     # the other, each still moving into it
-    pot = Potential.infinite_well(1.0)
+    pot = Potential("infinite_well", width=1.0)
     cfg = IntegratorConfig(dt=0.25, n_steps=8)
     right = integrate_hamilton(pot, 0.5, 1.0, cfg, consts)
     left = integrate_hamilton(pot, 0.5, -1.0, cfg, consts)
@@ -298,9 +300,10 @@ def _verlet_loop(force, q0, p0, dt, n, m=1.0):
 
 
 @pytest.mark.parametrize("pot, force, q0, p0", [
-    (Potential.harmonic(), lambda q: -q, 1.0, 0.0),
-    (Potential.harmonic(2.0, 1.3), lambda q: -2.0 * 1.3**2 * q, 0.7, -1.1),
-    (Potential.linear(0.7), lambda q: 0.7, 0.3, -1.0),
+    (Potential("harmonic"), lambda q: -q, 1.0, 0.0),
+    (Potential("harmonic", m=2.0, omega=1.3), lambda q: -2.0 * 1.3**2 * q,
+     0.7, -1.1),
+    (Potential("linear", f0=0.7), lambda q: 0.7, 0.3, -1.0),
 ], ids=["harmonic", "harmonic_m2_omega1.3", "linear"])
 def test_closed_form_matches_step_loop_long_run(consts, pot, force, q0, p0):
     # 62,832 steps, ten periods of the unit oscillator
@@ -318,13 +321,13 @@ def test_closed_form_matches_step_loop_long_run(consts, pot, force, q0, p0):
                          ids=["a_4", "a_9", "a_1e6"])
 def test_unstable_harmonic_step_raises(consts, omega, dt):
     with pytest.raises(ModelViolationError, match="unstable"):
-        integrate_hamilton(Potential.harmonic(omega=omega), 1.0, 0.0,
+        integrate_hamilton(Potential("harmonic", omega=omega), 1.0, 0.0,
                            IntegratorConfig(dt=dt, n_steps=10), consts)
 
 
 def test_step_limit_only_binds_the_harmonic_kind(consts):
     # k dt^2/m is far past 4 for the stiff oscillator, not for the others
-    traj = integrate_hamilton(Potential.linear(2.0), 0.0, 0.0,
+    traj = integrate_hamilton(Potential("linear", f0=2.0), 0.0, 0.0,
                               IntegratorConfig(dt=10.0, n_steps=10), consts)
     assert traj.q[-1] == 0.5 * 2.0 * 100.0**2
-    check_step_stable(Potential.harmonic(omega=1.99), 1.0, consts)
+    check_step_stable(Potential("harmonic", omega=1.99), 1.0, consts)

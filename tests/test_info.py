@@ -35,7 +35,7 @@ class TestLedger:
         assert np.max(np.abs(ledger.d_i_q + ledger.d_i_p)) <= 1e-12
 
     def test_free_particle_identically_zero(self, consts):
-        rec = integrate_hamilton(Potential.free(), 0.0, 2.0,
+        rec = integrate_hamilton(Potential("free"), 0.0, 2.0,
                                  IntegratorConfig(dt=0.01, n_steps=100),
                                  consts)
         ledger = info_ledger(rec)
@@ -151,7 +151,7 @@ class TestRateBounds:
 class TestRegimeMetricHelpers:
     def test_trajectory_metrics_small_for_desk_scale(self, consts):
         n = int(round(2 * math.pi / 1e-3))
-        rec = integrate_hamilton(Potential.harmonic(), 100.0, 0.0,
+        rec = integrate_hamilton(Potential("harmonic"), 100.0, 0.0,
                                  IntegratorConfig(dt=1e-3, n_steps=n), consts)
         mean, dq, dp = trajectory_regime_metrics(rec)
         assert mean <= 1e-12

@@ -28,13 +28,14 @@ from cpdq_lab.quantum import UnboundStateWarning, bohm_adiabaticity_report
 
 @pytest.fixture(scope="module")
 def harmonic_solution(consts):
-    return solve_tise(Potential.harmonic(), Grid1D(-10.0, 10.0, 2000), 6, consts)
+    return solve_tise(Potential("harmonic"), Grid1D(-10.0, 10.0, 2000), 6,
+                      consts)
 
 
 @pytest.fixture(scope="module")
 def well_solution(consts):
-    return solve_tise(Potential.infinite_well(1.0), Grid1D(0.0, 1.0, 2000),
-                      5, consts)
+    return solve_tise(Potential("infinite_well", width=1.0),
+                      Grid1D(0.0, 1.0, 2000), 5, consts)
 
 
 def test_grid_invariants():
@@ -59,14 +60,14 @@ class TestEigensolver:
             math.pi**2 / 2.0, rel=1e-3)
 
     def test_grid_must_lie_inside_the_well(self, consts):
-        well = Potential.infinite_well(1.0)
+        well = Potential("infinite_well", width=1.0)
         quantum.check_grid_in_well(well, Grid1D(-1e-13, 1.0 + 1e-13, 64))
         for grid in (Grid1D(0.0, 2.0, 200), Grid1D(-2e-12, 1.0, 64)):
             with pytest.raises(ValueError, match="inside the well"):
                 solve_tise(well, grid, 1, consts)
 
     def test_free_particle_large_box_limit(self, consts):
-        pot = Potential.free()
+        pot = Potential("free")
         with pytest.warns(UnboundStateWarning):
             e_small = solve_tise(pot, Grid1D(-10, 10, 512), 1,
                                  consts).energies[0]
@@ -95,9 +96,9 @@ class TestEigensolver:
             assert int(np.sum(np.diff(np.sign(sig)) != 0)) == n
 
     def test_convergence_order(self, consts):
-        coarse = solve_tise(Potential.harmonic(), Grid1D(-10, 10, 2000),
+        coarse = solve_tise(Potential("harmonic"), Grid1D(-10, 10, 2000),
                             1, consts).energies[0]
-        fine = solve_tise(Potential.harmonic(), Grid1D(-10, 10, 3999),
+        fine = solve_tise(Potential("harmonic"), Grid1D(-10, 10, 3999),
                           1, consts).energies[0]
         ratio = abs(coarse - 0.5) / abs(fine - 0.5)
         assert 3.5 <= ratio <= 4.5
@@ -105,7 +106,7 @@ class TestEigensolver:
     @pytest.mark.parametrize("level", [0, 3])
     def test_error_quarters_per_halving(self, consts, level):
         # O(h^2): each halving of h cuts the error in E_n = n + 1/2 by 4
-        errors = [abs(solve_tise(Potential.harmonic(), Grid1D(-10.0, 10.0, n),
+        errors = [abs(solve_tise(Potential("harmonic"), Grid1D(-10.0, 10.0, n),
                                  4, consts).energies[level] - (level + 0.5))
                   for n in (251, 501, 1001, 2001)]
         for coarse, fine in zip(errors, errors[1:]):
@@ -113,12 +114,12 @@ class TestEigensolver:
 
     def test_too_many_states(self, consts):
         with pytest.raises(ValueError):
-            solve_tise(Potential.harmonic(), Grid1D(-5, 5, 64), 63, consts)
+            solve_tise(Potential("harmonic"), Grid1D(-5, 5, 64), 63, consts)
 
     def test_unbound_warning(self, consts):
         with pytest.warns(UnboundStateWarning):
-            solve_tise(Potential.soft_well(1.0, 0.5), Grid1D(-20, 20, 512),
-                       8, consts)
+            solve_tise(Potential("soft_well", v0=1.0, a=0.5),
+                       Grid1D(-20, 20, 512), 8, consts)
 
 
 class TestFisher:
@@ -231,7 +232,7 @@ def dense_ground(consts):
 class TestVariational:
     def test_matches_dense_propagator(self, consts, dense_ground):
         grid, top, energy = dense_ground
-        res = variational_ground_state(Potential.harmonic(), grid, consts)
+        res = variational_ground_state(Potential("harmonic"), grid, consts)
         inner = res.psi.values.real[1:-1]
         assert np.max(np.abs(inner / np.linalg.norm(inner) - top)) <= 1e-8
         assert res.energy == pytest.approx(energy, rel=1e-12)
@@ -240,7 +241,7 @@ class TestVariational:
         # the sine-basis kinetic operator has sin(pi x / width) as its
         # ground state: E = c (pi / width)^2 with c = 2 f^2 / m
         width = 1.5
-        res = variational_ground_state(Potential.infinite_well(width),
+        res = variational_ground_state(Potential("infinite_well", width=width),
                                        Grid1D(0.0, width, 500), consts)
         c = 2.0 * consts.f**2 / consts.mass
         assert res.energy == pytest.approx(c * (math.pi / width) ** 2,
@@ -248,10 +249,10 @@ class TestVariational:
 
     def test_restarts_reach_the_same_fixed_point(self, consts, monkeypatch):
         grid = Grid1D(-10.0, 10.0, 2000)
-        full = variational_ground_state(Potential.harmonic(), grid, consts)
+        full = variational_ground_state(Potential("harmonic"), grid, consts)
         assert full.iterations > quantum._LANCZOS_BASIS
         monkeypatch.setattr(quantum, "_LANCZOS_BASIS", 8)
-        short = variational_ground_state(Potential.harmonic(), grid, consts)
+        short = variational_ground_state(Potential("harmonic"), grid, consts)
         assert short.iterations > 2 * 8
         for res in (full, short):
             assert abs(res.energy - 0.5) <= 1e-9
@@ -261,10 +262,10 @@ class TestVariational:
     def test_thick_restart_matches_an_unrestarted_run(self, consts,
                                                       monkeypatch):
         grid = Grid1D(-10.0, 10.0, 2000)
-        thick = variational_ground_state(Potential.harmonic(), grid, consts)
+        thick = variational_ground_state(Potential("harmonic"), grid, consts)
         assert thick.iterations > quantum._LANCZOS_BASIS
         monkeypatch.setattr(quantum, "_LANCZOS_BASIS", 100)
-        whole = variational_ground_state(Potential.harmonic(), grid, consts)
+        whole = variational_ground_state(Potential("harmonic"), grid, consts)
         assert whole.iterations < 100
         assert thick.energy == pytest.approx(whole.energy, rel=1e-12)
         assert np.max(np.abs(thick.psi.values - whole.psi.values)) \
@@ -273,23 +274,23 @@ class TestVariational:
     def test_application_counts(self, consts):
         # an explicit restart from the top Ritz vector alone took 84 on the
         # oscillator; the well converges before the basis fills
-        osc = variational_ground_state(Potential.harmonic(),
+        osc = variational_ground_state(Potential("harmonic"),
                                        Grid1D(-10.0, 10.0, 2000), consts)
         assert osc.iterations <= 50
-        well = variational_ground_state(Potential.infinite_well(1.0),
+        well = variational_ground_state(Potential("infinite_well", width=1.0),
                                         Grid1D(0.0, 1.0, 2000), consts)
         assert well.iterations == 7
 
     def test_ground_state_has_no_negative_lobe(self, consts):
-        res = variational_ground_state(Potential.harmonic(),
+        res = variational_ground_state(Potential("harmonic"),
                                        Grid1D(-10.0, 10.0, 2000), consts)
         psi = res.psi.values.real
         assert psi.min() >= -1e-8 * psi.max()
 
     def test_bitwise_repeatable(self, consts):
         grid = Grid1D(-10.0, 10.0, 2000)
-        a = variational_ground_state(Potential.harmonic(), grid, consts)
-        b = variational_ground_state(Potential.harmonic(), grid, consts)
+        a = variational_ground_state(Potential("harmonic"), grid, consts)
+        b = variational_ground_state(Potential("harmonic"), grid, consts)
         assert a.psi.values.tobytes() == b.psi.values.tobytes()
         assert (a.energy, a.iterations) == (b.energy, b.iterations)
 
@@ -298,7 +299,7 @@ class TestVariational:
         start = WaveFunction(grid=grid, values=np.pad(top, 1).astype(complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = variational_ground_state(Potential.harmonic(), grid,
+            res = variational_ground_state(Potential("harmonic"), grid,
                                            consts, psi0=start)
         assert res.iterations <= 2
         assert res.energy == pytest.approx(energy, rel=1e-12)
@@ -306,13 +307,13 @@ class TestVariational:
     def test_underflowing_propagator_raises(self, consts):
         # tau V / 2 >= 625 at every grid point: applying P underflows to 0
         with pytest.raises(ConvergenceError, match="underflows") as info:
-            variational_ground_state(Potential.harmonic(omega=1e5),
+            variational_ground_state(Potential("harmonic", omega=1e5),
                                      Grid1D(-10.0, 10.0, 2000), consts)
         assert info.value.iterations == 1
 
     def test_fewer_than_two_applications_rejected(self, consts):
         with pytest.raises(ValueError, match="max_iters"):
-            variational_ground_state(Potential.harmonic(),
+            variational_ground_state(Potential("harmonic"),
                                      Grid1D(-10.0, 10.0, 200), consts,
                                      max_iters=1)
 
@@ -322,33 +323,33 @@ class TestVariational:
         monkeypatch.setattr(scipy.fft, "dst", no_transform)
         monkeypatch.setattr(scipy.fft, "idst", no_transform)
         with pytest.raises(ValueError, match="inside the well"):
-            variational_ground_state(Potential.infinite_well(1.0),
+            variational_ground_state(Potential("infinite_well", width=1.0),
                                      Grid1D(0.0, 2.0, 200), consts)
 
     def test_harmonic(self, consts, harmonic_solution):
-        res = variational_ground_state(Potential.harmonic(),
+        res = variational_ground_state(Potential("harmonic"),
                                        Grid1D(-10.0, 10.0, 2000), consts)
         assert res.energy == pytest.approx(harmonic_solution.energies[0],
                                            rel=1e-4)
         assert res.iterations <= 5000
 
     def test_well(self, consts, well_solution):
-        res = variational_ground_state(Potential.infinite_well(1.0),
+        res = variational_ground_state(Potential("infinite_well", width=1.0),
                                        Grid1D(0.0, 1.0, 2000), consts)
         assert res.energy == pytest.approx(well_solution.energies[0],
                                            rel=1e-4)
 
     def test_converged_state_is_fixed_point(self, consts):
         grid = Grid1D(-10.0, 10.0, 2000)
-        first = variational_ground_state(Potential.harmonic(), grid, consts)
-        again = variational_ground_state(Potential.harmonic(), grid, consts,
+        first = variational_ground_state(Potential("harmonic"), grid, consts)
+        again = variational_ground_state(Potential("harmonic"), grid, consts,
                                          psi0=first.psi)
         assert again.iterations <= 2
         assert again.energy == pytest.approx(first.energy, rel=1e-9)
 
     def test_nonconvergence_carries_iterate(self, consts):
         with pytest.raises(ConvergenceError) as info:
-            variational_ground_state(Potential.harmonic(),
+            variational_ground_state(Potential("harmonic"),
                                      Grid1D(-10.0, 10.0, 2000), consts,
                                      max_iters=3, tol=1e-16)
         assert info.value.psi is not None
@@ -358,7 +359,7 @@ class TestVariational:
     def test_nonconvergence_after_a_restart_carries_iterate(self, consts):
         assert 40 > quantum._LANCZOS_BASIS
         with pytest.raises(ConvergenceError, match="cap") as info:
-            variational_ground_state(Potential.harmonic(),
+            variational_ground_state(Potential("harmonic"),
                                      Grid1D(-10.0, 10.0, 2000), consts,
                                      max_iters=40, tol=1e-16)
         assert info.value.iterations == 40
@@ -369,14 +370,14 @@ class TestVariational:
 
 class TestWkb:
     def test_free_particle_validity_zero(self, consts):
-        prof = local_wkb_profile(Potential.free(), 2.0,
+        prof = local_wkb_profile(Potential("free"), 2.0,
                                  Grid1D(-5, 5, 256), consts)
         assert np.nanmax(prof.validity_metric) == 0.0
 
     def test_harmonic_values_at_origin(self, consts):
         # k = sqrt(E / (2 f^2 / m)) = sqrt(20) for E=10 in natural units
         g = Grid1D(-6.0, 6.0, 12001)
-        prof = local_wkb_profile(Potential.harmonic(), 10.0, g, consts)
+        prof = local_wkb_profile(Potential("harmonic"), 10.0, g, consts)
         mid = 6000
         assert prof.k_of_x[mid] == pytest.approx(math.sqrt(20.0), rel=1e-12)
         assert prof.delta_x_of_x[mid] == pytest.approx(0.1118033988749895,
@@ -384,7 +385,7 @@ class TestWkb:
 
     def test_turning_point_masked_divergence(self, consts):
         g = Grid1D(-6.0, 6.0, 12001)
-        prof = local_wkb_profile(Potential.harmonic(), 10.0, g, consts)
+        prof = local_wkb_profile(Potential("harmonic"), 10.0, g, consts)
         assert np.any(~prof.allowed_mask)
         assert np.all(np.isnan(prof.validity_metric[~prof.allowed_mask]))
         allowed_validity = prof.validity_metric[prof.allowed_mask]
@@ -392,15 +393,15 @@ class TestWkb:
 
     def test_no_allowed_region(self, consts):
         with pytest.raises(ValueError):
-            local_wkb_profile(Potential.harmonic(), -1.0,
+            local_wkb_profile(Potential("harmonic"), -1.0,
                               Grid1D(-5, 5, 128), consts)
 
     def test_wkb_matches_eigenstate_fisher_length(self, consts, well_solution):
         # flat box: local delta_x equals the state's global Fisher length
         for n, s in enumerate(well_solution.states, start=1):
             e_n = well_solution.energies[n - 1]
-            prof = local_wkb_profile(Potential.infinite_well(1.0), e_n,
-                                     Grid1D(0.0, 1.0, 2000), consts)
+            prof = local_wkb_profile(Potential("infinite_well", width=1.0),
+                                     e_n, Grid1D(0.0, 1.0, 2000), consts)
             valid = prof.validity_metric[prof.allowed_mask]
             assert np.nanmax(valid) <= 0.1
             fm = fisher_metrics(s)
@@ -410,17 +411,17 @@ class TestWkb:
 
 class TestForceRecovery:
     def test_harmonic(self, consts):
-        res = appendix_a_consistency(Potential.harmonic(), 10.0,
+        res = appendix_a_consistency(Potential("harmonic"), 10.0,
                                      Grid1D(-4.2, 4.2, 8401), consts)
         assert res <= 1e-3
 
     def test_linear(self, consts):
-        res = appendix_a_consistency(Potential.linear(1.0), 5.0,
+        res = appendix_a_consistency(Potential("linear", f0=1.0), 5.0,
                                      Grid1D(-4.5, 5.0, 9501), consts)
         assert res <= 1e-3
 
     def test_free(self, consts):
-        res = appendix_a_consistency(Potential.free(), 2.0,
+        res = appendix_a_consistency(Potential("free"), 2.0,
                                      Grid1D(-5.0, 5.0, 512), consts)
         assert res == 0.0
 
@@ -428,9 +429,9 @@ class TestForceRecovery:
         # V = -q shifted by 2 is V = -q less 2: E = -1 on [-4.5, 5] has the
         # kinetic energy q - 1 that E = 1 has on [-6.5, 3], where a kinetic
         # fraction near 0 admits every allowed point and nothing else
-        below = appendix_a_consistency(Potential.linear(1.0), -1.0,
+        below = appendix_a_consistency(Potential("linear", f0=1.0), -1.0,
                                        Grid1D(-4.5, 5.0, 400), consts)
-        above = appendix_a_consistency(Potential.linear(1.0), 1.0,
+        above = appendix_a_consistency(Potential("linear", f0=1.0), 1.0,
                                        Grid1D(-6.5, 3.0, 400), consts,
                                        kinetic_fraction=1e-12)
         assert math.isfinite(below)
@@ -460,7 +461,7 @@ class TestDispersion:
 
 
 def test_bohm_report_fields(consts):
-    rep = bohm_adiabaticity_report(Potential.harmonic(), 10.0,
+    rep = bohm_adiabaticity_report(Potential("harmonic"), 10.0,
                                    Grid1D(-6.0, 6.0, 2000), consts)
     assert set(rep) == {"max_dv_dt", "level_spacing", "bohm_ratio"}
     assert rep["level_spacing"] == pytest.approx(1.0, rel=1e-3)

@@ -33,7 +33,7 @@ def test_tracer_finds_every_traced_name(tmp_path):
         "potential": {"kind": "infinite_well"},
         "grid": {"x_min": 0.0, "x_max": 1.0, "n": 256}})
     consts = natural_units()
-    psi = quantum.solve_tise(Potential.harmonic(), Grid1D(-5.0, 5.0, n), 1,
+    psi = quantum.solve_tise(Potential("harmonic"), Grid1D(-5.0, 5.0, n), 1,
                              consts).states[0]
     t = tracer.Tracer()
     try:
