@@ -33,6 +33,7 @@ from .core import (
     ModelViolationError,
     Potential,
     PotentialKind,
+    eval_potential,
     natural_units,
     si_units,
 )
@@ -173,9 +174,14 @@ def validate_scenario(cfg: dict) -> None:
         except ValueError as exc:
             raise ScenarioError(f"grid: {exc}") from None
     if kind == "wkb":
+        # V that overflows or goes undefined on the grid is left to the
+        # run, which reports it as a computation error (exit 1)
         try:
-            admitted_block(pot, params["energy"], grid,
-                           **_given(params, "kinetic_fraction"))
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                admitted_block(eval_potential(pot, grid.x)[0], params["energy"],
+                               **_given(params, "kinetic_fraction"))
+        except ArithmeticError:
+            pass
         except ValueError as exc:
             raise ScenarioError(f"wkb: {exc}") from None
 

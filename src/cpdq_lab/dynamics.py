@@ -45,10 +45,11 @@ def check_step_stable(pot: Potential, dt: float, consts: Constants) -> None:
 
     One step in V = k q^2/2 rotates phase space by theta with
     sin(theta/2) = sqrt(a)/2, a = k dt^2/m; from a = 4 on there is no such
-    rotation and the recurrence grows without bound.
+    rotation and the recurrence grows without bound.  omega*omega rather
+    than omega**2: a float product past the range is inf, not OverflowError.
     """
     if pot.kind is PotentialKind.HARMONIC and \
-            not pot.m * pot.omega**2 * dt * dt / consts.mass < 4.0:
+            not pot.m * (pot.omega * pot.omega) * dt * dt / consts.mass < 4.0:
         raise ModelViolationError("harmonic leapfrog step is unstable: "
                                   "k*dt^2/mass must be below 4")
 

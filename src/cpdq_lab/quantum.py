@@ -435,11 +435,8 @@ def local_wkb_profile(pot: Potential, energy: float, grid: Grid1D,
     one uncertainty interval and must stay small for a trajectory picture
     to hold.  Classically forbidden points are NaN-masked.
     """
-    x = grid.x
-    v, dv = eval_potential(pot, x)
-    allowed = energy - v > 0
-    if not np.any(allowed):
-        raise ValueError("no classically allowed region at this energy")
+    v, dv = eval_potential(pot, grid.x)
+    allowed = _allowed(v, energy)
     four_c = 2.0 * consts.f**2 / consts.mass
     with np.errstate(invalid="ignore", divide="ignore"):
         k = np.where(allowed, np.sqrt(np.maximum(energy - v, 0.0) / four_c), np.nan)
@@ -450,20 +447,26 @@ def local_wkb_profile(pot: Potential, energy: float, grid: Grid1D,
                       validity_metric=validity, allowed_mask=allowed)
 
 
-def admitted_block(pot: Potential, energy: float, grid: Grid1D,
+def _allowed(v: np.ndarray, energy: float) -> np.ndarray:
+    """Mask of the classically allowed points, E - V > 0; raises
+    ValueError if there are none."""
+    allowed = energy - v > 0
+    if not np.any(allowed):
+        raise ValueError("no classically allowed region at this energy")
+    return allowed
+
+
+def admitted_block(v: np.ndarray, energy: float,
                    kinetic_fraction: float = 0.1) -> np.ndarray:
-    """Indices of the largest contiguous block of classically allowed grid
-    points where E - V >= kinetic_fraction*E (for E <= 0 the second test
-    alone would admit forbidden points).
+    """Indices of the largest contiguous block of classically allowed points
+    of the sampled potential v where E - V >= kinetic_fraction*E (for E <= 0
+    the second test alone would admit forbidden points).
 
     Raises ValueError if no point is allowed, or if the block is shorter
     than the 5 points the difference stencils need.
     """
-    v = eval_potential(pot, grid.x)[0]
-    allowed = energy - v > 0
-    if not np.any(allowed):
-        raise ValueError("no classically allowed region at this energy")
-    idx = np.flatnonzero(allowed & ((energy - v) >= kinetic_fraction * energy))
+    admitted = _allowed(v, energy) & ((energy - v) >= kinetic_fraction * energy)
+    idx = np.flatnonzero(admitted)
     breaks = np.flatnonzero(np.diff(idx) > 1)
     seg = max(np.split(idx, breaks + 1), key=len)
     if len(seg) < 5:
@@ -482,9 +485,9 @@ def appendix_a_consistency(pot: Potential, energy: float, grid: Grid1D,
     relative residual over the admitted block (admitted_block), whose
     contiguity keeps the difference stencil clean.
     """
-    seg = admitted_block(pot, energy, grid, kinetic_fraction)
     profile = local_wkb_profile(pot, energy, grid, consts)
-    dv = eval_potential(pot, grid.x)[1]
+    v, dv = eval_potential(pot, grid.x)
+    seg = admitted_block(v, energy, kinetic_fraction)
     dx_series = profile.delta_x_of_x[seg]
     p_series = consts.f / dx_series
     slope = np.gradient(np.log(dx_series), grid.h, edge_order=2)

@@ -151,6 +151,10 @@ class TestValidation:
         ("trajectory", {"potential": {"kind": "harmonic", "omega": 2.0},
                         "q0": 1.0, "p0": 0.0, "dt": 1.0, "n_steps": 10},
          "trajectory: harmonic leapfrog step is unstable"),
+        # omega**2 is past the float range
+        ("trajectory", {"potential": {"kind": "harmonic", "omega": 1e200},
+                        "q0": 1.0, "p0": 0.0, "dt": 0.01, "n_steps": 10},
+         "trajectory: harmonic leapfrog step is unstable"),
         ("piston", {"l0": 1, "v0": 1, "u": 0.5, "mode": "sudden_jump",
                     "l_end": 2}, "piston: sudden_jump takes no wall speed u"),
         ("piston", {"l0": 1, "v0": 1, "u": 0.01, "l_end": 2, "t_jump": 1},
@@ -189,6 +193,7 @@ class TestValidation:
             "piston_stops_particle", "trajectory_too_many_steps",
             "tise_grid_too_large", "tise_states_too_large",
             "trajectory_si_electron_blowup", "trajectory_harmonic_step_at_4",
+            "trajectory_harmonic_omega_overflow",
             "piston_jump_with_u", "piston_constant_speed_with_t_jump",
             "free_potential_omega", "harmonic_potential_f0",
             "linear_potential_width", "infinite_well_potential_m",
@@ -684,6 +689,21 @@ def test_unbound_states_are_one_exit_1_line(tmp_path, cfg):
     for: the run ends as a computation error, not a printed warning."""
     lines = fresh_run_stderr(tmp_path, cfg)
     assert len(lines) == 1 and "UnboundStateWarning" in lines[0], lines
+
+
+@pytest.mark.parametrize("potential,error", [
+    ({"kind": "harmonic", "omega": 1e200}, "OverflowError"),
+    ({"kind": "linear", "f0": 1e308}, "RuntimeWarning"),
+    ({"kind": "soft_well", "a": 1e-320}, "RuntimeWarning"),
+], ids=["harmonic_omega_overflow", "linear_f0_overflow", "soft_well_subnormal_a"])
+def test_wkb_potential_overflow_is_one_exit_1_line(tmp_path, potential, error):
+    """V that overflows on the grid passes validation untouched and ends
+    the run as one computation-error line, not a traceback or a warning
+    printed during validation."""
+    lines = fresh_run_stderr(tmp_path, {"kind": "wkb", "params": {
+        "potential": potential, "energy": 1,
+        "grid": {"x_min": -4, "x_max": 4, "n": 100}}})
+    assert len(lines) == 1 and error in lines[0], lines
 
 
 # A dot product of 20,000 terms, summed by quantum._dot, as hex.
