@@ -219,19 +219,78 @@ def dense_descent_operators(grid, consts, tau=0.01):
     return p, h
 
 
-@pytest.fixture(scope="module")
-def dense_ground(consts):
-    """Top eigenvector of the dense P on a 64-point grid and its energy."""
-    grid = Grid1D(-6.0, 6.0, 64)
+def dense_ground_on(n, consts):
+    """Top eigenvector of the dense P on an n-point grid and its energy."""
+    grid = Grid1D(-6.0, 6.0, n)
     p, h = dense_descent_operators(grid, consts)
     top = np.linalg.eigh(p)[1][:, -1]
     top *= np.sign(top.sum())
     return grid, top, float(top @ h @ top)
 
 
+@pytest.fixture(scope="module")
+def dense_ground(consts):
+    return dense_ground_on(64, consts)
+
+
+def sine_transform(v):
+    """The DST-I S v from the explicit sine matrix, 2 sin(pi m j / (N+1)),
+    built 256 rows at a time; m j is reduced mod 2 (N+1) in integers, so
+    every angle lies in [0, 2 pi) and is accurate to rounding."""
+    n = len(v)
+    j = np.arange(1, n + 1)
+    return np.concatenate([
+        2.0 * np.sin(np.pi * (np.outer(j[i:i + 256], j) % (2 * (n + 1)))
+                     / (n + 1)) @ v
+        for i in range(0, n, 256)])
+
+
+class TestKineticStep:
+    # N + 1 = 127, 1999 and 2161 are prime: pocketfft computes their
+    # DST-I by Bluestein; 2 (N+1) = 126, 4000, 8190 and 19000 are smooth
+    SLOW = [126, 1998, 2160]
+    FAST = [62, 1999, 4094, 9499]
+
+    @pytest.mark.parametrize("n", [62, 126, 1998, 1999, 2160, 4094])
+    def test_matches_dense_sine_matrix(self, n):
+        # S diag(e) S / (2 (N+1)), since S S = 2 (N+1) I
+        rng = np.random.default_rng(n)
+        exp_t = rng.uniform(0.0, 1.0, n)
+        step = quantum._kinetic_step(exp_t)
+        for _ in range(2):
+            w = rng.standard_normal(n)
+            ref = sine_transform(exp_t * sine_transform(w)) / (2.0 * (n + 1))
+            assert np.max(np.abs(step(w) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [126, 1999])
+    def test_sine_modes_are_eigenvectors(self, n, consts):
+        # on a grid of width 20 the mode sin(pi m j / (N+1)) has wave number
+        # k_m = pi m / 20 and decays by exactly e^{-tau c k_m^2}
+        c = 2.0 * consts.f**2 / consts.mass
+        k = np.pi * np.arange(1, n + 1) / 20.0
+        step = quantum._kinetic_step(np.exp(-quantum._TAU * c * k**2))
+        j = np.arange(1, n + 1)
+        for m in (1, 2, 7, n // 2, n):
+            mode = np.sin(np.pi * (m * j % (2 * (n + 1))) / (n + 1))
+            decay = math.exp(-quantum._TAU * c * (math.pi * m / 20.0) ** 2)
+            assert np.max(np.abs(step(mode) - decay * mode)) <= 1e-14
+
+    @pytest.mark.parametrize("n", SLOW + FAST)
+    def test_bluestein_lengths_avoid_the_dst(self, n, monkeypatch):
+        calls = []
+        for name in ("dst", "idst"):
+            original = getattr(scipy.fft, name)
+            monkeypatch.setattr(scipy.fft, name, lambda *a, _f=original, **k:
+                                calls.append(1) or _f(*a, **k))
+        quantum._kinetic_step(np.ones(n))(np.ones(n))
+        assert len(calls) == (0 if n in self.SLOW else 2)
+
+
 class TestVariational:
-    def test_matches_dense_propagator(self, consts, dense_ground):
-        grid, top, energy = dense_ground
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_matches_dense_propagator(self, consts, n):
+        # 64 points take the DST pair, 128 (N + 1 = 127) the convolution
+        grid, top, energy = dense_ground_on(n, consts)
         res = variational_ground_state(Potential("harmonic"), grid, consts)
         inner = res.psi.values.real[1:-1]
         assert np.max(np.abs(inner / np.linalg.norm(inner) - top)) <= 1e-8
@@ -320,8 +379,8 @@ class TestVariational:
     def test_grid_past_the_well_rejected(self, consts, monkeypatch):
         def no_transform(*args, **kwargs):
             raise AssertionError("transformed before checking the grid")
-        monkeypatch.setattr(scipy.fft, "dst", no_transform)
-        monkeypatch.setattr(scipy.fft, "idst", no_transform)
+        for name in ("dst", "idst", "rfft", "irfft"):
+            monkeypatch.setattr(scipy.fft, name, no_transform)
         with pytest.raises(ValueError, match="inside the well"):
             variational_ground_state(Potential("infinite_well", width=1.0),
                                      Grid1D(0.0, 2.0, 200), consts)

@@ -54,3 +54,26 @@ def test_tracer_finds_every_traced_name(tmp_path):
     assert counts["quantum.descent_iters"] == checks["iterations"] > 0
     assert counts["quantum.fisher_points"] == n
     assert counts["core.eval_potential_calls"] > 0
+
+
+def test_tracer_counts_the_descent_at_a_slow_length(tmp_path):
+    # N + 1 = 499 is prime, so the descent applies its propagator by
+    # convolution and only the energy's DST-I reaches scipy.fft.dst; the
+    # benchmark refuses a traced quantum workload that counts no DST
+    cfg = scenario(tmp_path, "slow", "variational", {
+        "potential": {"kind": "harmonic"},
+        "grid": {"x_min": -8.0, "x_max": 8.0, "n": 500}})
+    report, code = cli.run_scenario(cfg, tmp_path / "plain_out")
+    assert code == 0
+    t = tracer.Tracer()
+    try:
+        t.install()
+        traced, code = cli.run_scenario(cfg, tmp_path / "traced_out")
+        assert code == 0
+    finally:
+        t.uninstall()
+    _, counts = t.take()
+    iterations = {c["name"]: c["value"] for c in report["checks"]}["iterations"]
+    assert traced["checks"] == report["checks"]
+    assert counts["quantum.dst_transforms"] > 0
+    assert counts["quantum.descent_iters"] == iterations > 0
