@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -425,6 +426,24 @@ OTHER_NANS = np.array([0xFFF8000000000000, 0x7FF8000000000001],
                       dtype=np.uint64).view(float)
 
 
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """One entry per os.fork this process makes from here on."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def long_table(n: int) -> list[np.ndarray]:
     """Columns of the shapes write_csv formats once per distinct value,
     beside a unique column and one whose strided samples look constant."""
@@ -493,6 +512,63 @@ class TestWriteCsv:
         code = run("bounds_si_1joule.json", tmp_path / "out")
         assert code == cli.EXIT_COMPUTE
         assert "columns differ in length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_rows,short", [
+        (3 * B, 1), (3 * B, 0), (2 * (3 * B + 7) + 1, 0)],
+        ids=["below_threshold", "at_threshold", "odd_half"])
+    def test_split_matches_per_row_formula(self, tmp_path, monkeypatch, forks,
+                                           n_rows, short):
+        # the threshold moves to this table's count of formatted values, or
+        # one past it; odd_half's halves of 3,007 and 3,008 rows end
+        # mid-block.  Every column but long_table's literal 0.1 is
+        # formatted, and the last one walks the edge floats.
+        columns = long_table(n_rows) + [np.resize(EDGE_FLOATS, n_rows)]
+        k = sum(cli._csv_field(c)[1] is not None for c in columns)
+        monkeypatch.setattr(cli, "_CSV_SPLIT_VALUES", k * n_rows + short)
+        header = [f"c{j}" for j in range(len(columns))]
+        expected = ",".join(header) + "\n" + old_csv_rows(columns)
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            cli.write_csv(tmp_path / f"cpus{cpus}.csv", header, columns)
+            assert (tmp_path / f"cpus{cpus}.csv").read_bytes() \
+                == expected.encode()
+        assert len(forks) == (short == 0)
+        assert_no_child_left()
+        assert sorted(os.listdir(tmp_path)) == ["cpus1.csv", "cpus2.csv"]
+
+    def test_split_run_reaps_its_child(self, tmp_path, monkeypatch, forks):
+        # of harmonic_pzie's tables only series.csv reaches the threshold
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "out"
+        assert run("harmonic_pzie.json", out) == cli.EXIT_OK
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert sorted(os.listdir(out)) \
+            == ["report.json", "series.csv", "timing.json"]
+
+    def test_failed_child_exits_1(self, tmp_path, monkeypatch, capsys, forks):
+        # the child's first write into its temporary file raises; the
+        # parent reaps it and ends the run with one line naming the table
+        temporary = tempfile.TemporaryFile
+
+        def failing(*args, **kwargs):
+            tail = temporary(*args, **kwargs)
+
+            def write(text):
+                raise OSError("no space left on device")
+            tail.write = write
+            return tail
+        monkeypatch.setattr(tempfile, "TemporaryFile", failing)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "out"
+        assert run("harmonic_pzie.json", out) == cli.EXIT_COMPUTE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "OSError" in err[0], err
+        assert str(out / "series.csv") in err[0]
+        assert len(forks) == 1
+        assert_no_child_left()
+        # the first half stays in series.csv; the temporary file is gone
+        assert os.listdir(out) == ["series.csv"]
 
 
 def tighten(monkeypatch, name):
@@ -596,6 +672,32 @@ def fresh_python(*args: str, **env: str) -> subprocess.CompletedProcess:
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+# Run `cpdq-lab ARGS` in a fresh interpreter pinned to one CPU.
+PINNED_CLI = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from cpdq_lab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="pinning to one CPU needs sched_setaffinity")
+def test_series_bytes_independent_of_usable_cpus(tmp_path):
+    """harmonic_pzie's series.csv is written by two processes where two
+    CPUs are usable, with a second OpenBLAS thread in the one that forks,
+    and by one process when the run is pinned to one CPU: same bytes."""
+    scenario = str(scenario_path("harmonic_pzie.json"))
+    runs = {"split": ("-m", "cpdq_lab.cli"), "pinned": ("-c", PINNED_CLI)}
+    for name, command in runs.items():
+        proc = fresh_python(*command, "run", scenario,
+                            "--out", str(tmp_path / name),
+                            OPENBLAS_NUM_THREADS="2")
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert (tmp_path / "split" / "series.csv").read_bytes() \
+        == (tmp_path / "pinned" / "series.csv").read_bytes()
 
 
 # Run in a fresh interpreter: which scipy modules are loaded after importing

@@ -77,3 +77,22 @@ def test_tracer_counts_the_descent_at_a_slow_length(tmp_path):
     assert traced["checks"] == report["checks"]
     assert counts["quantum.dst_transforms"] > 0
     assert counts["quantum.descent_iters"] == iterations > 0
+
+
+def test_tracer_counts_a_split_csv_write_once(tmp_path, monkeypatch):
+    # series.csv (62,833 rows of 8 columns) is formatted in two halves by
+    # two processes; the child leaves by os._exit, so it adds no span and
+    # no count to the ones the parent records
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    path = Path(cli.__file__).parent / "scenarios" / "harmonic_pzie.json"
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert cli.run_scenario(path, tmp_path / "out")[1] == 0
+    finally:
+        t.uninstall()
+    spans, counts = t.take()
+    assert [name for name, *_ in spans].count("cli.write_csv") == 1
+    assert counts["cli.csv_floats"] == 502_664
+    assert counts["cli.csv_bytes"] \
+        == (tmp_path / "out" / "series.csv").stat().st_size
