@@ -262,10 +262,11 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     once: a forked child writes the second half into an unlinked temporary
     file beside `path` while this process writes the first half, then this
     process reaps the child and appends the file's bytes.  The child runs
-    only the block loop and leaves by os._exit, so it never returns into
-    the caller or flushes inherited buffers; if it fails, OSError names
-    `path`.  Both halves run the same loop, so the bytes do not depend on
-    the split.
+    only the block loop and file writes (no import, no BLAS, no print), so
+    a BLAS thread in this process cannot hold a lock it needs, and it
+    leaves by os._exit, so it never returns into the caller or flushes
+    inherited buffers; if it fails, OSError names `path`.  Both halves run
+    the same loop, so the bytes do not depend on the split.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
     lengths = {len(c) for c in cols}
@@ -294,7 +295,7 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
             return
         half = n_rows // 2
         with tempfile.TemporaryFile("w+", newline="",
-                                    dir=path.parent) as tail:
+                                    dir=Path(path).parent) as tail:
             pid = os.fork()
             if pid == 0:
                 code = 1
