@@ -32,6 +32,7 @@ from jsonschema import Draft202012Validator
 from . import __version__
 from .acceptance import Check, REGIME_EXPECTED, regime_fixture_metrics, run_criteria
 from .core import (
+    _PARAMS,
     Constants,
     ModelViolationError,
     Potential,
@@ -51,12 +52,12 @@ from .info import LN2, info_ledger, rate_bounds, regime_classify
 from .quantum import (
     Grid1D,
     _dot,
+    _force_residual,
+    _wkb_profile,
     admitted_block,
-    appendix_a_consistency,
     bohm_adiabaticity_report,
     check_grid_in_well,
     dispersion_checks,
-    local_wkb_profile,
     solve_tise,
     variational_ground_state,
 )
@@ -90,14 +91,11 @@ def _object(properties: dict, required: tuple = ()) -> dict:
     return schema
 
 
+# the parameters some kind reads (core._PARAMS); all but f0 are positive
 _POTENTIAL_SCHEMA = _object({
     "kind": {"enum": [k.value for k in PotentialKind]},
-    "f0": _NUMBER,
-    "m": _POSITIVE,
-    "omega": _POSITIVE,
-    "width": _POSITIVE,
-    "v0": _POSITIVE,
-    "a": _POSITIVE,
+    **{name: _NUMBER if name == "f0" else _POSITIVE
+       for names in _PARAMS.values() for name in names},
 }, required=("kind",))
 
 _GRID_SCHEMA = _object({
@@ -123,13 +121,25 @@ def _check_schema(schema: dict, instance, prefix: str = "") -> None:
     raise ScenarioError(f"{prefix}{err.message} at {where}")
 
 
-def validate_scenario(cfg: dict) -> None:
+def validate_scenario(cfg: dict) -> tuple[Constants, dict]:
+    """Check a parsed config and build what its run needs, once.
+
+    Returns the run's Constants (its unit system with its overrides
+    applied) and a copy of params in which `potential` is a Potential and
+    `grid` a Grid1D; a trajectory gains `integrator` (its
+    IntegratorConfig), a single piston run `piston` (its PistonConfig),
+    and a wkb run `v` and `dv`, V and V' sampled on the grid.  Raises
+    ScenarioError, naming the offending key, for a config the schema or a
+    model rejects.
+    """
     _check_schema(SCHEMA, cfg)
-    kind, params = cfg["kind"], cfg["params"]
+    kind, params = cfg["kind"], dict(cfg["params"])
     _check_schema(KINDS[kind][0], params, f"params for kind {kind!r}: ")
+    base = si_units() if cfg.get("units") == "si" else natural_units()
+    consts = dataclasses.replace(base, **cfg.get("constants", {}))
     if "potential" in params:
         try:
-            pot = Potential(**params["potential"])
+            pot = params["potential"] = Potential(**params["potential"])
         except ValueError as exc:
             raise ScenarioError(f"potential: {exc}") from None
     if kind == "regime" and ("fixture" in params) == ("metrics" in params):
@@ -147,9 +157,11 @@ def validate_scenario(cfg: dict) -> None:
         if not pot.contains(params["q0"]):
             raise ScenarioError("q0 lies outside the potential's domain")
         try:
-            check_step_stable(pot, params["dt"], _constants(cfg))
+            check_step_stable(pot, params["dt"], consts)
         except ModelViolationError as exc:
             raise ScenarioError(f"trajectory: {exc}") from None
+        params["integrator"] = IntegratorConfig(params["dt"],
+                                                params["n_steps"])
     if kind == "piston" and "scan" in params:
         extra = [k for k in ("u", "mode", "l_end", "t_end", "t_jump")
                  if k in params]
@@ -162,7 +174,7 @@ def validate_scenario(cfg: dict) -> None:
             raise ScenarioError(f"piston scan: {exc}") from None
     elif kind == "piston":
         try:
-            piston = PistonConfig(**params)
+            piston = params["piston"] = PistonConfig(**params)
         except TypeError:
             raise ScenarioError("piston without scan needs l0 and v0") from None
         except ValueError as exc:
@@ -172,27 +184,18 @@ def validate_scenario(cfg: dict) -> None:
                                 "right-wall collision")
     if "grid" in params:
         try:
-            grid = Grid1D(**params["grid"])
+            grid = params["grid"] = Grid1D(**params["grid"])
             check_grid_in_well(pot, grid)
         except ValueError as exc:
             raise ScenarioError(f"grid: {exc}") from None
     if kind == "wkb":
-        # V that overflows or goes undefined on the grid is left to the
-        # run, which reports it as a computation error (exit 1)
+        params["v"], params["dv"] = eval_potential(pot, grid.x)
         try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                admitted_block(eval_potential(pot, grid.x)[0], params["energy"],
-                               **_given(params, "kinetic_fraction"))
-        except ArithmeticError:
-            pass
+            admitted_block(params["v"], params["energy"],
+                           **_given(params, "kinetic_fraction"))
         except ValueError as exc:
             raise ScenarioError(f"wkb: {exc}") from None
-
-
-def _constants(cfg: dict) -> Constants:
-    """The run's constants: its unit system with its overrides applied."""
-    base = si_units() if cfg.get("units") == "si" else natural_units()
-    return dataclasses.replace(base, **cfg.get("constants", {}))
+    return consts, params
 
 
 def _given(params: dict, *keys: str) -> dict:
@@ -347,9 +350,8 @@ def _failure(exc: Exception) -> str:
 
 
 def _run_trajectory(params, consts):
-    pot = Potential(**params["potential"])
-    cfg = IntegratorConfig(dt=params["dt"], n_steps=params["n_steps"])
-    traj = integrate_hamilton(pot, params["q0"], params["p0"], cfg, consts)
+    traj = integrate_hamilton(params["potential"], params["q0"], params["p0"],
+                              params["integrator"], consts)
     drift = cpdq_diagnostics(traj)
     _, e_drift = energy_budget(traj)
     ledger = info_ledger(traj)
@@ -378,7 +380,7 @@ def _run_piston(params, consts):
         return ([Check("scan_monotonicity_min_step", -worst, 1e-12)],
                 {"scan.csv": table})
 
-    cfg = PistonConfig(**params)
+    cfg = params["piston"]
     rec = piston_simulate(cfg, consts)
     _, log_res = heat_theorem_residual(rec)
     ledger = info_ledger(rec)
@@ -407,9 +409,8 @@ def _run_piston(params, consts):
 
 
 def _run_tise(params, consts):
-    pot = Potential(**params["potential"])
-    grid = Grid1D(**params["grid"])
-    sol = solve_tise(pot, grid, params["n_states"], consts)
+    grid = params["grid"]
+    sol = solve_tise(params["potential"], grid, params["n_states"], consts)
     vals = np.stack([s.values.real for s in sol.states])
     ortho = float(np.max(np.abs(_dot(vals, vals.T) * grid.h
                                 - np.eye(len(vals)))))
@@ -442,8 +443,7 @@ def _run_tise(params, consts):
 
 
 def _run_variational(params, consts):
-    pot = Potential(**params["potential"])
-    grid = Grid1D(**params["grid"])
+    pot, grid = params["potential"], params["grid"]
     max_iters = params.get("max_iters", 5000)
     res = variational_ground_state(pot, grid, consts, max_iters=max_iters,
                                    **_given(params, "tol"))
@@ -458,20 +458,19 @@ def _run_variational(params, consts):
 
 
 def _run_wkb(params, consts):
-    pot = Potential(**params["potential"])
-    grid = Grid1D(**params["grid"])
-    energy = params["energy"]
-    profile = local_wkb_profile(pot, energy, grid, consts)
-    residual = appendix_a_consistency(pot, energy, grid, consts,
-                                      **_given(params, "kinetic_fraction"))
+    grid, v, dv, energy = (params[k] for k in ("grid", "v", "dv", "energy"))
+    profile = _wkb_profile(v, dv, energy, consts)
+    seg = admitted_block(v, energy, **_given(params, "kinetic_fraction"))
+    residual = _force_residual(profile, dv, grid.h, consts, seg)
     checks = [Check("force_recovery_max_rel_residual", residual, 1e-3)]
     artifacts = {"profile.csv": (
         ["x", "k", "delta_x", "validity"],
         [grid.x, profile.k_of_x, profile.delta_x_of_x,
          profile.validity_metric])}
     if params.get("with_bohm_report"):
+        sol = solve_tise(params["potential"], grid, 2, consts)
         artifacts["bohm_report.json"] = bohm_adiabaticity_report(
-            pot, energy, grid, consts)
+            profile, dv, sol, consts)
     return checks, artifacts
 
 
@@ -618,30 +617,29 @@ def run_scenario(path: str | Path, out_dir: str | Path | None = None) -> tuple[d
     except (OSError, ValueError) as exc:
         print(f"error: cannot parse {path}: {exc}", file=sys.stderr)
         return None, EXIT_SCHEMA
-    try:
-        validate_scenario(cfg)
-    except ScenarioError as exc:
-        print(f"error: invalid scenario {path}: {exc}", file=sys.stderr)
-        return None, EXIT_SCHEMA
-
-    if out_dir is None:
-        out_dir = cfg.get("out_dir", path.parent / (path.stem + "_out"))
-    if cfg["kind"] == "suite":
-        return None, acceptance_suite(cfg["params"].get("filter"), out_dir)
-    consts = _constants(cfg)
     started = time.perf_counter()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            checks, artifacts = KINDS[cfg["kind"]][1](cfg["params"], consts)
-        elapsed = time.perf_counter() - started
+            consts, params = validate_scenario(cfg)
+            validated = time.perf_counter()
+            if out_dir is None:
+                out_dir = cfg.get("out_dir", path.parent / (path.stem + "_out"))
+            if cfg["kind"] == "suite":
+                return None, acceptance_suite(params.get("filter"), out_dir)
+            checks, artifacts = KINDS[cfg["kind"]][1](params, consts)
+        elapsed = time.perf_counter() - validated
         report = {"version": __version__, "scenario": cfg,
                   "checks": _check_rows(checks),
                   "artifacts": sorted(artifacts)}
         writing = time.perf_counter()
         _write_artifacts(Path(out_dir), {**artifacts, "report.json": report})
         _write_artifacts(Path(out_dir), {"timing.json": {
-            "elapsed_s": elapsed, "write_s": time.perf_counter() - writing}})
+            "elapsed_s": elapsed, "validate_s": validated - started,
+            "write_s": time.perf_counter() - writing}})
+    except ScenarioError as exc:
+        print(f"error: invalid scenario {path}: {exc}", file=sys.stderr)
+        return None, EXIT_SCHEMA
     except Exception as exc:
         print(_failure(exc), file=sys.stderr)
         return None, EXIT_COMPUTE

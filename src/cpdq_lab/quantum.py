@@ -22,11 +22,10 @@ is evaluated with the product-rule gradient P' = 2 Re(psi* psi'), which
 makes it a pointwise algebraic identity for any derivative scheme.
 
 The variational ground state applies the exact sine-basis kinetic
-exponential.  Where the grid's DST-I length N has a fast FFT length
-2(N+1) it uses a DST-I pair; where pocketfft would fall back to
-Bluestein's algorithm (2(N+1) = 2 * 1999 on the n = 2000 grids of the
-bundled scenario and criterion 5) it applies the same operator, which is
-Toeplitz-plus-Hankel, as one real convolution at a fast length.
+exponential, a Toeplitz-plus-Hankel operator, as one real convolution at
+a fast FFT length, whatever the grid's DST-I length N (on the n = 2000
+grids of the bundled scenario and criterion 5 a DST-I pair would run
+pocketfft's Bluestein algorithm, since 2(N+1) = 2 * 1999).
 
 scipy is imported inside the two solvers that use it, solve_tise
 (scipy.linalg) and variational_ground_state (scipy.fft only), so a process
@@ -304,39 +303,29 @@ _THICK_KEEP = 4
 _TAU = 0.01
 
 
-def _largest_prime_factor(n: int) -> int:
-    largest, f = 1, 2
-    while f * f <= n:
-        while n % f == 0:
-            largest, n = f, n // f
-        f += 1
-    return max(largest, n)
-
-
 def _kinetic_step(exp_t: np.ndarray):
     """The sine-basis kinetic exponential w -> idst(exp_t * dst(w)) on N
-    interior points, by the cheaper of two exact methods for this N.
+    interior points, as one real convolution at a fast length.
 
-    scipy computes a DST-I of length N through a real FFT of length
-    P = 2(N+1).  When P's largest prime factor p has p^2 > P, pocketfft
-    computes that FFT by Bluestein's algorithm, several times the cost of
-    a fast length.  The operator S diag(exp_t) S / (2(N+1)) lies in the
-    tau algebra the DST-I diagonalises (Bini and Capovani, Linear Algebra
-    Appl. 52/53 (1983) 99): it is Toeplitz-plus-Hankel, entry
-    (j, l) = c(j - l) - c(j + l) with the even kernel
-    c(d) = sum_m exp_t[m] cos(pi m d / (N+1)) / (N+1), one irfft of
-    length P.  On such a grid the step is a real convolution at the fast
-    length L >= 2N - 1: with X the length-L rfft of w, conj(X) is the
-    transform of w reflected about index 0, so the Hankel sum needs no
-    second forward transform and no phase factor.  Otherwise the DST pair
-    is kept.  The choice depends on N alone.
+    The operator S diag(exp_t) S / (2(N+1)) lies in the tau algebra the
+    DST-I diagonalises (Bini and Capovani, Linear Algebra Appl. 52/53
+    (1983) 99): it is Toeplitz-plus-Hankel, entry (j, l) = c(j - l) -
+    c(j + l) with the even kernel c(d) = sum_m exp_t[m] cos(pi m d /
+    (N+1)) / (N+1), one irfft of length P = 2(N+1).  The step is then a
+    real convolution at the fast length L >= 2N - 1: with X the length-L
+    rfft of w, conj(X) is the transform of w reflected about index 0, so
+    the Hankel sum needs no second forward transform and no phase factor.
+    A DST-I pair computes the same step through an FFT of length P, which
+    pocketfft runs by Bluestein's algorithm where P's largest prime factor
+    p has p^2 > P.  Timed on a 2-vCPU x86_64 host, the convolution is
+    within a few percent of the pair at small fast N and faster at
+    Bluestein and large N (106 against 592 us at N = 1998, 146 against
+    246 us at N = 4094).
     """
-    from scipy.fft import dst, idst, irfft, next_fast_len, rfft
+    from scipy.fft import irfft, next_fast_len, rfft
 
     n = len(exp_t)
     p_fft = 2 * (n + 1)
-    if _largest_prime_factor(p_fft) ** 2 <= p_fft:
-        return lambda w: idst(exp_t * dst(w, type=1), type=1)
     c = irfft(np.concatenate(([0.0], exp_t, [0.0])), p_fft)
     size = next_fast_len(2 * n - 1, real=True)
     toeplitz = np.zeros(size)  # c(j - l), negative lags wrapped
@@ -360,10 +349,8 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
     Imaginary-time descent is power iteration on the symmetric Strang
     propagator P = e^{-tau V/2} S e^{-tau K} S^{-1} e^{-tau V/2}, with S the
     DST-I and the exact sine-basis kinetic exponential.  Its middle factor
-    is a DST-I pair where 2(N+1), N = n - 2, is a fast FFT length for
-    pocketfft, and otherwise (the n = 2000 grids: 2(N+1) = 2 * 1999) the
-    equal Toeplitz-plus-Hankel convolution of _kinetic_step, two real FFTs
-    at a fast length instead of two Bluestein transforms.  Its fixed point,
+    is the equal Toeplitz-plus-Hankel convolution of _kinetic_step, two
+    real FFTs at a fast length on N = n - 2 interior points.  Its fixed point,
     the dominant eigenvector of P, is found here by a Lanczos iteration on
     the same P, which reaches it in far fewer applications than the
     descent's e^{-tau (E1 - E0)} per step.  Every new Lanczos vector is
@@ -494,7 +481,12 @@ def local_wkb_profile(pot: Potential, energy: float, grid: Grid1D,
     one uncertainty interval and must stay small for a trajectory picture
     to hold.  Classically forbidden points are NaN-masked.
     """
-    v, dv = eval_potential(pot, grid.x)
+    return _wkb_profile(*eval_potential(pot, grid.x), energy, consts)
+
+
+def _wkb_profile(v: np.ndarray, dv: np.ndarray, energy: float,
+                 consts: Constants) -> WkbProfile:
+    """local_wkb_profile from V and V' sampled on the grid."""
     allowed = _allowed(v, energy)
     four_c = 2.0 * consts.f**2 / consts.mass
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -544,12 +536,18 @@ def appendix_a_consistency(pot: Potential, energy: float, grid: Grid1D,
     relative residual over the admitted block (admitted_block), whose
     contiguity keeps the difference stencil clean.
     """
-    profile = local_wkb_profile(pot, energy, grid, consts)
     v, dv = eval_potential(pot, grid.x)
-    seg = admitted_block(v, energy, kinetic_fraction)
+    return _force_residual(_wkb_profile(v, dv, energy, consts), dv, grid.h,
+                           consts, admitted_block(v, energy, kinetic_fraction))
+
+
+def _force_residual(profile: WkbProfile, dv: np.ndarray, h: float,
+                    consts: Constants, seg: np.ndarray) -> float:
+    """appendix_a_consistency from the profile, V' on the grid, the grid
+    spacing h and the admitted block seg."""
     dx_series = profile.delta_x_of_x[seg]
     p_series = consts.f / dx_series
-    slope = np.gradient(np.log(dx_series), grid.h, edge_order=2)
+    slope = np.gradient(np.log(dx_series), h, edge_order=2)
     pdot_pred = -(p_series**2 / consts.mass) * slope
     residual = np.abs(pdot_pred + dv[seg])
     force_scale = np.abs(dv[seg]).max()
@@ -595,20 +593,18 @@ def dispersion_checks(k: float, m0: float, consts: Constants) -> DispersionResul
                             omega_nr=omega_nr, nr_residual=nr_residual)
 
 
-def bohm_adiabaticity_report(pot: Potential, energy: float, grid: Grid1D,
-                             consts: Constants) -> dict:
+def bohm_adiabaticity_report(profile: WkbProfile, dv: np.ndarray,
+                             sol: EigenSolution, consts: Constants) -> dict:
     """Level-spacing form of the adiabatic criterion, reported not asserted.
 
     Estimates h * max|dV/dt| / (Delta E)^2 with dV/dt taken along the
-    classical motion at this energy and Delta E the lowest level spacing
-    from the eigensolver.
+    classical motion of the profile's energy (V' sampled on its grid) and
+    Delta E the lowest level spacing of the eigensolution sol, which
+    holds at least two states.
     """
-    profile = local_wkb_profile(pot, energy, grid, consts)
-    v, dv = eval_potential(pot, grid.x)
     ok = profile.allowed_mask
     p_local = 2.0 * consts.f * profile.k_of_x[ok]
     dv_dt = np.abs(dv[ok]) * p_local / consts.mass
-    sol = solve_tise(pot, grid, 2, consts)
     spacing = float(sol.energies[1] - sol.energies[0])
     ratio = consts.h * float(np.nanmax(dv_dt)) / spacing**2 if spacing else float("inf")
     return {"max_dv_dt": float(np.nanmax(dv_dt)),

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdq_lab import acceptance, cli, core
+from cpdq_lab import (Grid1D, IntegratorConfig, PistonConfig, Potential,
+                      acceptance, cli, core)
 
 
 SCENARIOS = Path(str(resources.files("cpdq_lab") / "scenarios"))
@@ -207,7 +208,8 @@ class TestValidation:
         def never(*args, **kwargs):
             raise AssertionError("computed a rejected config")
         for name in ("solve_tise", "piston_simulate", "adiabatic_scan",
-                     "variational_ground_state", "local_wkb_profile",
+                     "variational_ground_state", "_wkb_profile",
+                     "_force_residual", "bohm_adiabaticity_report",
                      "integrate_hamilton"):
             monkeypatch.setattr(cli, name, never)
         bad = tmp_path / "bad.json"
@@ -236,6 +238,51 @@ class TestValidation:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "cannot parse" in err
         assert not out.exists()
+
+    def test_non_object_config_exits_2(self, tmp_path, capsys):
+        # without --out the output directory is resolved only after the
+        # config is known to be an object
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        assert cli.main(["run", str(bad)]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "is not of type 'object'" in err[0], err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("kind,params,built", [
+        ("trajectory", {"potential": {"kind": "harmonic"}, "q0": 1.0,
+                        "p0": 0.0, "dt": 0.01, "n_steps": 100},
+         {"potential": Potential("harmonic"),
+          "integrator": IntegratorConfig(0.01, 100)}),
+        ("piston", {"l0": 1.0, "v0": 1.0, "u": 0.01, "l_end": 2.0},
+         {"piston": PistonConfig(l0=1.0, v0=1.0, u=0.01, l_end=2.0)}),
+        ("tise", dict(TISE_WELL, n_states=1),
+         {"potential": Potential("infinite_well"),
+          "grid": Grid1D(0.0, 1.0, 200)}),
+        ("variational", HARMONIC,
+         {"potential": Potential("harmonic"),
+          "grid": Grid1D(-10.0, 10.0, 2000)}),
+    ], ids=["trajectory", "piston", "tise", "variational"])
+    def test_validation_builds_the_models(self, kind, params, built):
+        consts, run_params = cli.validate_scenario(
+            {"kind": kind, "units": "si", "constants": {"mass": 2.0},
+             "params": params})
+        assert consts == dataclasses.replace(core.si_units(), mass=2.0)
+        assert run_params == {**params, **built}
+        assert all(type(run_params[k]) is type(v) for k, v in built.items())
+
+    def test_validation_samples_the_wkb_potential(self):
+        params = {"potential": {"kind": "linear", "f0": 2.0}, "energy": 5.0,
+                  "grid": {"x_min": -2.0, "x_max": 2.0, "n": 64}}
+        consts, run_params = cli.validate_scenario(
+            {"kind": "wkb", "params": params})
+        assert consts == core.natural_units()
+        grid = run_params["grid"]
+        assert grid == Grid1D(-2.0, 2.0, 64)
+        assert np.array_equal(run_params["v"], -2.0 * grid.x)
+        assert np.array_equal(run_params["dv"], np.full(64, -2.0))
+        # the config itself is left as parsed
+        assert params["grid"] == {"x_min": -2.0, "x_max": 2.0, "n": 64}
 
     def test_well_grid_within_slack_runs(self, tmp_path):
         # 1e-13 past the wall is inside the 1e-12 slack of Potential.contains
@@ -405,8 +452,8 @@ class TestRun:
         report = (tmp_path / "out" / "report.json").read_text()
         assert "elapsed" not in report
         timing = json.loads((tmp_path / "out" / "timing.json").read_text())
-        assert timing["elapsed_s"] >= 0.0
-        assert timing["write_s"] >= 0.0
+        assert sorted(timing) == ["elapsed_s", "validate_s", "write_s"]
+        assert all(seconds >= 0.0 for seconds in timing.values())
 
 
 def old_csv_rows(columns) -> str:

@@ -16,6 +16,7 @@ from cpdq_lab import (
     appendix_a_consistency,
     cr_bound_check,
     dispersion_checks,
+    eval_potential,
     fisher_metrics,
     local_wkb_profile,
     natural_units,
@@ -246,7 +247,7 @@ def sine_transform(v):
 
 
 class TestKineticStep:
-    # N + 1 = 127, 1999 and 2161 are prime: pocketfft computes their
+    # N + 1 = 127, 1999 and 2161 are prime: pocketfft would compute their
     # DST-I by Bluestein; 2 (N+1) = 126, 4000, 8190 and 19000 are smooth
     SLOW = [126, 1998, 2160]
     FAST = [62, 1999, 4094, 9499]
@@ -277,19 +278,21 @@ class TestKineticStep:
 
     @pytest.mark.parametrize("n", SLOW + FAST)
     def test_bluestein_lengths_avoid_the_dst(self, n, monkeypatch):
+        # one method at every length: Bluestein and fast lengths alike
+        # convolve, and neither scipy.fft.dst nor idst runs
         calls = []
         for name in ("dst", "idst"):
             original = getattr(scipy.fft, name)
             monkeypatch.setattr(scipy.fft, name, lambda *a, _f=original, **k:
                                 calls.append(1) or _f(*a, **k))
         quantum._kinetic_step(np.ones(n))(np.ones(n))
-        assert len(calls) == (0 if n in self.SLOW else 2)
+        assert calls == []
 
 
 class TestVariational:
     @pytest.mark.parametrize("n", [64, 128])
     def test_matches_dense_propagator(self, consts, n):
-        # 64 points take the DST pair, 128 (N + 1 = 127) the convolution
+        # N + 1 = 63 and 127: a fast and a Bluestein DST-I length
         grid, top, energy = dense_ground_on(n, consts)
         res = variational_ground_state(Potential("harmonic"), grid, consts)
         inner = res.psi.values.real[1:-1]
@@ -520,8 +523,13 @@ class TestDispersion:
 
 
 def test_bohm_report_fields(consts):
-    rep = bohm_adiabaticity_report(Potential("harmonic"), 10.0,
-                                   Grid1D(-6.0, 6.0, 2000), consts)
+    pot, grid = Potential("harmonic"), Grid1D(-6.0, 6.0, 2000)
+    rep = bohm_adiabaticity_report(
+        local_wkb_profile(pot, 10.0, grid, consts),
+        eval_potential(pot, grid.x)[1], solve_tise(pot, grid, 2, consts),
+        consts)
     assert set(rep) == {"max_dv_dt", "level_spacing", "bohm_ratio"}
     assert rep["level_spacing"] == pytest.approx(1.0, rel=1e-3)
+    # |V'| p / m = |q| sqrt(2E - q^2) peaks at q^2 = E with the value E
+    assert rep["max_dv_dt"] == pytest.approx(10.0, rel=1e-6)
     assert rep["bohm_ratio"] > 0.0

@@ -96,3 +96,17 @@ def test_tracer_counts_a_split_csv_write_once(tmp_path, monkeypatch):
     assert counts["cli.csv_floats"] == 502_664
     assert counts["cli.csv_bytes"] \
         == (tmp_path / "out" / "series.csv").stat().st_size
+
+
+def test_wkb_run_samples_the_potential_once(tmp_path):
+    # validation samples V and V' on the grid for the run; the Bohm
+    # report's eigensolve samples V once more
+    path = Path(cli.__file__).parent / "scenarios" / "wkb_harmonic_e10.json"
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert cli.run_scenario(path, tmp_path / "out")[1] == 0
+    finally:
+        t.uninstall()
+    _, counts = t.take()
+    assert counts["core.eval_potential_calls"] == 2
