@@ -27,6 +27,7 @@ from . import (
     cr_bound_check,
     custom_variation,
     dispersion_checks,
+    eval_potential,
     extended_quantities,
     first_order_dL,
     fisher_metrics,
@@ -47,6 +48,8 @@ from . import (
     wkb_regime_metrics,
 )
 from .info import LN2
+from .quantum import admitted_block
+from .thermo import scan_configs
 
 
 @dataclass(frozen=True)
@@ -245,10 +248,15 @@ def criterion_5_variational() -> list[Check]:
 
 def criterion_6_appendix_a() -> list[Check]:
     consts = natural_units()
-    harm = appendix_a_consistency(Potential("harmonic"), 10.0,
-                                  Grid1D(-4.2, 4.2, 8401), consts)
-    lin = appendix_a_consistency(Potential("linear", f0=1.0), 5.0,
-                                 Grid1D(-4.5, 5.0, 9501), consts)
+
+    def residual(pot, energy, grid):
+        v, dv = eval_potential(pot, grid.x)
+        return appendix_a_consistency(
+            local_wkb_profile(v, dv, energy, consts), dv, grid.h, consts,
+            admitted_block(v, energy))
+
+    harm = residual(Potential("harmonic"), 10.0, Grid1D(-4.2, 4.2, 8401))
+    lin = residual(Potential("linear", f0=1.0), 5.0, Grid1D(-4.5, 5.0, 9501))
     return [
         _le("force_recovery/harmonic_E10", harm, 1e-3),
         _le("force_recovery/linear_E5", lin, 1e-3),
@@ -272,8 +280,8 @@ def criterion_7_thermo_bridge() -> list[Check]:
     checks.append(_le("thermo/slow_piston_dln_pL",
                       slow.aligned_delta_ln_pl(), 5e-3))
 
-    scan = adiabatic_scan([1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1],
-                          consts)
+    scan = adiabatic_scan(
+        scan_configs([1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1]), consts)
     worst_drop = float(np.min(np.diff(scan.delta_ln_pl)))
     checks.append(_ge("thermo/scan_monotonicity_min_step", worst_drop, -1e-12))
 
@@ -361,8 +369,8 @@ def regime_fixture_metrics(name: str, consts):
         pot = Potential("soft_well", v0=50.0, a=0.2)
         grid = Grid1D(-3.0, 3.0, 4001)
         sol = solve_tise(pot, grid, 1, consts)
-        profile = local_wkb_profile(pot, float(sol.energies[0]), grid, consts)
-        return wkb_regime_metrics(profile)
+        return wkb_regime_metrics(local_wkb_profile(
+            *eval_potential(pot, grid.x), float(sol.energies[0]), consts))
     if name == "slow_piston":
         rec = piston_simulate(PistonConfig(l0=1.0, v0=1.0, u=0.01, l_end=2.0),
                               consts)

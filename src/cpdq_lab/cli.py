@@ -52,12 +52,12 @@ from .info import LN2, info_ledger, rate_bounds, regime_classify
 from .quantum import (
     Grid1D,
     _dot,
-    _force_residual,
-    _wkb_profile,
     admitted_block,
+    appendix_a_consistency,
     bohm_adiabaticity_report,
     check_grid_in_well,
     dispersion_checks,
+    local_wkb_profile,
     solve_tise,
     variational_ground_state,
 )
@@ -127,8 +127,9 @@ def validate_scenario(cfg: dict) -> tuple[Constants, dict]:
     Returns the run's Constants (its unit system with its overrides
     applied) and a copy of params in which `potential` is a Potential and
     `grid` a Grid1D; a trajectory gains `integrator` (its
-    IntegratorConfig), a single piston run `piston` (its PistonConfig),
-    and a wkb run `v` and `dv`, V and V' sampled on the grid.  Raises
+    IntegratorConfig), a single piston run `piston` (its PistonConfig), a
+    scan `configs` (its runs' PistonConfigs), and a wkb run `v` and `dv`,
+    V and V' sampled on the grid, and `seg`, its admitted block.  Raises
     ScenarioError, naming the offending key, for a config the schema or a
     model rejects.
     """
@@ -169,7 +170,8 @@ def validate_scenario(cfg: dict) -> tuple[Constants, dict]:
             raise ScenarioError(f"piston scan takes no single-run "
                                 f"key(s) {extra}")
         try:
-            scan_configs(**params["scan"], **_given(params, "l0", "v0"))
+            params["configs"] = scan_configs(**params["scan"],
+                                             **_given(params, "l0", "v0"))
         except ValueError as exc:
             raise ScenarioError(f"piston scan: {exc}") from None
     elif kind == "piston":
@@ -191,8 +193,8 @@ def validate_scenario(cfg: dict) -> tuple[Constants, dict]:
     if kind == "wkb":
         params["v"], params["dv"] = eval_potential(pot, grid.x)
         try:
-            admitted_block(params["v"], params["energy"],
-                           **_given(params, "kinetic_fraction"))
+            params["seg"] = admitted_block(params["v"], params["energy"],
+                                           **_given(params, "kinetic_fraction"))
         except ValueError as exc:
             raise ScenarioError(f"wkb: {exc}") from None
     return consts, params
@@ -370,13 +372,13 @@ def _run_trajectory(params, consts):
 
 def _run_piston(params, consts):
     if "scan" in params:
-        scan = adiabatic_scan(consts=consts, **params["scan"],
-                              **_given(params, "l0", "v0"))
+        scan = adiabatic_scan(params["configs"], consts)
+        ratios = params["scan"]["ratios"]  # as configured, bit for bit
         # the violation must grow with the ratio, in whatever order given
-        order = np.argsort(scan.ratios, kind="stable")
+        order = np.argsort(ratios, kind="stable")
         worst = float(np.min(np.diff(scan.delta_ln_pl[order])))
         table = (["ratio", "delta_ln_pL", "delta_S_over_k"],
-                 [scan.ratios, scan.delta_ln_pl, scan.delta_s_over_k])
+                 [ratios, scan.delta_ln_pl, scan.delta_s_over_k])
         return ([Check("scan_monotonicity_min_step", -worst, 1e-12)],
                 {"scan.csv": table})
 
@@ -458,10 +460,9 @@ def _run_variational(params, consts):
 
 
 def _run_wkb(params, consts):
-    grid, v, dv, energy = (params[k] for k in ("grid", "v", "dv", "energy"))
-    profile = _wkb_profile(v, dv, energy, consts)
-    seg = admitted_block(v, energy, **_given(params, "kinetic_fraction"))
-    residual = _force_residual(profile, dv, grid.h, consts, seg)
+    grid, v, dv, seg = (params[k] for k in ("grid", "v", "dv", "seg"))
+    profile = local_wkb_profile(v, dv, params["energy"], consts)
+    residual = appendix_a_consistency(profile, dv, grid.h, consts, seg)
     checks = [Check("force_recovery_max_rel_residual", residual, 1e-3)]
     artifacts = {"profile.csv": (
         ["x", "k", "delta_x", "validity"],
@@ -591,9 +592,8 @@ SCHEMA = {
     **_object({
         "kind": {"enum": sorted(KINDS)},
         "units": {"enum": ["natural", "si"]},
-        "constants": _object(dict.fromkeys(
-            ("f", "hbar", "k_boltz", "mass", "c", "f_ref", "p_floor"),
-            _POSITIVE)),
+        "constants": _object({f.name: _POSITIVE
+                              for f in dataclasses.fields(Constants)}),
         "params": {"type": "object"},
         "out_dir": {"type": "string"},
     }, required=("kind", "params")),

@@ -57,9 +57,9 @@ class Constants:
     p_floor: float
 
     def __post_init__(self):
-        for name in ("f", "hbar", "k_boltz", "mass", "c", "f_ref", "p_floor"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        for field in fields(self):
+            if not getattr(self, field.name) > 0.0:
+                raise ValueError(f"{field.name} must be positive")
 
     @property
     def h(self) -> float:
@@ -132,7 +132,7 @@ class Potential:
                     raise ValueError(f"{kind.value} potential takes no {name}")
             elif value is None:
                 object.__setattr__(self, name, 1.0)
-            elif name != "f0" and value <= 0:
+            elif name != "f0" and not value > 0:
                 raise ValueError(f"{kind.value} potential needs {name} > 0")
 
     def contains(self, q) -> np.ndarray | bool:

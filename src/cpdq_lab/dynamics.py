@@ -34,7 +34,7 @@ class IntegratorConfig:
     n_steps: int
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.n_steps < 4:
             raise ValueError("need at least 4 steps")

@@ -66,7 +66,7 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 64:
             raise ValueError("need at least 64 grid points")
-        if self.x_max <= self.x_min:
+        if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
 
     @property
@@ -94,9 +94,6 @@ class WaveFunction:
     @property
     def prob(self) -> np.ndarray:
         return np.abs(self.values) ** 2
-
-    def norm_sq(self) -> float:
-        return float(np.trapezoid(self.prob, dx=self.grid.h))
 
     def derivative(self) -> np.ndarray:
         if self.periodic:
@@ -195,8 +192,6 @@ def _grid_potential(pot: Potential, grid: Grid1D) -> np.ndarray:
     """V on the full grid, after the well check; an infinite well is V = 0
     inside walls that the Dirichlet ends already represent."""
     check_grid_in_well(pot, grid)
-    if pot.kind is PotentialKind.INFINITE_WELL:
-        return np.zeros(grid.n)
     return eval_potential(pot, grid.x)[0]
 
 
@@ -472,21 +467,16 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
         prev = np.ones(1)
 
 
-def local_wkb_profile(pot: Potential, energy: float, grid: Grid1D,
+def local_wkb_profile(v: np.ndarray, dv: np.ndarray, energy: float,
                       consts: Constants) -> WkbProfile:
     """Local wavenumber, uncertainty scale, and semiclassical validity.
 
+    v and dv are V and V' sampled on the grid (eval_potential).
     k(x) = sqrt((E - V)/(2 f^2/m)), delta_x = 1/(2k); the validity metric
     |V'| * delta_x / (2 (E - V)) is the fractional potential change across
     one uncertainty interval and must stay small for a trajectory picture
     to hold.  Classically forbidden points are NaN-masked.
     """
-    return _wkb_profile(*eval_potential(pot, grid.x), energy, consts)
-
-
-def _wkb_profile(v: np.ndarray, dv: np.ndarray, energy: float,
-                 consts: Constants) -> WkbProfile:
-    """local_wkb_profile from V and V' sampled on the grid."""
     allowed = _allowed(v, energy)
     four_c = 2.0 * consts.f**2 / consts.mass
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -525,26 +515,18 @@ def admitted_block(v: np.ndarray, energy: float,
     return seg
 
 
-def appendix_a_consistency(pot: Potential, energy: float, grid: Grid1D,
-                           consts: Constants, kinetic_fraction: float = 0.1) -> float:
+def appendix_a_consistency(profile: WkbProfile, dv: np.ndarray, h: float,
+                           consts: Constants, seg: np.ndarray) -> float:
     """Recover the force from the uncertainty profile and compare to -V'.
 
-    From delta_x(x) = 1/(2k) take p = f/delta_x, apply the uncertainty form
-    of the equation of motion pdot = -p*xdot*(d ln delta_x/dx) with the
-    logarithmic slope from divided differences of the sampled delta_x
-    series, and compare against the analytic -V'(x).  Returns the max
-    relative residual over the admitted block (admitted_block), whose
+    From the profile's delta_x(x) = 1/(2k) take p = f/delta_x, apply the
+    uncertainty form of the equation of motion pdot = -p*xdot*(d ln
+    delta_x/dx) with the logarithmic slope from divided differences, at
+    grid spacing h, of the sampled delta_x series, and compare against
+    -V'(x) from dv, V' sampled on the grid.  Returns the max relative
+    residual over seg, the admitted block (admitted_block), whose
     contiguity keeps the difference stencil clean.
     """
-    v, dv = eval_potential(pot, grid.x)
-    return _force_residual(_wkb_profile(v, dv, energy, consts), dv, grid.h,
-                           consts, admitted_block(v, energy, kinetic_fraction))
-
-
-def _force_residual(profile: WkbProfile, dv: np.ndarray, h: float,
-                    consts: Constants, seg: np.ndarray) -> float:
-    """appendix_a_consistency from the profile, V' on the grid, the grid
-    spacing h and the admitted block seg."""
     dx_series = profile.delta_x_of_x[seg]
     p_series = consts.f / dx_series
     slope = np.gradient(np.log(dx_series), h, edge_order=2)

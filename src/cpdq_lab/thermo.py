@@ -124,7 +124,7 @@ class PistonConfig:
     t_jump: float | None = None
 
     def __post_init__(self):
-        if self.l0 <= 0 or self.v0 <= 0:
+        if not (self.l0 > 0 and self.v0 > 0):
             raise ValueError("l0 and v0 must be positive")
         if self.mode not in ("constant_speed", "sudden_jump"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -381,7 +381,6 @@ def extended_quantities(rec: PistonRecord) -> ThermoSeries:
 
 @dataclass(frozen=True)
 class AdiabaticScan:
-    ratios: np.ndarray
     delta_ln_pl: np.ndarray
     delta_s_over_k: np.ndarray
 
@@ -400,20 +399,19 @@ def scan_configs(ratios, l0: float = 1.0, v0: float = 1.0,
             for r in ratios]
 
 
-def adiabatic_scan(ratios, consts: Constants, **run) -> AdiabaticScan:
-    """Invariant violation |d ln(pL)| and entropy change versus u/v0.
+def adiabatic_scan(configs: list[PistonConfig],
+                   consts: Constants) -> AdiabaticScan:
+    """Invariant violation |d ln(pL)| and entropy change of each run.
 
-    The runs are scan_configs(ratios, **run).  The violation uses
+    The runs are those of scan_configs, in its order.  The violation uses
     collision-phase-aligned sampling (see PistonRecord.aligned_delta_ln_pl)
     and grows monotonically with u/v0; delta_s_over_k is each run's total
     entropy change in units of k.
     """
-    configs = scan_configs(ratios, **run)
-    ratios = np.asarray(ratios, dtype=float)
-    viol = np.empty_like(ratios)
-    ds = np.empty_like(ratios)
+    viol = np.empty(len(configs))
+    ds = np.empty(len(configs))
     for n, cfg in enumerate(configs):
         rec = piston_simulate(cfg, consts)
         viol[n] = rec.aligned_delta_ln_pl()
         ds[n] = rec.total_delta_s() / consts.k_boltz
-    return AdiabaticScan(ratios=ratios, delta_ln_pl=viol, delta_s_over_k=ds)
+    return AdiabaticScan(delta_ln_pl=viol, delta_s_over_k=ds)

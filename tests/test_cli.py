@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdq_lab import (Grid1D, IntegratorConfig, PistonConfig, Potential,
-                      acceptance, cli, core)
+                      acceptance, cli, core, thermo)
+from cpdq_lab.quantum import admitted_block
+from cpdq_lab.thermo import scan_configs
 
 
 SCENARIOS = Path(str(resources.files("cpdq_lab") / "scenarios"))
@@ -208,8 +210,8 @@ class TestValidation:
         def never(*args, **kwargs):
             raise AssertionError("computed a rejected config")
         for name in ("solve_tise", "piston_simulate", "adiabatic_scan",
-                     "variational_ground_state", "_wkb_profile",
-                     "_force_residual", "bohm_adiabaticity_report",
+                     "variational_ground_state", "local_wkb_profile",
+                     "appendix_a_consistency", "bohm_adiabaticity_report",
                      "integrate_hamilton"):
             monkeypatch.setattr(cli, name, never)
         bad = tmp_path / "bad.json"
@@ -256,13 +258,16 @@ class TestValidation:
           "integrator": IntegratorConfig(0.01, 100)}),
         ("piston", {"l0": 1.0, "v0": 1.0, "u": 0.01, "l_end": 2.0},
          {"piston": PistonConfig(l0=1.0, v0=1.0, u=0.01, l_end=2.0)}),
+        ("piston", {"v0": 3.0, "scan": {"ratios": [0.3, 0.1],
+                                        "expansion": 1.5}},
+         {"configs": scan_configs([0.3, 0.1], v0=3.0, expansion=1.5)}),
         ("tise", dict(TISE_WELL, n_states=1),
          {"potential": Potential("infinite_well"),
           "grid": Grid1D(0.0, 1.0, 200)}),
         ("variational", HARMONIC,
          {"potential": Potential("harmonic"),
           "grid": Grid1D(-10.0, 10.0, 2000)}),
-    ], ids=["trajectory", "piston", "tise", "variational"])
+    ], ids=["trajectory", "piston", "scan", "tise", "variational"])
     def test_validation_builds_the_models(self, kind, params, built):
         consts, run_params = cli.validate_scenario(
             {"kind": kind, "units": "si", "constants": {"mass": 2.0},
@@ -281,6 +286,8 @@ class TestValidation:
         assert grid == Grid1D(-2.0, 2.0, 64)
         assert np.array_equal(run_params["v"], -2.0 * grid.x)
         assert np.array_equal(run_params["dv"], np.full(64, -2.0))
+        assert np.array_equal(run_params["seg"],
+                              admitted_block(run_params["v"], 5.0))
         # the config itself is left as parsed
         assert params["grid"] == {"x_min": -2.0, "x_max": 2.0, "n": 64}
 
@@ -327,12 +334,21 @@ class TestRun:
             tables[Path(path).name] = header, columns
             write_csv(path, header, columns)
         monkeypatch.setattr(cli, "write_csv", recording)
+        # a scan's runs are built once, in validation
+        scans = []
+
+        def counting(*args, **kwargs):
+            scans.append(args)
+            return scan_configs(*args, **kwargs)
+        for module in (cli, thermo):
+            monkeypatch.setattr(module, "scan_configs", counting)
         path = scenario_path(name)
         if name in EXTRA_SCENARIOS:
             path = tmp_path / name
             path.write_text(json.dumps(EXTRA_SCENARIOS[name]))
         out = tmp_path / "out"
         assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_OK
+        assert len(scans) == (name == "piston_scan.json")
         report = strict_json(out / "report.json")
         assert all(c["pass"] for c in report["checks"])
         assert report["artifacts"]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cpdq_lab import (DomainError, Potential, PotentialKind, eval_potential,
-                      natural_units)
+from cpdq_lab import (DomainError, Grid1D, IntegratorConfig, PistonConfig,
+                      Potential, PotentialKind, eval_potential, natural_units)
 from cpdq_lab.core import delta_q_series, tderiv
 
 
@@ -23,6 +23,27 @@ def test_constants_reject_nonpositive():
         dataclasses.replace(natural_units(), mass=0.0)
     with pytest.raises(ValueError, match="p_floor must be positive"):
         dataclasses.replace(natural_units(), p_floor=0.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: dataclasses.replace(natural_units(), mass=NAN),
+     "mass must be positive"),
+    (lambda: Grid1D(NAN, 1.0, 64), "x_max must exceed x_min"),
+    (lambda: Grid1D(0.0, NAN, 64), "x_max must exceed x_min"),
+    (lambda: IntegratorConfig(NAN, 10), "dt must be positive"),
+    (lambda: Potential("harmonic", omega=NAN),
+     "harmonic potential needs omega > 0"),
+    (lambda: PistonConfig(l0=NAN, v0=1.0, u=0.01, l_end=2.0),
+     "l0 and v0 must be positive"),
+], ids=["constants", "grid_x_min", "grid_x_max", "integrator_dt",
+        "potential_omega", "piston_l0"])
+def test_models_reject_nan(build, message):
+    # a check written x <= 0 is False for NaN; each model names the field
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 # each kind's parameters, declared apart from core._PARAMS (see README)

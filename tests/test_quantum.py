@@ -24,7 +24,8 @@ from cpdq_lab import (
     variational_ground_state,
 )
 from cpdq_lab import quantum
-from cpdq_lab.quantum import UnboundStateWarning, bohm_adiabaticity_report
+from cpdq_lab.quantum import (UnboundStateWarning, admitted_block,
+                              bohm_adiabaticity_report)
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +80,8 @@ class TestEigensolver:
 
     def test_normalization_and_edges(self, harmonic_solution):
         for s in harmonic_solution.states:
-            assert s.norm_sq() == pytest.approx(1.0, abs=1e-10)
+            assert np.trapezoid(s.prob, dx=s.grid.h) \
+                == pytest.approx(1.0, abs=1e-10)
             peak = np.abs(s.values).max()
             assert abs(s.values[0]) <= 1e-8 * peak
             assert abs(s.values[-1]) <= 1e-8 * peak
@@ -426,20 +428,33 @@ class TestVariational:
                                      max_iters=40, tol=1e-16)
         assert info.value.iterations == 40
         assert math.isfinite(info.value.energy)
-        assert info.value.psi.norm_sq() == pytest.approx(1.0)
+        psi = info.value.psi
+        assert np.trapezoid(psi.prob, dx=psi.grid.h) == pytest.approx(1.0)
         assert info.value.energy == pytest.approx(0.5, rel=1e-6)
+
+
+def wkb_profile(pot, energy, grid, consts):
+    """local_wkb_profile from V and V' sampled once on the grid."""
+    return local_wkb_profile(*eval_potential(pot, grid.x), energy, consts)
+
+
+def force_residual(pot, energy, grid, consts, kinetic_fraction=0.1):
+    """appendix_a_consistency on the profile, as a wkb run composes it."""
+    v, dv = eval_potential(pot, grid.x)
+    return appendix_a_consistency(
+        local_wkb_profile(v, dv, energy, consts), dv, grid.h, consts,
+        admitted_block(v, energy, kinetic_fraction))
 
 
 class TestWkb:
     def test_free_particle_validity_zero(self, consts):
-        prof = local_wkb_profile(Potential("free"), 2.0,
-                                 Grid1D(-5, 5, 256), consts)
+        prof = wkb_profile(Potential("free"), 2.0, Grid1D(-5, 5, 256), consts)
         assert np.nanmax(prof.validity_metric) == 0.0
 
     def test_harmonic_values_at_origin(self, consts):
         # k = sqrt(E / (2 f^2 / m)) = sqrt(20) for E=10 in natural units
         g = Grid1D(-6.0, 6.0, 12001)
-        prof = local_wkb_profile(Potential("harmonic"), 10.0, g, consts)
+        prof = wkb_profile(Potential("harmonic"), 10.0, g, consts)
         mid = 6000
         assert prof.k_of_x[mid] == pytest.approx(math.sqrt(20.0), rel=1e-12)
         assert prof.delta_x_of_x[mid] == pytest.approx(0.1118033988749895,
@@ -447,7 +462,7 @@ class TestWkb:
 
     def test_turning_point_masked_divergence(self, consts):
         g = Grid1D(-6.0, 6.0, 12001)
-        prof = local_wkb_profile(Potential("harmonic"), 10.0, g, consts)
+        prof = wkb_profile(Potential("harmonic"), 10.0, g, consts)
         assert np.any(~prof.allowed_mask)
         assert np.all(np.isnan(prof.validity_metric[~prof.allowed_mask]))
         allowed_validity = prof.validity_metric[prof.allowed_mask]
@@ -455,15 +470,15 @@ class TestWkb:
 
     def test_no_allowed_region(self, consts):
         with pytest.raises(ValueError):
-            local_wkb_profile(Potential("harmonic"), -1.0,
-                              Grid1D(-5, 5, 128), consts)
+            wkb_profile(Potential("harmonic"), -1.0, Grid1D(-5, 5, 128),
+                        consts)
 
     def test_wkb_matches_eigenstate_fisher_length(self, consts, well_solution):
         # flat box: local delta_x equals the state's global Fisher length
         for n, s in enumerate(well_solution.states, start=1):
             e_n = well_solution.energies[n - 1]
-            prof = local_wkb_profile(Potential("infinite_well", width=1.0),
-                                     e_n, Grid1D(0.0, 1.0, 2000), consts)
+            prof = wkb_profile(Potential("infinite_well", width=1.0), e_n,
+                               Grid1D(0.0, 1.0, 2000), consts)
             valid = prof.validity_metric[prof.allowed_mask]
             assert np.nanmax(valid) <= 0.1
             fm = fisher_metrics(s)
@@ -473,29 +488,29 @@ class TestWkb:
 
 class TestForceRecovery:
     def test_harmonic(self, consts):
-        res = appendix_a_consistency(Potential("harmonic"), 10.0,
-                                     Grid1D(-4.2, 4.2, 8401), consts)
+        res = force_residual(Potential("harmonic"), 10.0,
+                             Grid1D(-4.2, 4.2, 8401), consts)
         assert res <= 1e-3
 
     def test_linear(self, consts):
-        res = appendix_a_consistency(Potential("linear", f0=1.0), 5.0,
-                                     Grid1D(-4.5, 5.0, 9501), consts)
+        res = force_residual(Potential("linear", f0=1.0), 5.0,
+                             Grid1D(-4.5, 5.0, 9501), consts)
         assert res <= 1e-3
 
     def test_free(self, consts):
-        res = appendix_a_consistency(Potential("free"), 2.0,
-                                     Grid1D(-5.0, 5.0, 512), consts)
+        res = force_residual(Potential("free"), 2.0,
+                             Grid1D(-5.0, 5.0, 512), consts)
         assert res == 0.0
 
     def test_negative_energy_admits_only_allowed_points(self, consts):
         # V = -q shifted by 2 is V = -q less 2: E = -1 on [-4.5, 5] has the
         # kinetic energy q - 1 that E = 1 has on [-6.5, 3], where a kinetic
         # fraction near 0 admits every allowed point and nothing else
-        below = appendix_a_consistency(Potential("linear", f0=1.0), -1.0,
-                                       Grid1D(-4.5, 5.0, 400), consts)
-        above = appendix_a_consistency(Potential("linear", f0=1.0), 1.0,
-                                       Grid1D(-6.5, 3.0, 400), consts,
-                                       kinetic_fraction=1e-12)
+        below = force_residual(Potential("linear", f0=1.0), -1.0,
+                               Grid1D(-4.5, 5.0, 400), consts)
+        above = force_residual(Potential("linear", f0=1.0), 1.0,
+                               Grid1D(-6.5, 3.0, 400), consts,
+                               kinetic_fraction=1e-12)
         assert math.isfinite(below)
         assert below == pytest.approx(above, rel=1e-12)
 
@@ -524,10 +539,10 @@ class TestDispersion:
 
 def test_bohm_report_fields(consts):
     pot, grid = Potential("harmonic"), Grid1D(-6.0, 6.0, 2000)
+    v, dv = eval_potential(pot, grid.x)
     rep = bohm_adiabaticity_report(
-        local_wkb_profile(pot, 10.0, grid, consts),
-        eval_potential(pot, grid.x)[1], solve_tise(pot, grid, 2, consts),
-        consts)
+        local_wkb_profile(v, dv, 10.0, consts), dv,
+        solve_tise(pot, grid, 2, consts), consts)
     assert set(rep) == {"max_dv_dt", "level_spacing", "bohm_ratio"}
     assert rep["level_spacing"] == pytest.approx(1.0, rel=1e-3)
     # |V'| p / m = |q| sqrt(2E - q^2) peaks at q^2 = E with the value E

@@ -223,20 +223,20 @@ def test_action_entropy_relation(consts, slow):
 
 
 def test_scan_examples(consts):
-    scan = adiabatic_scan([1e-4, 0.3], consts)
+    scan = adiabatic_scan(scan_configs([1e-4, 0.3]), consts)
     assert scan.delta_ln_pl[0] <= 1e-3
     assert scan.delta_ln_pl[1] >= 0.05
 
 
 def test_scan_monotone_default_grid(consts):
-    scan = adiabatic_scan([1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1],
-                          consts)
+    scan = adiabatic_scan(
+        scan_configs([1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1]), consts)
     assert np.all(np.diff(scan.delta_ln_pl) >= -1e-12)
 
 
 def test_scan_rejects_bad_ratio(consts):
     with pytest.raises(ValueError):
-        adiabatic_scan([0.5, 1.5], consts)
+        adiabatic_scan(scan_configs([0.5, 1.5]), consts)
 
 
 @given(ratio=st.floats(min_value=1.1, max_value=20.0))

@@ -100,7 +100,8 @@ def test_tracer_counts_a_split_csv_write_once(tmp_path, monkeypatch):
 
 def test_wkb_run_samples_the_potential_once(tmp_path):
     # validation samples V and V' on the grid for the run; the Bohm
-    # report's eigensolve samples V once more
+    # report's eigensolve samples V once more.  The run builds one profile
+    # and recovers the force from it once, through the public functions.
     path = Path(cli.__file__).parent / "scenarios" / "wkb_harmonic_e10.json"
     t = tracer.Tracer()
     try:
@@ -108,5 +109,8 @@ def test_wkb_run_samples_the_potential_once(tmp_path):
         assert cli.run_scenario(path, tmp_path / "out")[1] == 0
     finally:
         t.uninstall()
-    _, counts = t.take()
+    spans, counts = t.take()
     assert counts["core.eval_potential_calls"] == 2
+    names = [name for name, *_ in spans]
+    assert names.count("quantum.local_wkb_profile") == 1
+    assert names.count("quantum.appendix_a_consistency") == 1
