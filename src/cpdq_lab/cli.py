@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 import os
 import shutil
 import sys
@@ -27,7 +28,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .acceptance import Check, REGIME_EXPECTED, regime_fixture_metrics, run_criteria
@@ -108,17 +108,79 @@ class ScenarioError(ValueError):
     """Config failed validation; message names the offending key."""
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# JSON Schema 2020-12 types and numeric bounds, worded as the Python
+# reference validator words them
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "number": _is_number,
+    "integer": lambda x: _is_number(x) and (isinstance(x, int)
+                                            or x.is_integer()),
+}
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
+}
+
+
+def _schema_errors(schema: dict, x, path: tuple = ()):
+    """Yield (path, message) for each way x fails schema.
+
+    Follows JSON Schema 2020-12 for the keywords SCHEMA and the KINDS
+    params schemas use (enums of strings, additionalProperties false) and
+    yields in the order the Python reference validator does: keywords in
+    dict order, properties in schema order.  Other keywords are
+    annotations.
+    """
+    for key, value in schema.items():
+        if key == "type":
+            if not _TYPES[value](x):
+                yield path, f"{x!r} is not of type {value!r}"
+        elif key == "enum":
+            if x not in value:
+                yield path, f"{x!r} is not one of {value!r}"
+        elif key in _BOUNDS:
+            below, text = _BOUNDS[key]
+            if _is_number(x) and below(x, value):
+                yield path, f"{x!r} is {text} of {value!r}"
+        elif isinstance(x, dict):
+            if key == "additionalProperties":
+                unknown = sorted(set(x) - set(schema["properties"]))
+                if unknown:
+                    yield path, f"unknown key(s) {unknown}"
+            elif key == "required":
+                yield from ((path, f"{k!r} is a required property")
+                            for k in value if k not in x)
+            elif key == "properties":
+                for k, sub in value.items():
+                    if k in x:
+                        yield from _schema_errors(sub, x[k], path + (k,))
+        elif isinstance(x, list):
+            if key == "items":
+                for i, item in enumerate(x):
+                    yield from _schema_errors(value, item, path + (i,))
+            elif key == "minItems" and len(x) < value:
+                yield path, f"{x!r} is too short"
+            elif key == "maxItems" and len(x) > value:
+                yield path, f"{x!r} is too long"
+
+
 def _check_schema(schema: dict, instance, prefix: str = "") -> None:
-    """Raise ScenarioError naming the first offending key, if any."""
-    err = min(Draft202012Validator(schema).iter_errors(instance),
-              key=lambda e: list(e.absolute_path), default=None)
-    if err is None:
-        return
-    where = "/".join(str(p) for p in err.absolute_path) or "top level"
-    if err.validator == "additionalProperties":
-        offending = sorted(set(err.instance) - set(err.schema["properties"]))
-        raise ScenarioError(f"{prefix}unknown key(s) {offending} at {where}")
-    raise ScenarioError(f"{prefix}{err.message} at {where}")
+    """Raise ScenarioError naming the first offending key, if any: the
+    error with the smallest path, the first yielded among those."""
+    err = min(_schema_errors(schema, instance), key=lambda e: e[0],
+              default=None)
+    if err is not None:
+        where = "/".join(map(str, err[0])) or "top level"
+        raise ScenarioError(f"{prefix}{err[1]} at {where}")
 
 
 def validate_scenario(cfg: dict) -> tuple[Constants, dict]:
@@ -611,6 +673,7 @@ def _finite(text: str) -> float:
 def run_scenario(path: str | Path, out_dir: str | Path | None = None) -> tuple[dict | None, int]:
     """Execute one scenario file; returns (report dict, exit_code)."""
     path = Path(path)
+    reading = time.perf_counter()
     try:
         cfg = json.loads(path.read_text(), parse_constant=_finite,
                          parse_float=_finite)
@@ -635,7 +698,8 @@ def run_scenario(path: str | Path, out_dir: str | Path | None = None) -> tuple[d
         writing = time.perf_counter()
         _write_artifacts(Path(out_dir), {**artifacts, "report.json": report})
         _write_artifacts(Path(out_dir), {"timing.json": {
-            "elapsed_s": elapsed, "validate_s": validated - started,
+            "elapsed_s": elapsed, "parse_s": started - reading,
+            "validate_s": validated - started,
             "write_s": time.perf_counter() - writing}})
     except ScenarioError as exc:
         print(f"error: invalid scenario {path}: {exc}", file=sys.stderr)

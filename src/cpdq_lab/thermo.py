@@ -126,6 +126,9 @@ class PistonConfig:
     def __post_init__(self):
         if not (self.l0 > 0 and self.v0 > 0):
             raise ValueError("l0 and v0 must be positive")
+        for name in ("u", "l_end", "t_end", "t_jump"):
+            if math.isnan(getattr(self, name) or 0.0):
+                raise ValueError(f"{name} must not be NaN")
         if self.mode not in ("constant_speed", "sudden_jump"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "constant_speed":

@@ -1,5 +1,7 @@
 import contextlib
+import copy
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
 from cpdq_lab import (Grid1D, IntegratorConfig, PistonConfig, Potential,
                       acceptance, cli, core, thermo)
@@ -468,7 +471,8 @@ class TestRun:
         report = (tmp_path / "out" / "report.json").read_text()
         assert "elapsed" not in report
         timing = json.loads((tmp_path / "out" / "timing.json").read_text())
-        assert sorted(timing) == ["elapsed_s", "validate_s", "write_s"]
+        assert sorted(timing) \
+            == ["elapsed_s", "parse_s", "validate_s", "write_s"]
         assert all(seconds >= 0.0 for seconds in timing.values())
 
 
@@ -727,6 +731,155 @@ def test_potential_schema_matches_model():
     assert props["kind"]["enum"] == [k.value for k in core.PotentialKind]
 
 
+# The schema validator against jsonschema, the reference implementation of
+# JSON Schema 2020-12, which the package itself does not import.
+def reference_check(schema: dict, instance) -> str | None:
+    """The message cli._check_schema gives, computed by jsonschema: that of
+    the error with the smallest path, the first yielded among those."""
+    err = min(Draft202012Validator(schema).iter_errors(instance),
+              key=lambda e: list(e.absolute_path), default=None)
+    if err is None:
+        return None
+    where = "/".join(str(p) for p in err.absolute_path) or "top level"
+    if err.validator == "additionalProperties":
+        offending = sorted(set(err.instance) - set(err.schema["properties"]))
+        return f"unknown key(s) {offending} at {where}"
+    return f"{err.message} at {where}"
+
+
+def walker_check(schema: dict, instance) -> str | None:
+    try:
+        cli._check_schema(schema, instance)
+    except cli.ScenarioError as exc:
+        return str(exc)
+    return None
+
+
+def kind_schema(kind: str) -> dict:
+    return cli.KINDS[kind][0]
+
+
+@pytest.mark.parametrize("schema,instance,message", [
+    # 1.0 is an integer, 64.5 is not, and true is not a number
+    (kind_schema("trajectory"), {"potential": {"kind": "harmonic"}, "q0": 1,
+                                 "p0": 0, "dt": 0.01, "n_steps": 4.0}, None),
+    (cli._GRID_SCHEMA, {"x_min": 0, "x_max": 1, "n": 64.5},
+     "64.5 is not of type 'integer' at n"),
+    (kind_schema("bounds"), {"energy": True, "theta": 1},
+     "True is not of type 'number' at energy"),
+    # an enum of strings tells none of these from a string
+    (cli.SCHEMA, {"kind": 1, "params": {}},
+     f"1 is not one of {sorted(cli.KINDS)} at kind"),
+    (cli.SCHEMA, {"kind": True, "params": {}},
+     f"True is not one of {sorted(cli.KINDS)} at kind"),
+    (cli.SCHEMA, {"kind": ["bounds"], "params": {}},
+     f"['bounds'] is not one of {sorted(cli.KINDS)} at kind"),
+    (kind_schema("bounds"), {"energy": -0.0, "theta": 1},
+     "-0.0 is less than or equal to the minimum of 0 at energy"),
+    # an unknown key is reported before a missing one at the same path
+    (cli.SCHEMA, {"kind": "bounds", "extra": 1},
+     "unknown key(s) ['extra'] at top level"),
+    (kind_schema("regime"), {"thresholds": [1.0]},
+     "[1.0] is too short at thresholds"),
+    (kind_schema("regime"), {"thresholds": [1.0, 2.0, 3.0]},
+     "[1.0, 2.0, 3.0] is too long at thresholds"),
+], ids=["float_integer", "fractional_integer", "bool_number", "enum_int",
+        "enum_bool", "enum_list", "negative_zero", "unknown_before_missing",
+        "too_short", "too_long"])
+def test_schema_traps(schema, instance, message):
+    assert walker_check(schema, instance) == message
+    assert reference_check(schema, instance) == message
+
+
+# the keywords cli._schema_errors checks, and the annotations it skips
+WALKED = {"type", "enum", "minimum", "maximum", "exclusiveMinimum",
+          "exclusiveMaximum", "required", "properties", "additionalProperties",
+          "items", "minItems", "maxItems"}
+
+
+def subschemas(schema: dict):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from subschemas(sub)
+    if "items" in schema:
+        yield from subschemas(schema["items"])
+
+
+def test_schema_keywords_are_walked():
+    """Every keyword the schemas use is one the validator checks, in the
+    form it checks: a keyword added later fails here, not silently."""
+    for root in [cli.SCHEMA, *(kind_schema(kind) for kind in cli.KINDS)]:
+        for schema in subschemas(root):
+            assert set(schema) <= WALKED | {"$schema", "title"}, schema
+            assert schema.get("type", "object") in cli._TYPES, schema
+            assert all(isinstance(e, str) for e in schema.get("enum", []))
+            if "additionalProperties" in schema:
+                assert schema["additionalProperties"] is False
+                assert "properties" in schema
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+
+# Bundled and benchmark-shaped configs, and the pieces mutations put in.
+BASES = [json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))]
+BASES += [cfg for name in workloads.NAMES
+          for cfg in workloads.scenarios(name, 0).values()]
+BASES += list(workloads.MINIMAL.values())
+POOL = [None, True, False, 0, 1, -1, 2, 4, 63, 64, 64.0, 64.5, 1.0, -0.0, 0.0,
+        0.5, 0.99, 1.5, 5e-324, 1e300, -1e300, 10_000_000, 10_000_001,
+        1_000_001, 2 ** 64, "", "si", "harmonic", "sudden_jump", "bounds",
+        *sorted(acceptance.REGIME_EXPECTED), [], [0.5], [0.1, 0.3],
+        [1.0, 2.0, 3.0], [True, 1], ["x"], {}, {"kind": "free"},
+        {"x_min": 0, "x_max": 1, "n": 64}, {"ratios": [0.1, 0.3]}]
+KEYS = ["extra", "m", "c", "f", "u", "n", "kind", "grid", "scan", "fixture"]
+
+
+def containers(x):
+    if isinstance(x, (dict, list)):
+        yield x
+        for child in x.values() if isinstance(x, dict) else x:
+            yield from containers(child)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A bundled or benchmark config with 1-4 values swapped for pool
+    values, keys or items deleted, or unknown keys or items added."""
+    box = [copy.deepcopy(draw(st.sampled_from(BASES)))]
+    for _ in range(draw(st.integers(1, 4))):
+        node = draw(st.sampled_from(list(containers(box))))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        op = draw(st.sampled_from(["swap"] if node is box
+                                  else ["swap", "delete", "add"]))
+        value = copy.deepcopy(draw(st.sampled_from(POOL)))
+        if op == "add" or not keys:
+            if isinstance(node, dict):
+                node[draw(st.sampled_from(KEYS))] = value
+            else:
+                node.append(value)
+        elif op == "delete":
+            del node[draw(st.sampled_from(keys))]
+        else:
+            node[draw(st.sampled_from(keys))] = value
+    return box[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=mutated_configs())
+def test_schema_check_matches_jsonschema(cfg):
+    """The config against SCHEMA, and its params against every kind's
+    schema: accepted or rejected as jsonschema decides, with its message."""
+    params = cfg.get("params") if isinstance(cfg, dict) else cfg
+    pairs = [(cli.SCHEMA, cfg)]
+    pairs += [(kind_schema(kind), params) for kind in cli.KINDS]
+    for schema, instance in pairs:
+        assert walker_check(schema, instance) \
+            == reference_check(schema, instance), instance
+
+
 def fresh_python(*args: str, **env: str) -> subprocess.CompletedProcess:
     """`python *args` in a new interpreter that imports this package, with
     the environment variables `env` set."""
@@ -735,6 +888,36 @@ def fresh_python(*args: str, **env: str) -> subprocess.CompletedProcess:
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+# Run a bundled scan and `cpdq-lab schema` where jsonschema cannot be imported.
+NO_JSONSCHEMA = """
+import contextlib, io, json, sys
+sys.modules["jsonschema"] = None
+from cpdq_lab import cli
+schema = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()):
+    _, run_code = cli.run_scenario(sys.argv[1], sys.argv[2])
+with contextlib.redirect_stdout(schema):
+    schema_code = cli.main(["schema"])
+print(json.dumps([run_code, schema_code, schema.getvalue()]))
+"""
+
+
+def test_runs_without_jsonschema(tmp_path, capsys):
+    """jsonschema is a test dependency only: the package neither imports
+    it nor needs it to validate and run a scenario."""
+    proc = fresh_python("-c", NO_JSONSCHEMA,
+                        str(scenario_path("piston_scan.json")), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    run_code, schema_code, schema = json.loads(proc.stdout)
+    assert (run_code, schema_code) == (cli.EXIT_OK, cli.EXIT_OK)
+    assert cli.main(["schema"]) == cli.EXIT_OK
+    assert schema == capsys.readouterr().out
+    assert (tmp_path / "scan.csv").exists()
+    proc = fresh_python("-c", "import sys, cpdq_lab.cli; "
+                              "print('jsonschema' in sys.modules)")
+    assert proc.stdout.split() == ["False"], proc.stderr
 
 
 # Run `cpdq-lab ARGS` in a fresh interpreter pinned to one CPU.

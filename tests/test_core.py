@@ -38,8 +38,18 @@ NAN = float("nan")
      "harmonic potential needs omega > 0"),
     (lambda: PistonConfig(l0=NAN, v0=1.0, u=0.01, l_end=2.0),
      "l0 and v0 must be positive"),
+    (lambda: PistonConfig(1.0, 1.0, u=NAN, l_end=2.0), "u must not be NaN"),
+    (lambda: PistonConfig(1.0, 1.0, u=1e-3, l_end=NAN),
+     "l_end must not be NaN"),
+    (lambda: PistonConfig(1.0, 1.0, u=1e-3, t_end=NAN),
+     "t_end must not be NaN"),
+    (lambda: PistonConfig(1.0, 1.0, mode="sudden_jump", l_end=NAN),
+     "l_end must not be NaN"),
+    (lambda: PistonConfig(1.0, 1.0, mode="sudden_jump", l_end=2.0,
+                          t_jump=NAN), "t_jump must not be NaN"),
 ], ids=["constants", "grid_x_min", "grid_x_max", "integrator_dt",
-        "potential_omega", "piston_l0"])
+        "potential_omega", "piston_l0", "piston_u", "piston_l_end",
+        "piston_t_end", "piston_jump_l_end", "piston_t_jump"])
 def test_models_reject_nan(build, message):
     # a check written x <= 0 is False for NaN; each model names the field
     with pytest.raises(ValueError, match=f"^{message}$"):
