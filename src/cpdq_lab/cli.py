@@ -268,11 +268,24 @@ def _given(params: dict, *keys: str) -> dict:
 
 
 _CSV_BLOCK_ROWS = 1000
+# A table of at least _CSV_KERNEL_ROWS rows is formatted by the numpy
+# kernel (_csv_slots) in blocks of about _CSV_BLOCK_VALUES values.  The
+# kernel costs about 0.4 ms a table more than the `%` row template and
+# about 0.3 us a value instead of 0.5-0.8 us, so it pays from about 700
+# formatted values: 700 rows of one column, 100 of seven (medians of
+# alternating in-process runs on a 2-vCPU x86_64 host).  The gate lies
+# above the one-column crossover, so no table gets slower; piston tables
+# (at most 501 rows) and a 1001-row trajectory keep the template.  Blocks of
+# 2**12 values keep the kernel's temporaries near 1 MB; 2**13 wrote a
+# trajectory about 10% faster but raised a wave run's peak RSS by 1.6 MB.
+_CSV_KERNEL_ROWS = 1024
+_CSV_BLOCK_VALUES = 2 ** 12
 # A table of at least _CSV_SPLIT_VALUES formatted values (rows times columns
 # that are not literals) is formatted in two halves on two CPUs.  The split
-# costs about 20 ms (fork, copy-on-write faults, exit) and pays from about
-# 96k values on; no wave or piston table reaches this size.
-_CSV_SPLIT_VALUES = 2 ** 17
+# costs about 5-7 ms (fork, the child's start, appending its half) and
+# saves half of the kernel's time, so it pays from about 50k-65k values on
+# the same host; no wave or piston table reaches 2**16 values.
+_CSV_SPLIT_VALUES = 2 ** 16
 # A column of at least _CSV_PROBES rows is formatted once per distinct value
 # when about _CSV_PROBES strided rows show at most _CSV_DISTINCT values and
 # every row holds one of them.  Shorter columns, and columns with a value no
@@ -282,29 +295,164 @@ _CSV_PROBES = 64
 _CSV_DISTINCT = 8
 
 
-def _csv_field(c: np.ndarray) -> tuple[str, np.ndarray | None]:
-    """One column's row-template field and the values it consumes.
+def _csv_field(c: np.ndarray) -> tuple[list[str] | None, np.ndarray | None]:
+    """One column's distinct texts and the rows that index them.
 
     Values are told apart by their float64 bit pattern, so 0.0 and -0.0,
     and NaNs of other sign or payload, each keep their own "%.17g" text.
-    A constant column becomes a literal that consumes nothing; a column
-    of a few values becomes a %s field fed the preformatted strings.
+    A column of a few values gives (texts, rows): row r holds
+    texts[rows[r]].  A constant column gives ([text], None), a literal.
+    Any other column gives (None, c): its values are formatted one by one.
     """
     n = len(c)
     if n < _CSV_PROBES:
-        return "%.17g", c
+        return None, c
     bits = c.view(np.int64)
     probe = set(bits[::n // _CSV_PROBES].tolist())
     if len(probe) > _CSV_DISTINCT:
-        return "%.17g", c
+        return None, c
     keys = np.array(sorted(probe), dtype=np.int64)
     inv = np.minimum(np.searchsorted(keys, bits), len(keys) - 1)
     if not np.array_equal(keys[inv], bits):
-        return "%.17g", c
+        return None, c
     texts = ["%.17g" % x for x in keys.view(float).tolist()]
-    if len(texts) == 1:
-        return texts[0], None
-    return "%s", np.array(texts, dtype=object)[inv]
+    return texts, inv if len(texts) > 1 else None
+
+
+def _split26(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: hi + lo == x, each with at most 26 significant bits."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+# The exact doubles 10**s for 0 <= s <= 20, split for Dekker's product, and
+# the ASCII digits of 0000..9999 as one uint32 each.
+_POW10 = np.array([float(10 ** s) for s in range(21)])
+_POW10_HI, _POW10_LO = _split26(_POW10)
+_DIGIT_QUADS = np.frombuffer(
+    (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).tobytes(),
+    np.uint32)
+# _CSV_KEEP[n] keeps the first n bytes of a 24-byte slot
+_CSV_KEEP = np.where(np.arange(24) < np.arange(25)[:, None], 0xFF,
+                     0).astype(np.uint8).view(np.uint64)
+
+
+def _rounded17(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """x * 10**(16 - k) rounded half-to-even to an integer, for 0 < x and
+    0 <= 16 - k <= 20.
+
+    Dekker's two-product gives p = fl(x * 10**s) and its error e exactly,
+    p + e == x * 10**s.  Where p >= 2**53 it is an even integer, so p plus
+    e rounded half-to-even is x * 10**s rounded so."""
+    s = (16 - k).astype(np.intp)
+    p = x * _POW10.take(s)
+    xh, xl = _split26(x)
+    e = xh * _POW10_HI.take(s) - p
+    e += xh * _POW10_LO.take(s)
+    e += xl * _POW10_HI.take(s)
+    e += xl * _POW10_LO.take(s)
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _digits17(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each d in [1e16, 1e17): its first digit as an ASCII byte and its
+    other 16 digits as a row of ASCII bytes."""
+    hi = d // 10 ** 8
+    y = np.stack([hi, d - hi * 10 ** 8], axis=1).astype(np.uint32)
+    lead = y[:, 0] // 10 ** 8
+    y[:, 0] -= lead * 10 ** 8
+    # each 8-digit half as two 4-digit quarters, in reading order
+    q = y // 10 ** 4
+    quads = _DIGIT_QUADS.take(np.stack([q, y - q * 10 ** 4], axis=-1)
+                              .reshape(-1, 4))
+    lead = (lead + ord("0")).astype(np.uint8)
+    return lead, quads.view(np.uint8).reshape(-1, 16)
+
+
+def _csv_slots(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's "%.17g" text in a NUL-padded 24-byte slot, byte 23 left
+    free for a separator, and the mask of the values left to `%`, whose
+    slots hold "%.17g" itself.
+
+    Zeros, and the x with 1e-4 <= |x| < 1e17 (where %.17g prints fixed
+    notation), are written here.  k = floor(log10 |x|) gives the scale
+    10**(16 - k) that puts |x| * 10**(16 - k) in [1e16, 1e17); rounded
+    half-to-even (_rounded17) it is the 17-digit integer D that "%.17g"
+    prints, with the point after digit k and trailing fraction zeros
+    dropped.  Every value in scientific notation, subnormal, infinite or
+    NaN is left to `%`.
+    """
+    out = np.zeros((len(v), 24), np.uint8)
+    a = np.abs(v)
+    with np.errstate(invalid="ignore"):
+        idx = ((a >= 1e-4) & (a < 1e17)).nonzero()[0]
+    x = a[idx]
+    k = np.floor(np.log10(x)).astype(np.int8)
+    np.maximum(k, -4, out=k)
+    np.minimum(k, 16, out=k)
+    d = _rounded17(x, k)
+    # log10 can miss k by one next to a power of ten, and rounding can carry
+    # D to 10**17: k then moves by one and D is rounded again; a D still
+    # outside [1e16, 1e17) is left to `%`
+    moved = ((d < 10 ** 16) | (d >= 10 ** 17)).nonzero()[0]
+    if moved.size:
+        k[moved] += np.where(d[moved] < 10 ** 16, -1, 1).astype(np.int8)
+        inside = moved[(k[moved] >= -4) & (k[moved] <= 16)]
+        d[inside] = _rounded17(x[inside], k[inside])
+        k[moved[(d[moved] < 10 ** 16) | (d[moved] >= 10 ** 17)]] = 17
+    # group the values by k; group j is [bounds[j + 4], bounds[j + 5])
+    order = np.argsort(k, kind="stable")
+    k = k[order]
+    bounds = np.searchsorted(k, np.arange(-4, 18))
+    order, k = order[:bounds[21]], k[:bounds[21]]
+    lead, tail = _digits17(d[order])
+    # byte 0 of a slot is left for the sign; the text starts at byte 1: for
+    # k >= 0 the k + 1 integer digits, the point and the 16 - k fraction
+    # digits; for k < 0 "0.", -k - 1 zeros and the 17 digits
+    s = np.zeros((len(order), 24), np.uint8)
+    for j in (bounds[1:22] > bounds[:21]).nonzero()[0] - 4:
+        rows = slice(bounds[j + 4], bounds[j + 5])
+        t, first, digits = s[rows], lead[rows], tail[rows]
+        if j >= 0:
+            t[:, 1] = first
+            t[:, 2:j + 2] = digits[:, :j]
+            t[:, j + 2] = ord(".")
+            t[:, j + 3:19] = digits[:, j:]
+        else:
+            t[:, 1:2 - j] = ord("0")
+            t[:, 2] = ord(".")
+            t[:, 2 - j] = first
+            t[:, 3 - j:19 - j] = digits
+    # a text ends after its last digit, byte 18 - min(k, 0); where its 16 - k
+    # fraction digits end in zeros they are cut, and then a bare point (at
+    # k = 16 the point written at byte 18 is cut so).  In the 8-digit words
+    # of the last 16 digits a "0" becomes a zero byte; the zero bytes above
+    # a word's highest nonzero byte are trailing zeros (a byte is at most
+    # 9, so the float keeps the byte length of the word).
+    words = tail.view(np.uint64) ^ 0x3030303030303030
+    nbytes = (np.frexp(words.astype(float))[1] + 7) // 8
+    zeros = np.where(nbytes[:, 1] > 0, 8 - nbytes[:, 1], 16 - nbytes[:, 0])
+    cut = np.minimum(zeros, 16 - k)
+    end = 19 - np.minimum(k, 0) - cut - (cut == 16 - k)
+    words = s.view(np.uint64)
+    words &= _CSV_KEEP.take(end, axis=0)
+    idx = idx[order]
+    out.view("V24")[idx, 0] = s.view("V24")[:, 0]
+    zero = v == 0
+    out[zero, 1] = ord("0")
+    out[:, 0] = np.signbit(v) * np.uint8(ord("-"))
+    rest = ~zero
+    rest[idx] = False
+    out[rest, :5] = np.frombuffer(b"%.17g", np.uint8)
+    return out, rest
+
+
+def _csv_table(texts: list[str]) -> np.ndarray:
+    """Each text NUL-padded to one width, then a comma, as rows of bytes."""
+    w = max(map(len, texts)) + 1
+    return np.frombuffer(b"".join(t.encode().ljust(w - 1, b"\0") + b","
+                                  for t in texts), np.uint8).reshape(-1, w)
 
 
 def _usable_cpus() -> int:
@@ -319,21 +467,29 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
 
     Each distinct value of a column that repeats (a constant f, the two
     momenta of a well) is formatted once (_csv_field); other columns are
-    formatted per value.  Rows go out in blocks of _CSV_BLOCK_ROWS, each
-    formatted by one `%` on a repeated row template, so the per-float loop
-    runs in C with the same conversion as "%.17g" % float(x); the whole
-    table is never stacked.
+    formatted per value.  A table of fewer than _CSV_KERNEL_ROWS rows goes
+    out in blocks of _CSV_BLOCK_ROWS, each formatted by one `%` on a
+    repeated row template, so the per-float loop runs in C with the same
+    conversion as "%.17g" % float(x).  A longer table goes out in blocks
+    of about _CSV_BLOCK_VALUES values, each laid out as rows of fixed-width
+    NUL-padded slots and compacted by one bytes.translate: the per-value
+    columns are written by the elementwise numpy kernel _csv_slots, which
+    computes the same correctly rounded 17 digits exactly for zeros and
+    for 1e-4 <= |x| < 1e17, and leaves every other value (scientific
+    notation, subnormals, infinities, NaNs) to one `%` over the block.
+    The whole table is never stacked.
 
     A table of at least _CSV_SPLIT_VALUES formatted values, on a host with
     os.fork and two usable CPUs, is formatted in two contiguous halves at
     once: a forked child writes the second half into an unlinked temporary
     file beside `path` while this process writes the first half, then this
     process reaps the child and appends the file's bytes.  The child runs
-    only the block loop and file writes (no import, no BLAS, no print), so
-    a BLAS thread in this process cannot hold a lock it needs, and it
-    leaves by os._exit, so it never returns into the caller or flushes
-    inherited buffers; if it fails, OSError names `path`.  Both halves run
-    the same loop, so the bytes do not depend on the split.
+    only the block loop, elementwise numpy and file writes (no import, no
+    BLAS, no print), so a BLAS thread in this process cannot hold a lock
+    it needs, and it leaves by os._exit, so it never returns into the
+    caller or flushes inherited buffers; if it fails, OSError names
+    `path`.  Both halves run the same loop, so the bytes do not depend on
+    the split.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
     lengths = {len(c) for c in cols}
@@ -342,27 +498,56 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
                          f"{sorted(lengths)}")
     n_rows = max(lengths, default=0)
     fields = [_csv_field(c) for c in cols]
-    row = ",".join(f for f, _ in fields) + "\n"
-    values = [v for _, v in fields if v is not None]
-    k = len(values)
+    k = sum(rows is not None for _, rows in fields)
 
-    def emit(fh, lo: int, hi: int) -> None:
+    def emit_template(fh, lo: int, hi: int) -> None:
+        row = ",".join("%.17g" if texts is None else "%s" if rows is not None
+                       else texts[0] for texts, rows in fields) + "\n"
+        values = [rows if texts is None else np.array(texts, object)[rows]
+                  for texts, rows in fields if rows is not None]
         for i in range(lo, hi, _CSV_BLOCK_ROWS):
             m = min(_CSV_BLOCK_ROWS, hi - i)
             flat = [None] * (m * k)
             for j, v in enumerate(values):
                 flat[j::k] = v[i:i + m].tolist()
-            fh.write(row * m % tuple(flat))
+            fh.write((row * m % tuple(flat)).encode())
 
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    def emit_kernel(fh, lo: int, hi: int) -> None:
+        tables = [None if texts is None else _csv_table(texts)
+                  for texts, _ in fields]
+        step = max(1, _CSV_BLOCK_VALUES // len(cols))
+        for i in range(lo, hi, step):
+            m = min(step, hi - i)
+            v = np.column_stack([rows[i:i + m] for texts, rows in fields
+                                 if texts is None] or [np.empty((m, 0))])
+            slots, rest = _csv_slots(v.reshape(-1))
+            slots[:, 23] = ord(",")
+            slots = slots.reshape(m, -1, 24)
+            parts, j = [], 0
+            for (texts, rows), table in zip(fields, tables):
+                if texts is None:
+                    parts.append(slots[:, j])
+                    j += 1
+                elif rows is None:
+                    parts.append(np.broadcast_to(table, (m, table.shape[1])))
+                else:
+                    parts.append(table[rows[i:i + m]])
+            block = np.concatenate(parts, axis=1)
+            block[:, -1] = ord("\n")
+            text = block.tobytes().translate(None, b"\0")
+            if rest.any():
+                text %= tuple(v.reshape(-1)[rest].tolist())
+            fh.write(text)
+
+    emit = emit_kernel if n_rows >= _CSV_KERNEL_ROWS else emit_template
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         if (n_rows * k < _CSV_SPLIT_VALUES or not hasattr(os, "fork")
                 or _usable_cpus() < 2):
             emit(fh, 0, n_rows)
             return
         half = n_rows // 2
-        with tempfile.TemporaryFile("w+", newline="",
-                                    dir=Path(path).parent) as tail:
+        with tempfile.TemporaryFile(dir=Path(path).parent) as tail:
             pid = os.fork()
             if pid == 0:
                 code = 1
@@ -382,7 +567,7 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
                               f"{os.waitstatus_to_exitcode(status)}")
             fh.flush()
             tail.seek(0)
-            shutil.copyfileobj(tail.buffer, fh.buffer)
+            shutil.copyfileobj(tail, fh)
 
 
 def _write_artifacts(out: Path, artifacts: dict) -> None:
@@ -670,13 +855,24 @@ def _finite(text: str) -> float:
     return value
 
 
+def _int(text: str) -> int:
+    """A JSON integer; one beyond the double range fails like 1e999 does."""
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"integer of {len(text.lstrip('-'))} digits is "
+                         f"beyond the double range") from None
+    return value
+
+
 def run_scenario(path: str | Path, out_dir: str | Path | None = None) -> tuple[dict | None, int]:
     """Execute one scenario file; returns (report dict, exit_code)."""
     path = Path(path)
     reading = time.perf_counter()
     try:
         cfg = json.loads(path.read_text(), parse_constant=_finite,
-                         parse_float=_finite)
+                         parse_float=_finite, parse_int=_int)
     except (OSError, ValueError) as exc:
         print(f"error: cannot parse {path}: {exc}", file=sys.stderr)
         return None, EXIT_SCHEMA

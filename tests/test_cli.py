@@ -244,6 +244,44 @@ class TestValidation:
         assert len(err.splitlines()) == 1 and "cannot parse" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        '{"kind": "piston", "params": {"l0": 1%s, "v0": 1, "u": 0.01, '
+        '"l_end": 2}}',
+        '{"kind": "bounds", "params": {"energy": 1%s, "theta": 300}}',
+        '{"kind": "dispersion", "params": {"k": 1%s, "m0": 1}}',
+        '{"kind": "trajectory", "params": {"potential": {"kind": '
+        '"harmonic"}, "q0": -1%s, "p0": 0, "dt": 0.01, "n_steps": 10}}',
+    ], ids=["int_l0", "int_energy", "int_k", "int_q0"])
+    def test_integer_beyond_double_range_exits_2(self, tmp_path, capsys,
+                                                 text):
+        # 10**400 written out as an integer: json parses it exactly, and
+        # float() of it overflows, as 1e400 does
+        bad = tmp_path / "bad.json"
+        bad.write_text(text % ("0" * 400))
+        out = tmp_path / "o"
+        assert cli.main(["run", str(bad), "--out", str(out)]) \
+            == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "cannot parse" in err, err
+        assert "401 digits is beyond the double range" in err
+        assert not out.exists()
+
+    def test_integer_fields_stay_integers(self, tmp_path):
+        # the largest integer float() takes is still parsed; integer
+        # fields reach the model and the report as ints
+        cfg = {"kind": "trajectory", "params": {
+            "potential": {"kind": "harmonic"}, "q0": 1, "p0": 0,
+            "dt": 0.01, "n_steps": 10}}
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(cfg))
+        report, code = cli.run_scenario(path, tmp_path / "o")
+        assert code == cli.EXIT_OK
+        params = report["scenario"]["params"]
+        assert [type(params[k]) for k in ("q0", "p0", "n_steps")] == [int] * 3
+        assert cli._int(str(2 ** 1023)) == 2 ** 1023
+        with pytest.raises(ValueError, match="310 digits"):
+            cli._int("-" + "9" * 310)
+
     def test_non_object_config_exits_2(self, tmp_path, capsys):
         # without --out the output directory is resolved only after the
         # config is known to be an object
@@ -541,10 +579,19 @@ class TestWriteCsv:
         columns = [np.roll(np.resize(np.array(pool), n_rows), shift * k)
                    for k, pool in enumerate(pools)]
         header = [f"c{k}" for k in range(len(columns))]
-        path = tmp_path_factory.mktemp("csv") / "t.csv"
-        cli.write_csv(path, header, columns)
-        expected = ",".join(header) + "\n" + old_csv_rows(columns)
-        assert path.read_bytes() == expected.encode()
+        expected = (",".join(header) + "\n" + old_csv_rows(columns)).encode()
+        tmp = tmp_path_factory.mktemp("csv")
+        # these sizes are below the kernel's row gate; the same table then
+        # goes through the numpy kernel on one CPU and, split, on two
+        cli.write_csv(tmp / "template.csv", header, columns)
+        assert (tmp / "template.csv").read_bytes() == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CSV_KERNEL_ROWS", 0)
+            mp.setattr(cli, "_CSV_SPLIT_VALUES", 0)
+            for cpus in (1, 2):
+                mp.setattr(cli, "_usable_cpus", lambda: cpus)
+                cli.write_csv(tmp / f"kernel{cpus}.csv", header, columns)
+                assert (tmp / f"kernel{cpus}.csv").read_bytes() == expected
 
     @pytest.mark.parametrize("n_rows", [63, 64, 65, 3 * B + 7])
     def test_repeated_values_match_per_row_formula(self, tmp_path, n_rows):
@@ -560,11 +607,79 @@ class TestWriteCsv:
         text = (tmp_path / "mixed.csv").read_text()
         assert {row.split(",")[3] for row in text.splitlines()[1:]} \
             == {"0", "-0"}
-        # from _CSV_PROBES rows on, the repeating columns take the literal
-        # and the %s fields; the unique and the fooled column stay per value
-        fields = [cli._csv_field(c)[0] for c in columns]
-        assert fields == (["%.17g"] * 7 if n_rows < cli._CSV_PROBES else [
-            "%.17g", "0.10000000000000001", "%s", "%s", "%s", "%s", "%.17g"])
+        # from _CSV_PROBES rows on, the repeating columns give their texts
+        # (a constant one text and no rows), sorted by bit pattern; the
+        # unique and the fooled column stay per value
+        fields = [cli._csv_field(c) for c in columns]
+        assert [texts for texts, _ in fields] == (
+            [None] * 7 if n_rows < cli._CSV_PROBES else [
+                None, ["0.10000000000000001"], ["0.5", "nan"], ["-0", "0"],
+                ["-1.5", "nan", "1.5", "nan", "nan"], ["-2.5", "2.5"], None])
+        assert [rows is None for _, rows in fields] \
+            == [n_rows >= cli._CSV_PROBES and j == 1 for j in range(7)]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_kernel_matches_per_row_formula(self, tmp_path, monkeypatch,
+                                            cpus):
+        # a hand list of the kernel's edges, 2**18 random bit patterns (most
+        # of them outside the kernel's range) and 2**16 random doubles with
+        # exponents from 2**-14 to 2**56, in four columns of about 82,000
+        # rows: long enough for the kernel, and split between two processes
+        # on two CPUs
+        hand = [1e-4, np.nextafter(1e-4, 0.0), 0.0, -0.0, math.inf,
+                -math.inf, math.nan, *OTHER_NANS, *EDGE_FLOATS]
+        for j in range(-6, 19):
+            # 10**j and its neighbours; the largest double below 10**(j+1)
+            # prints 9.99...e{j} without a carry into the next power
+            ten = float(f"1e{j}")
+            hand += [ten, np.nextafter(ten, 0.0), np.nextafter(ten, math.inf),
+                     float(f"9.99999999999999999e{j}")]
+        for s in range(1, 21):
+            # x = q / 2**(s+1) with q odd: x * 10**s = q * 5**s / 2 lies
+            # halfway between two integers in [1e16, 1e17), where %.17g
+            # rounds to the even one
+            lo = -(-2 * 10 ** 16 // 5 ** s) | 1
+            hand += [q / 2 ** (s + 1) for q in (lo, lo + 2, lo + 4, lo + 6)]
+        hand += [float(j) for j in (1, 2, 10, 120, 99999, 2 ** 53, 10 ** 16,
+                                    99999999999999984)]
+        hand += [2 ** -1074 * j for j in (1, 3, 2 ** 52 - 1)]
+        hand += [-x for x in hand]
+        rng = np.random.default_rng(21)
+        bits = rng.integers(0, 2 ** 64, size=2 ** 18, dtype=np.uint64)
+        fixed = (rng.integers(0, 2 ** 64, size=2 ** 16, dtype=np.uint64)
+                 & ~np.uint64(0x7FF << 52)) | (rng.integers(
+                     1023 - 14, 1023 + 57, size=2 ** 16, dtype=np.uint64) << 52)
+        values = np.concatenate([hand, bits.view(float), fixed.view(float)])
+        values = np.resize(values, len(values) + -len(values) % 4)
+        columns = list(values.reshape(-1, 4).T)
+        assert len(columns[0]) >= cli._CSV_KERNEL_ROWS
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        header = ["a", "b", "c", "d"]
+        cli.write_csv(tmp_path / "t.csv", header, columns)
+        expected = ",".join(header) + "\n" + old_csv_rows(columns)
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+    def test_kernel_imports_nothing(self, tmp_path):
+        # a forked child must not import (write_csv's docstring): in a fresh
+        # interpreter the kernel's first table leaves sys.modules as it was
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from cpdq_lab import cli\n"
+            "cli._usable_cpus = lambda: 1\n"
+            "before = set(sys.modules)\n"
+            "n = 2 * cli._CSV_KERNEL_ROWS\n"
+            "cols = [np.linspace(-3, 3, n), np.full(n, 0.5),\n"
+            "        np.geomspace(1e-9, 1e20, n), np.zeros(n)]\n"
+            "cli.write_csv(sys.argv[1], list('abcd'), cols)\n"
+            "print(sorted(set(sys.modules) - before))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code,
+                               str(tmp_path / "t.csv")],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_ragged_columns_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -590,7 +705,7 @@ class TestWriteCsv:
         # mid-block.  Every column but long_table's literal 0.1 is
         # formatted, and the last one walks the edge floats.
         columns = long_table(n_rows) + [np.resize(EDGE_FLOATS, n_rows)]
-        k = sum(cli._csv_field(c)[1] is not None for c in columns)
+        k = sum(rows is not None for _, rows in map(cli._csv_field, columns))
         monkeypatch.setattr(cli, "_CSV_SPLIT_VALUES", k * n_rows + short)
         header = [f"c{j}" for j in range(len(columns))]
         expected = ",".join(header) + "\n" + old_csv_rows(columns)

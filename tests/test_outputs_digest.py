@@ -34,3 +34,35 @@ def test_wall_clock_masked():
             "stationarity/runtime_s *  <=           1  pass\n"
             "stationarity/max_dl          1e-09  <=       1e-06  pass\n"
             "# 12 criteria, 0 failing checks, *s\n")
+
+
+def test_diff_names_what_differs(tmp_path, capsys):
+    run = {"exit": 0, "stdout": "s", "stderr": "e",
+           "artifacts": {"report.json": "r", "series.csv": "c"}}
+    a = {"schema": {**run, "artifacts": {}}, "x.json": run}
+    b = {"schema": {**run, "artifacts": {}},
+         "x.json": {**run, "exit": 3,
+                    "artifacts": {"report.json": "r", "series.csv": "d",
+                                  "extra.csv": "z"}},
+         "y.json": run}
+    assert outputs_digest.differences(a, a) == []
+    assert outputs_digest.differences(a, b) == [
+        "x.json artifacts/extra.csv: None != z",
+        "x.json artifacts/series.csv: c != d",
+        "x.json exit: 0 != 3",
+        "y.json artifacts/report.json: None != r",
+        "y.json artifacts/series.csv: None != c",
+        "y.json exit: None != 0",
+        "y.json stderr: None != e",
+        "y.json stdout: None != s"]
+    paths = []
+    for name, digest in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(digest))
+    assert outputs_digest.main(["--diff", str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out == "no differences\n"
+    assert outputs_digest.main(["--diff", *map(str, paths)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "x.json artifacts/series.csv: c != d" and len(out) == 8
+    assert outputs_digest.main(["--diff", str(paths[0])]) == 2
+    assert "--diff A.json B.json" in capsys.readouterr().err

@@ -2,16 +2,19 @@
 """Fingerprint every bundled scenario's outputs in one checkout.
 
     python3 tools/outputs_digest.py CHECKOUT_ROOT > digest.json
+    python3 tools/outputs_digest.py --diff A.json B.json
 
-runs each `src/cpdq_lab/scenarios/*.json` of the checkout, and
+The first form runs each `src/cpdq_lab/scenarios/*.json` of the checkout, and
 `cpdq-lab schema`, in a fresh interpreter with that checkout's `src/` on
 the path, and prints JSON with, per run, the exit code, the sha256 of
 stdout and of stderr, and the sha256 of every artifact except
 `timing.json`.  Scenarios are named by their path relative to the root,
 so messages that quote the path match between checkouts.  The suite's
 printed wall-clock values (the `runtime_s` rows and the trailing total
-seconds) are masked before hashing.  Run it on two checkouts and diff
-the two outputs to check that a change leaves every output byte-identical.
+seconds) are masked before hashing.  Run it on two checkouts, then
+compare the two files with the second form: it prints one line per run
+and entry that differs (an artifact's name, exit, stdout or stderr) and
+exits 1 if any does, so a change that alters an output is named.
 """
 
 from __future__ import annotations
@@ -66,9 +69,32 @@ def digest(root: Path) -> dict:
     return runs
 
 
+def differences(a: dict, b: dict) -> list[str]:
+    """`run entry: A-value != B-value` for each entry of each run that the
+    two digests hold differently; a missing run or artifact reads None."""
+    lines = []
+    for run in sorted(a.keys() | b.keys()):
+        ra, rb = a.get(run, {}), b.get(run, {})
+        entries = {key: (ra.get(key), rb.get(key))
+                   for key in ra.keys() | rb.keys() if key != "artifacts"}
+        arts_a, arts_b = ra.get("artifacts", {}), rb.get("artifacts", {})
+        entries.update({f"artifacts/{name}": (arts_a.get(name),
+                                              arts_b.get(name))
+                        for name in arts_a.keys() | arts_b.keys()})
+        lines += [f"{run} {key}: {va} != {vb}"
+                  for key, (va, vb) in sorted(entries.items()) if va != vb]
+    return lines
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+    if len(argv) == 3 and argv[0] == "--diff":
+        a, b = (json.loads(Path(name).read_text()) for name in argv[1:])
+        lines = differences(a, b)
+        print("\n".join(lines) if lines else "no differences")
+        return 1 if lines else 0
+    if len(argv) != 1 or argv[0].startswith("-"):
+        usage = __doc__.strip().splitlines()[2:4]
+        print("usage:\n" + "\n".join(usage), file=sys.stderr)
         return 2
     print(json.dumps(digest(Path(argv[0])), indent=2, sort_keys=True))
     return 0
