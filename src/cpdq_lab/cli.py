@@ -4,10 +4,9 @@ Each scenario kind is one entry of KINDS: the schema of its params and a
 runner that returns its checks and artifacts without doing any I/O.
 
 Reports are byte-deterministic: fixed key ordering, shortest round-trip
-float repr in strict JSON, %.17g in CSV (formatted once per distinct value
-of a column that repeats), and no timestamps -- wall-clock timing (compute
-and write seconds) goes to a sibling timing.json excluded from
-determinism claims.
+float repr in strict JSON, %.17g in CSV (a constant column's text formatted
+once), and no timestamps -- wall-clock timing (compute and write seconds)
+goes to a sibling timing.json excluded from determinism claims.
 
 Exit codes: 0 all checks pass, 1 computation error (a RuntimeWarning
 counts as one), 2 parse or schema error, 3 at least one check failed.
@@ -267,9 +266,9 @@ def _given(params: dict, *keys: str) -> dict:
     return {k: params[k] for k in keys if k in params}
 
 
-_CSV_BLOCK_ROWS = 1000
-# A table of at least _CSV_KERNEL_ROWS rows is formatted by the numpy
-# kernel (_csv_slots) in blocks of about _CSV_BLOCK_VALUES values.  The
+# Every table goes out in blocks of about _CSV_BLOCK_VALUES formatted
+# values; one of at least _CSV_KERNEL_ROWS rows is formatted by the numpy
+# kernel (_csv_slots), a shorter one by `%`.  The
 # kernel costs about 0.4 ms a table more than the `%` row template and
 # about 0.3 us a value instead of 0.5-0.8 us, so it pays from about 700
 # formatted values: 700 rows of one column, 100 of seven (medians of
@@ -286,37 +285,19 @@ _CSV_BLOCK_VALUES = 2 ** 12
 # saves half of the kernel's time, so it pays from about 50k-65k values on
 # the same host; no wave or piston table reaches 2**16 values.
 _CSV_SPLIT_VALUES = 2 ** 16
-# A column of at least _CSV_PROBES rows is formatted once per distinct value
-# when about _CSV_PROBES strided rows show at most _CSV_DISTINCT values and
-# every row holds one of them.  Shorter columns, and columns with a value no
-# sampled row holds, are formatted per value: there the lookup saves less
-# than it costs.
-_CSV_PROBES = 64
-_CSV_DISTINCT = 8
 
 
-def _csv_field(c: np.ndarray) -> tuple[list[str] | None, np.ndarray | None]:
-    """One column's distinct texts and the rows that index them.
+def _csv_literal(c: np.ndarray) -> str | None:
+    """The "%.17g" text of a column whose values all share one float64 bit
+    pattern, else None.
 
-    Values are told apart by their float64 bit pattern, so 0.0 and -0.0,
-    and NaNs of other sign or payload, each keep their own "%.17g" text.
-    A column of a few values gives (texts, rows): row r holds
-    texts[rows[r]].  A constant column gives ([text], None), a literal.
-    Any other column gives (None, c): its values are formatted one by one.
+    Bit patterns keep 0.0 and -0.0, and NaNs of other sign or payload,
+    apart, so a column of both is formatted per value.
     """
-    n = len(c)
-    if n < _CSV_PROBES:
-        return None, c
     bits = c.view(np.int64)
-    probe = set(bits[::n // _CSV_PROBES].tolist())
-    if len(probe) > _CSV_DISTINCT:
-        return None, c
-    keys = np.array(sorted(probe), dtype=np.int64)
-    inv = np.minimum(np.searchsorted(keys, bits), len(keys) - 1)
-    if not np.array_equal(keys[inv], bits):
-        return None, c
-    texts = ["%.17g" % x for x in keys.view(float).tolist()]
-    return texts, inv if len(texts) > 1 else None
+    if len(bits) and (bits == bits[0]).all():
+        return "%.17g" % float(c[0])
+    return None
 
 
 def _split26(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -448,13 +429,6 @@ def _csv_slots(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, rest
 
 
-def _csv_table(texts: list[str]) -> np.ndarray:
-    """Each text NUL-padded to one width, then a comma, as rows of bytes."""
-    w = max(map(len, texts)) + 1
-    return np.frombuffer(b"".join(t.encode().ljust(w - 1, b"\0") + b","
-                                  for t in texts), np.uint8).reshape(-1, w)
-
-
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -465,19 +439,18 @@ def _usable_cpus() -> int:
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write equal-length columns as CSV, every value as float in %.17g.
 
-    Each distinct value of a column that repeats (a constant f, the two
-    momenta of a well) is formatted once (_csv_field); other columns are
-    formatted per value.  A table of fewer than _CSV_KERNEL_ROWS rows goes
-    out in blocks of _CSV_BLOCK_ROWS, each formatted by one `%` on a
+    A constant column (one float64 bit pattern, _csv_literal) is formatted
+    once and written as a literal; every other column is formatted per
+    value.  The table goes out in blocks of about _CSV_BLOCK_VALUES
+    formatted values.  Below _CSV_KERNEL_ROWS rows a block is one `%` on a
     repeated row template, so the per-float loop runs in C with the same
-    conversion as "%.17g" % float(x).  A longer table goes out in blocks
-    of about _CSV_BLOCK_VALUES values, each laid out as rows of fixed-width
-    NUL-padded slots and compacted by one bytes.translate: the per-value
-    columns are written by the elementwise numpy kernel _csv_slots, which
-    computes the same correctly rounded 17 digits exactly for zeros and
-    for 1e-4 <= |x| < 1e17, and leaves every other value (scientific
-    notation, subnormals, infinities, NaNs) to one `%` over the block.
-    The whole table is never stacked.
+    conversion as "%.17g" % float(x).  From there on a block is laid out as
+    rows of fixed-width NUL-padded slots beside the literals and compacted
+    by one bytes.translate: the elementwise numpy kernel _csv_slots writes
+    the same correctly rounded 17 digits exactly for zeros and for
+    1e-4 <= |x| < 1e17, and leaves every other value (scientific notation,
+    subnormals, infinities, NaNs) to one `%` over the block.  The whole
+    table is never stacked.
 
     A table of at least _CSV_SPLIT_VALUES formatted values, on a host with
     os.fork and two usable CPUs, is formatted in two contiguous halves at
@@ -497,49 +470,37 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
         raise ValueError(f"{path}: columns differ in length "
                          f"{sorted(lengths)}")
     n_rows = max(lengths, default=0)
-    fields = [_csv_field(c) for c in cols]
-    k = sum(rows is not None for _, rows in fields)
+    literals = [_csv_literal(c) for c in cols]
+    values = [c for c, text in zip(cols, literals) if text is None]
+    k = len(values)
+    step = _CSV_BLOCK_VALUES // max(1, len(cols))
+    row = (",".join("%.17g" if text is None else text
+                    for text in literals) + "\n").encode()
+    fixed = [None if text is None else np.frombuffer(f"{text},".encode(),
+                                                     np.uint8)
+             for text in literals]
 
-    def emit_template(fh, lo: int, hi: int) -> None:
-        row = ",".join("%.17g" if texts is None else "%s" if rows is not None
-                       else texts[0] for texts, rows in fields) + "\n"
-        values = [rows if texts is None else np.array(texts, object)[rows]
-                  for texts, rows in fields if rows is not None]
-        for i in range(lo, hi, _CSV_BLOCK_ROWS):
-            m = min(_CSV_BLOCK_ROWS, hi - i)
-            flat = [None] * (m * k)
-            for j, v in enumerate(values):
-                flat[j::k] = v[i:i + m].tolist()
-            fh.write((row * m % tuple(flat)).encode())
-
-    def emit_kernel(fh, lo: int, hi: int) -> None:
-        tables = [None if texts is None else _csv_table(texts)
-                  for texts, _ in fields]
-        step = max(1, _CSV_BLOCK_VALUES // len(cols))
+    def emit(fh, lo: int, hi: int) -> None:
         for i in range(lo, hi, step):
             m = min(step, hi - i)
-            v = np.column_stack([rows[i:i + m] for texts, rows in fields
-                                 if texts is None] or [np.empty((m, 0))])
-            slots, rest = _csv_slots(v.reshape(-1))
+            v = np.column_stack([c[i:i + m] for c in values]
+                                or [np.empty((m, 0))]).reshape(-1)
+            if n_rows < _CSV_KERNEL_ROWS:
+                fh.write(row * m % tuple(v.tolist()))
+                continue
+            slots, rest = _csv_slots(v)
             slots[:, 23] = ord(",")
-            slots = slots.reshape(m, -1, 24)
-            parts, j = [], 0
-            for (texts, rows), table in zip(fields, tables):
-                if texts is None:
-                    parts.append(slots[:, j])
-                    j += 1
-                elif rows is None:
-                    parts.append(np.broadcast_to(table, (m, table.shape[1])))
-                else:
-                    parts.append(table[rows[i:i + m]])
-            block = np.concatenate(parts, axis=1)
+            slots = iter(slots.reshape(m, -1, 24).swapaxes(0, 1))
+            block = np.concatenate(
+                [next(slots) if literal is None
+                 else np.broadcast_to(literal, (m, len(literal)))
+                 for literal in fixed], axis=1)
             block[:, -1] = ord("\n")
             text = block.tobytes().translate(None, b"\0")
             if rest.any():
-                text %= tuple(v.reshape(-1)[rest].tolist())
+                text %= tuple(v[rest].tolist())
             fh.write(text)
 
-    emit = emit_kernel if n_rows >= _CSV_KERNEL_ROWS else emit_template
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         if (n_rows * k < _CSV_SPLIT_VALUES or not hasattr(os, "fork")

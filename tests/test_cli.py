@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import functools
 import importlib.util
 import io
 import json
@@ -520,7 +521,6 @@ def old_csv_rows(columns) -> str:
                    for row in zip(*columns))
 
 
-B = cli._CSV_BLOCK_ROWS
 # nan, infinities, signed zeros, the smallest and the largest subnormal,
 # and the largest finite doubles
 EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
@@ -550,8 +550,9 @@ def assert_no_child_left():
 
 
 def long_table(n: int) -> list[np.ndarray]:
-    """Columns of the shapes write_csv formats once per distinct value,
-    beside a unique column and one whose strided samples look constant."""
+    """A unique column, a constant one, columns of a few values each (f with
+    NaN gaps, signed zeros, NaNs of other sign and payload, the two momenta
+    of a well) and a unique one whose strided samples look constant."""
     k = np.arange(n)
     unique = k / 3.0 + 0.1
     fooled = unique.copy()
@@ -565,27 +566,35 @@ def long_table(n: int) -> list[np.ndarray]:
 
 class TestWriteCsv:
     @settings(max_examples=40, deadline=None)
-    @given(n_rows=st.sampled_from([0, 1, B - 1, B, B + 1]),
+    @given(data=st.data(),
            pools=st.lists(st.one_of(
                st.lists(st.floats(), min_size=1, max_size=8),
                st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
                         max_size=8)), min_size=1, max_size=4),
            shift=st.integers(0, 16))
-    def test_bytes_match_per_row_formula(self, tmp_path_factory, n_rows,
-                                         pools, shift):
+    def test_bytes_match_per_row_formula(self, tmp_path_factory, data, pools,
+                                         shift):
         # each column cycles through its drawn values; the first also
         # walks every edge float, and each column starts at its own offset
         pools[0] = pools[0] + EDGE_FLOATS
+
+        # blocks of 64 values: a table ends just before, on or just after
+        # a block edge, or one row into its fourth block
+        step = 64 // len(pools)
+        n_rows = data.draw(st.sampled_from(
+            [0, 1, step - 1, step, step + 1, 3 * step + 1]))
         columns = [np.roll(np.resize(np.array(pool), n_rows), shift * k)
                    for k, pool in enumerate(pools)]
         header = [f"c{k}" for k in range(len(columns))]
         expected = (",".join(header) + "\n" + old_csv_rows(columns)).encode()
         tmp = tmp_path_factory.mktemp("csv")
-        # these sizes are below the kernel's row gate; the same table then
-        # goes through the numpy kernel on one CPU and, split, on two
-        cli.write_csv(tmp / "template.csv", header, columns)
-        assert (tmp / "template.csv").read_bytes() == expected
+        # these sizes are below the kernel's row gate, so the table goes
+        # through the row template, then through the numpy kernel on one
+        # CPU and, split, on two
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CSV_BLOCK_VALUES", 64)
+            cli.write_csv(tmp / "template.csv", header, columns)
+            assert (tmp / "template.csv").read_bytes() == expected
             mp.setattr(cli, "_CSV_KERNEL_ROWS", 0)
             mp.setattr(cli, "_CSV_SPLIT_VALUES", 0)
             for cpus in (1, 2):
@@ -593,12 +602,12 @@ class TestWriteCsv:
                 cli.write_csv(tmp / f"kernel{cpus}.csv", header, columns)
                 assert (tmp / f"kernel{cpus}.csv").read_bytes() == expected
 
-    @pytest.mark.parametrize("n_rows", [63, 64, 65, 3 * B + 7])
+    @pytest.mark.parametrize("n_rows", [1, 2, 63, 64, 65, 3007])
     def test_repeated_values_match_per_row_formula(self, tmp_path, n_rows):
         columns = long_table(n_rows)
-        for name, table in (("mixed", columns), ("constant", [
-                np.full(n_rows, -0.0), np.full(n_rows, 1e300),
-                np.full(n_rows, OTHER_NANS[0])])):
+        constant = [np.full(n_rows, -0.0), np.full(n_rows, 1e300),
+                    np.full(n_rows, OTHER_NANS[0])]
+        for name, table in (("mixed", columns), ("constant", constant)):
             header = [f"c{k}" for k in range(len(table))]
             path = tmp_path / f"{name}.csv"
             cli.write_csv(path, header, table)
@@ -606,17 +615,16 @@ class TestWriteCsv:
             assert path.read_bytes() == expected.encode()
         text = (tmp_path / "mixed.csv").read_text()
         assert {row.split(",")[3] for row in text.splitlines()[1:]} \
-            == {"0", "-0"}
-        # from _CSV_PROBES rows on, the repeating columns give their texts
-        # (a constant one text and no rows), sorted by bit pattern; the
-        # unique and the fooled column stay per value
-        fields = [cli._csv_field(c) for c in columns]
-        assert [texts for texts, _ in fields] == (
-            [None] * 7 if n_rows < cli._CSV_PROBES else [
-                None, ["0.10000000000000001"], ["0.5", "nan"], ["-0", "0"],
-                ["-1.5", "nan", "1.5", "nan", "nan"], ["-2.5", "2.5"], None])
-        assert [rows is None for _, rows in fields] \
-            == [n_rows >= cli._CSV_PROBES and j == 1 for j in range(7)]
+            == ({"0", "-0"} if n_rows > 1 else {"-0"})
+        # a column of one bit pattern is a literal at every length; every
+        # other column, a few-valued one too, is formatted per value
+        tenth = "0.10000000000000001"
+        assert [cli._csv_literal(c) for c in columns] == {
+            1: [tenth, tenth, "0.5", "-0", "nan", "2.5", "0.5"],
+            2: [None, tenth, "0.5", None, None, "2.5", None],
+        }.get(n_rows, [None, tenth, None, None, None, None, None])
+        assert [cli._csv_literal(c) for c in constant] \
+            == ["-0", "1.0000000000000001e+300", "nan"]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_kernel_matches_per_row_formula(self, tmp_path, monkeypatch,
@@ -696,7 +704,7 @@ class TestWriteCsv:
         assert "columns differ in length" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n_rows,short", [
-        (3 * B, 1), (3 * B, 0), (2 * (3 * B + 7) + 1, 0)],
+        (3000, 1), (3000, 0), (6015, 0)],
         ids=["below_threshold", "at_threshold", "odd_half"])
     def test_split_matches_per_row_formula(self, tmp_path, monkeypatch, forks,
                                            n_rows, short):
@@ -705,7 +713,7 @@ class TestWriteCsv:
         # mid-block.  Every column but long_table's literal 0.1 is
         # formatted, and the last one walks the edge floats.
         columns = long_table(n_rows) + [np.resize(EDGE_FLOATS, n_rows)]
-        k = sum(rows is not None for _, rows in map(cli._csv_field, columns))
+        k = sum(cli._csv_literal(c) is None for c in columns)
         monkeypatch.setattr(cli, "_CSV_SPLIT_VALUES", k * n_rows + short)
         header = [f"c{j}" for j in range(len(columns))]
         expected = ",".join(header) + "\n" + old_csv_rows(columns)
@@ -934,15 +942,24 @@ def test_schema_keywords_are_walked():
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
-workloads = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(workloads)
 
-# Bundled and benchmark-shaped configs, and the pieces mutations put in.
-BASES = [json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))]
-BASES += [cfg for name in workloads.NAMES
-          for cfg in workloads.scenarios(name, 0).values()]
-BASES += list(workloads.MINIMAL.values())
+
+@functools.cache
+def bases() -> list[dict]:
+    """Bundled and benchmark-shaped configs.  perfbench's workloads are
+    loaded on the first draw, so only the tests that draw configs need a
+    checkout with perfbench/."""
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = [json.loads(p.read_text())
+               for p in sorted(SCENARIOS.glob("*.json"))]
+    configs += [cfg for name in workloads.NAMES
+                for cfg in workloads.scenarios(name, 0).values()]
+    return configs + list(workloads.MINIMAL.values())
+
+
+# The pieces mutations put in.
 POOL = [None, True, False, 0, 1, -1, 2, 4, 63, 64, 64.0, 64.5, 1.0, -0.0, 0.0,
         0.5, 0.99, 1.5, 5e-324, 1e300, -1e300, 10_000_000, 10_000_001,
         1_000_001, 2 ** 64, "", "si", "harmonic", "sudden_jump", "bounds",
@@ -963,7 +980,7 @@ def containers(x):
 def mutated_configs(draw):
     """A bundled or benchmark config with 1-4 values swapped for pool
     values, keys or items deleted, or unknown keys or items added."""
-    box = [copy.deepcopy(draw(st.sampled_from(BASES)))]
+    box = [copy.deepcopy(draw(st.sampled_from(bases())))]
     for _ in range(draw(st.integers(1, 4))):
         node = draw(st.sampled_from(list(containers(box))))
         keys = list(node) if isinstance(node, dict) else list(range(len(node)))
