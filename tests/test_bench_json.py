@@ -48,3 +48,21 @@ def test_pairs_runs_by_seed_and_counts_wins(tmp_path):
     assert bench["unpaired"] == ["wave_solvers-seed9-trace0"]
     assert bench["seeds"] == [0, 1, 5]
     assert bench["parent"]["src_sha256"] != bench["change"]["src_sha256"]
+    assert wave["summary"]["pass_s"]["verdict"] == "within"
+    assert wave["summary"]["pass_s"]["bound"] == 0.2
+
+
+def test_compare_against_bound():
+    # medians 1.0 -> 1.1: worse beyond a 5 % bound, within a 20 % one
+    parent, change = [0.99, 1.0, 1.01], [1.09, 1.1, 1.11]
+    assert bench_json.compare(parent, change, 0.05)["verdict"] == "worse"
+    assert bench_json.compare(parent, change, 0.2)["verdict"] == "within"
+    assert bench_json.compare(parent, change, 0.2)["relative"] \
+        == (1.1 - 1.0) / 1.0
+    # a parent spread wider than the bound leaves a small move unresolved,
+    # unless every change run reads lower than every parent run
+    wide = [0.6, 1.0, 1.4]
+    assert bench_json.compare(wide, [0.9, 1.0, 1.1], 0.2)["verdict"] \
+        == "unresolved"
+    assert bench_json.compare(wide, [0.3, 0.4, 0.5], 0.2)["verdict"] \
+        == "within"

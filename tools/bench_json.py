@@ -12,9 +12,10 @@ of the change, then
 pairs the runs by workload, seed and trace flag, and writes both sides'
 identity (commit and a digest of the source tree measured), the Python,
 numpy and scipy versions, every pair's end-to-end metrics, their medians
-and quartiles with the change's win count, and the traced per-layer
-metrics.  Which side of a pair ran first is read from the order in which
-the two result files were written.
+and quartiles with the change's win count and a verdict against the
+metric's bound in BENCHMARK.json, and the traced per-layer metrics.
+Which side of a pair ran first is read from the order in which the two
+result files were written.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy
 import scipy
 
 END_TO_END = ("setup_s", "pass_s", "peak_rss_mb")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def identity(root: Path) -> dict:
@@ -80,7 +82,31 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summary(pairs: list[dict]) -> dict:
+def compare(parent: list[float], change: list[float], bound: float) -> dict:
+    """Both sides' spreads, and the change's median against the parent's as
+    a share of the parent's median, for a metric where lower is better; a
+    bound is such a share too, as perfbench/README.md compares spreads with
+    bounds.
+
+    "worse" where the change is higher by more than the bound;
+    "unresolved" where the parent's quartile distance is wider than the
+    bound, unless every change run is below every parent run; else
+    "within".
+    """
+    p, c = spread(parent), spread(change)
+    relative = (c["median"] - p["median"]) / p["median"]
+    width = (p["q3"] - p["q1"]) / p["median"]
+    if relative > bound:
+        word = "worse"
+    elif width > bound and max(change) >= min(parent):
+        word = "unresolved"
+    else:
+        word = "within"
+    return {"parent": p, "change": c, "bound": bound, "relative": relative,
+            "parent_spread": width, "verdict": word}
+
+
+def summary(pairs: list[dict], bounds: dict) -> dict:
     out = {}
     for name in END_TO_END:
         both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name])
@@ -88,15 +114,16 @@ def summary(pairs: list[dict]) -> dict:
         if not both:
             continue
         parent, change = zip(*both)
-        out[name] = {"parent": spread(list(parent)),
-                     "change": spread(list(change)),
-                     "change_lower": sum(c < p for p, c in both),
-                     "pairs": len(both)}
+        out[name] = {"change_lower": sum(c < p for p, c in both),
+                     "pairs": len(both),
+                     **compare(list(parent), list(change), bounds[name])}
     return out
 
 
 def assemble(parent_root: Path, change_root: Path) -> dict:
     parent, change = load(parent_root), load(change_root)
+    bounds = {m["name"]: m["bound"] for m
+              in json.loads(BENCHMARK.read_text())["end_to_end"]}
     workloads: dict[str, dict] = {}
     for key in sorted(parent.keys() & change.keys()):
         workload, seed, trace = key
@@ -106,7 +133,7 @@ def assemble(parent_root: Path, change_root: Path) -> dict:
             "seed": seed, "first": "parent" if p_time < c_time else "change",
             "parent": outcome(p_detail), "change": outcome(c_detail)})
     for entry in workloads.values():
-        entry["summary"] = summary(entry["pairs"])
+        entry["summary"] = summary(entry["pairs"], bounds)
     return {
         "parent": identity(parent_root),
         "change": identity(change_root),
