@@ -442,7 +442,7 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     A constant column (one float64 bit pattern, _csv_literal) is formatted
     once and written as a literal; every other column is formatted per
     value.  The table goes out in blocks of about _CSV_BLOCK_VALUES
-    formatted values.  Below _CSV_KERNEL_ROWS rows a block is one `%` on a
+    values, and of at least one row.  Below _CSV_KERNEL_ROWS rows a block is one `%` on a
     repeated row template, so the per-float loop runs in C with the same
     conversion as "%.17g" % float(x).  From there on a block is laid out as
     rows of fixed-width NUL-padded slots beside the literals and compacted
@@ -473,7 +473,7 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     literals = [_csv_literal(c) for c in cols]
     values = [c for c, text in zip(cols, literals) if text is None]
     k = len(values)
-    step = _CSV_BLOCK_VALUES // max(1, len(cols))
+    step = max(1, _CSV_BLOCK_VALUES // max(1, len(cols)))
     row = (",".join("%.17g" if text is None else text
                     for text in literals) + "\n").encode()
     fixed = [None if text is None else np.frombuffer(f"{text},".encode(),

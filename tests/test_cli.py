@@ -602,6 +602,33 @@ class TestWriteCsv:
                 cli.write_csv(tmp / f"kernel{cpus}.csv", header, columns)
                 assert (tmp / f"kernel{cpus}.csv").read_bytes() == expected
 
+    @pytest.mark.parametrize("block_values,n_cols", [(2, 5), (None, None)],
+                             ids=["patched", "wide"])
+    def test_more_columns_than_block_values(self, tmp_path, monkeypatch,
+                                            block_values, n_cols):
+        # a row wider than a block goes out one row a block: a states.csv of
+        # 1366 states has 1 + 3 * 1366 = 4099 columns, more than 2**12
+        if block_values is None:
+            n_cols = cli._CSV_BLOCK_VALUES + 3
+        else:
+            monkeypatch.setattr(cli, "_CSV_BLOCK_VALUES", block_values)
+        n_rows = 7
+        # literal and formatted columns alternate; the formatted ones walk
+        # the edge floats
+        columns = [np.full(n_rows, 0.25 * j) if j % 2 else
+                   np.roll(np.resize(EDGE_FLOATS, n_rows), j)
+                   for j in range(n_cols)]
+        header = [f"c{j}" for j in range(n_cols)]
+        expected = (",".join(header) + "\n" + old_csv_rows(columns)).encode()
+        cli.write_csv(tmp_path / "template.csv", header, columns)
+        assert (tmp_path / "template.csv").read_bytes() == expected
+        monkeypatch.setattr(cli, "_CSV_KERNEL_ROWS", 0)
+        monkeypatch.setattr(cli, "_CSV_SPLIT_VALUES", 0)
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            cli.write_csv(tmp_path / f"kernel{cpus}.csv", header, columns)
+            assert (tmp_path / f"kernel{cpus}.csv").read_bytes() == expected
+
     @pytest.mark.parametrize("n_rows", [1, 2, 63, 64, 65, 3007])
     def test_repeated_values_match_per_row_formula(self, tmp_path, n_rows):
         columns = long_table(n_rows)
