@@ -267,23 +267,17 @@ def _given(params: dict, *keys: str) -> dict:
 
 
 # Every table goes out in blocks of about _CSV_BLOCK_VALUES formatted
-# values; one of at least _CSV_KERNEL_ROWS rows is formatted by the numpy
-# kernel (_csv_slots), a shorter one by `%`.  The
-# kernel costs about 0.4 ms a table more than the `%` row template and
-# about 0.3 us a value instead of 0.5-0.8 us, so it pays from about 700
-# formatted values: 700 rows of one column, 100 of seven (medians of
-# alternating in-process runs on a 2-vCPU x86_64 host).  The gate lies
-# above the one-column crossover, so no table gets slower; piston tables
-# (at most 501 rows) and a 1001-row trajectory keep the template.  Blocks of
-# 2**12 values keep the kernel's temporaries near 1 MB; 2**13 wrote a
-# trajectory about 10% faster but raised a wave run's peak RSS by 1.6 MB.
-_CSV_KERNEL_ROWS = 1024
+# values, each formatted by the numpy kernel (_csv_slots).  Blocks of 2**12
+# values keep the kernel's temporaries near 1 MB; 2**13 wrote a trajectory
+# about 10% faster but raised a wave run's peak RSS by 1.6 MB.
 _CSV_BLOCK_VALUES = 2 ** 12
 # A table of at least _CSV_SPLIT_VALUES formatted values (rows times columns
 # that are not literals) is formatted in two halves on two CPUs.  The split
 # costs about 5-7 ms (fork, the child's start, appending its half) and
 # saves half of the kernel's time, so it pays from about 50k-65k values on
-# the same host; no wave or piston table reaches 2**16 values.
+# a 2-vCPU x86_64 host; no wave or piston table reaches 2**16 values.  It
+# assumes the second usable CPU is free: on a loaded host the two halves
+# can take longer than one CPU would.
 _CSV_SPLIT_VALUES = 2 ** 16
 
 
@@ -442,15 +436,13 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     A constant column (one float64 bit pattern, _csv_literal) is formatted
     once and written as a literal; every other column is formatted per
     value.  The table goes out in blocks of about _CSV_BLOCK_VALUES
-    values, and of at least one row.  Below _CSV_KERNEL_ROWS rows a block is one `%` on a
-    repeated row template, so the per-float loop runs in C with the same
-    conversion as "%.17g" % float(x).  From there on a block is laid out as
-    rows of fixed-width NUL-padded slots beside the literals and compacted
-    by one bytes.translate: the elementwise numpy kernel _csv_slots writes
-    the same correctly rounded 17 digits exactly for zeros and for
+    values, and of at least one row.  A block is laid out as rows of
+    fixed-width NUL-padded slots beside the literals and compacted by one
+    bytes.translate: the elementwise numpy kernel _csv_slots writes the
+    correctly rounded 17 digits of "%.17g" exactly for zeros and for
     1e-4 <= |x| < 1e17, and leaves every other value (scientific notation,
-    subnormals, infinities, NaNs) to one `%` over the block.  The whole
-    table is never stacked.
+    subnormals, infinities, NaNs) to one `%` over the block, the same
+    conversion as "%.17g" % float(x).  The whole table is never stacked.
 
     A table of at least _CSV_SPLIT_VALUES formatted values, on a host with
     os.fork and two usable CPUs, is formatted in two contiguous halves at
@@ -474,8 +466,6 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     values = [c for c, text in zip(cols, literals) if text is None]
     k = len(values)
     step = max(1, _CSV_BLOCK_VALUES // max(1, len(cols)))
-    row = (",".join("%.17g" if text is None else text
-                    for text in literals) + "\n").encode()
     fixed = [None if text is None else np.frombuffer(f"{text},".encode(),
                                                      np.uint8)
              for text in literals]
@@ -485,9 +475,6 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
             m = min(step, hi - i)
             v = np.column_stack([c[i:i + m] for c in values]
                                 or [np.empty((m, 0))]).reshape(-1)
-            if n_rows < _CSV_KERNEL_ROWS:
-                fh.write(row * m % tuple(v.tolist()))
-                continue
             slots, rest = _csv_slots(v)
             slots[:, 23] = ord(",")
             slots = iter(slots.reshape(m, -1, 24).swapaxes(0, 1))

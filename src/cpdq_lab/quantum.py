@@ -118,11 +118,10 @@ class WaveFunction:
         return WaveFunction(grid=grid, values=values / nrm, periodic=periodic)
 
     @staticmethod
-    def gaussian(grid: Grid1D, sigma: float, k: float = 0.0,
-                 x0: float = 0.0) -> "WaveFunction":
-        """Gaussian amplitude whose |psi|^2 has standard deviation sigma."""
+    def gaussian(grid: Grid1D, sigma: float, k: float = 0.0) -> "WaveFunction":
+        """Gaussian about x = 0 whose |psi|^2 has standard deviation sigma."""
         x = grid.x
-        env = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2))
+        env = np.exp(-(x ** 2) / (4.0 * sigma**2))
         return WaveFunction.normalized(grid, env * np.exp(1j * k * x))
 
     @staticmethod

@@ -588,14 +588,10 @@ class TestWriteCsv:
         header = [f"c{k}" for k in range(len(columns))]
         expected = (",".join(header) + "\n" + old_csv_rows(columns)).encode()
         tmp = tmp_path_factory.mktemp("csv")
-        # these sizes are below the kernel's row gate, so the table goes
-        # through the row template, then through the numpy kernel on one
-        # CPU and, split, on two
+        # the table goes through the numpy kernel on one CPU and, split, on
+        # two
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_CSV_BLOCK_VALUES", 64)
-            cli.write_csv(tmp / "template.csv", header, columns)
-            assert (tmp / "template.csv").read_bytes() == expected
-            mp.setattr(cli, "_CSV_KERNEL_ROWS", 0)
             mp.setattr(cli, "_CSV_SPLIT_VALUES", 0)
             for cpus in (1, 2):
                 mp.setattr(cli, "_usable_cpus", lambda: cpus)
@@ -620,9 +616,6 @@ class TestWriteCsv:
                    for j in range(n_cols)]
         header = [f"c{j}" for j in range(n_cols)]
         expected = (",".join(header) + "\n" + old_csv_rows(columns)).encode()
-        cli.write_csv(tmp_path / "template.csv", header, columns)
-        assert (tmp_path / "template.csv").read_bytes() == expected
-        monkeypatch.setattr(cli, "_CSV_KERNEL_ROWS", 0)
         monkeypatch.setattr(cli, "_CSV_SPLIT_VALUES", 0)
         for cpus in (1, 2):
             monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
@@ -659,8 +652,7 @@ class TestWriteCsv:
         # a hand list of the kernel's edges, 2**18 random bit patterns (most
         # of them outside the kernel's range) and 2**16 random doubles with
         # exponents from 2**-14 to 2**56, in four columns of about 82,000
-        # rows: long enough for the kernel, and split between two processes
-        # on two CPUs
+        # rows: split between two processes on two CPUs
         hand = [1e-4, np.nextafter(1e-4, 0.0), 0.0, -0.0, math.inf,
                 -math.inf, math.nan, *OTHER_NANS, *EDGE_FLOATS]
         for j in range(-6, 19):
@@ -687,7 +679,6 @@ class TestWriteCsv:
         values = np.concatenate([hand, bits.view(float), fixed.view(float)])
         values = np.resize(values, len(values) + -len(values) % 4)
         columns = list(values.reshape(-1, 4).T)
-        assert len(columns[0]) >= cli._CSV_KERNEL_ROWS
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         header = ["a", "b", "c", "d"]
         cli.write_csv(tmp_path / "t.csv", header, columns)
@@ -703,7 +694,7 @@ class TestWriteCsv:
             "from cpdq_lab import cli\n"
             "cli._usable_cpus = lambda: 1\n"
             "before = set(sys.modules)\n"
-            "n = 2 * cli._CSV_KERNEL_ROWS\n"
+            "n = 2048\n"
             "cols = [np.linspace(-3, 3, n), np.full(n, 0.5),\n"
             "        np.geomspace(1e-9, 1e20, n), np.zeros(n)]\n"
             "cli.write_csv(sys.argv[1], list('abcd'), cols)\n"
@@ -715,6 +706,42 @@ class TestWriteCsv:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_short_tables_go_through_the_kernel(self, tmp_path, monkeypatch):
+        # the kernel formats every table, however short: a sudden-jump
+        # piston run's 10-row events.csv and 3-row cycles.csv, a 1-row
+        # table and a 7-row table of literal and edge-float columns
+        tables = {}
+        write_csv = cli.write_csv
+
+        def recording(path, header, columns):
+            tables[Path(path).name] = header, columns
+            write_csv(path, header, columns)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "write_csv", recording)
+            assert run("piston_sudden_jump.json", tmp_path / "out") \
+                == cli.EXIT_OK
+        assert [len(tables[name][1][0]) for name in ("events.csv",
+                                                     "cycles.csv")] == [10, 3]
+        tables["one_row.csv"] = ["a", "b"], [np.array([0.5]),
+                                             np.array([-1e-7])]
+        tables["mixed.csv"] = ["a", "b", "c"], [
+            np.roll(np.resize(EDGE_FLOATS, 7), 2), np.full(7, 0.25),
+            np.linspace(-3.0, 3.0, 7)]
+        formatted = []
+        slots = cli._csv_slots
+
+        def counting(v):
+            formatted.append(len(v))
+            return slots(v)
+        monkeypatch.setattr(cli, "_csv_slots", counting)
+        for name, (header, columns) in tables.items():
+            formatted.clear()
+            cli.write_csv(tmp_path / name, header, columns)
+            k = sum(cli._csv_literal(c) is None for c in columns)
+            assert formatted and sum(formatted) == k * len(columns[0]), name
+            assert (tmp_path / name).read_bytes() == (
+                ",".join(header) + "\n" + old_csv_rows(columns)).encode()
 
     def test_ragged_columns_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
