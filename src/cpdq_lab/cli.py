@@ -301,33 +301,68 @@ def _split26(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
-# The exact doubles 10**s for 0 <= s <= 20, split for Dekker's product, and
-# the ASCII digits of 0000..9999 as one uint32 each.
-_POW10 = np.array([float(10 ** s) for s in range(21)])
+def _pow10(s: int) -> tuple[float, float]:
+    """10**s as a double-double h + l: h the double nearest 10**s, l the
+    double nearest 10**s - h (int / int is correctly rounded)."""
+    num, den = 10 ** max(s, 0), 10 ** max(-s, 0)
+    h = num / den
+    hn, hd = h.as_integer_ratio()
+    return h, (num * hd - hn * den) / (den * hd)
+
+
+# 10**s for -84 <= s <= 116 (at index s + 84 = 100 - k for s = 16 - k) as
+# a double-double, its head split for Dekker's product; the tail is 0
+# where 10**s is a double, 0 <= s <= 22.  The ASCII digits of 0000..9999
+# as one uint32 each, and the exponent texts e-99..e+99.
+_POW10, _POW10_TAIL = np.array([_pow10(s) for s in range(-84, 117)]).T
 _POW10_HI, _POW10_LO = _split26(_POW10)
 _DIGIT_QUADS = np.frombuffer(
     (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).tobytes(),
     np.uint32)
+_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % k for k in range(-99, 100)),
+                           np.uint8).reshape(-1, 4)
 # _CSV_KEEP[n] keeps the first n bytes of a 24-byte slot
 _CSV_KEEP = np.where(np.arange(24) < np.arange(25)[:, None], 0xFF,
                      0).astype(np.uint8).view(np.uint64)
+# where 10**s is not a double, x * 10**s carries a rounding error below
+# 1e-14; a value within _NEAR_HALF of a half is left to `%`
+_NEAR_HALF = 1e-6
+# the k at which the groups of _csv_slots start: fixed notation for
+# -4 <= k <= 16, and 100 marks the values left to `%`
+_CSV_GROUPS = np.array([*range(-4, 18), 100], np.int8)
 
 
-def _rounded17(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """x * 10**(16 - k) rounded half-to-even to an integer, for 0 < x and
-    0 <= 16 - k <= 20.
+def _rounded17(x: np.ndarray, k: np.ndarray, exact: bool) -> np.ndarray:
+    """x * 10**(16 - k) rounded half-to-even to an integer D, for 0 < x and
+    |k| <= 100, or 0 where D cannot be told safely.
 
-    Dekker's two-product gives p = fl(x * 10**s) and its error e exactly,
-    p + e == x * 10**s.  Where p >= 2**53 it is an even integer, so p plus
-    e rounded half-to-even is x * 10**s rounded so."""
-    s = (16 - k).astype(np.intp)
-    p = x * _POW10.take(s)
+    Dekker's two-product gives p = fl(x * h) and its error e exactly,
+    p + e == x * h, for the double h nearest 10**s, s = 16 - k.  Where
+    p >= 2**53 it is an even integer, so p plus e rounded half-to-even is
+    x * h rounded so.  `exact` says that -5 <= k <= 16: there h == 10**s,
+    and no double lies within 5e-17 of 10**k below it, so a D of 10**16
+    means x >= 10**k.  Otherwise x times the tail 10**s - h is added to e,
+    which then carries a rounding error below 1e-14.  D is 0 where e lies
+    within _NEAR_HALF of a half and the tail is not 0 (an exact tie needs
+    no tail: x * 10**s == m + 1/2 would make 5**s divide a power of two),
+    and where D is 10**16 but x < 10**k, whose exponent is k - 1.
+    """
+    i = 100 - k.astype(np.intp)
+    p = x * _POW10.take(i)
     xh, xl = _split26(x)
-    e = xh * _POW10_HI.take(s) - p
-    e += xh * _POW10_LO.take(s)
-    e += xl * _POW10_HI.take(s)
-    e += xl * _POW10_LO.take(s)
-    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+    e = xh * _POW10_HI.take(i) - p
+    e += xh * _POW10_LO.take(i)
+    e += xl * _POW10_HI.take(i)
+    e += xl * _POW10_LO.take(i)
+    if exact:
+        return p.astype(np.int64) + np.rint(e).astype(np.int64)
+    tail = _POW10_TAIL.take(i)
+    e += x * tail
+    r = np.rint(e)
+    d = p.astype(np.int64) + r.astype(np.int64)
+    d[((np.abs(e - r) >= 0.5 - _NEAR_HALF) & (tail != 0))
+      | ((d == 10 ** 16) & (p - 1e16 + e < 0))] = 0
+    return d
 
 
 def _digits17(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -350,45 +385,64 @@ def _csv_slots(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     free for a separator, and the mask of the values left to `%`, whose
     slots hold "%.17g" itself.
 
-    Zeros, and the x with 1e-4 <= |x| < 1e17 (where %.17g prints fixed
-    notation), are written here.  k = floor(log10 |x|) gives the scale
-    10**(16 - k) that puts |x| * 10**(16 - k) in [1e16, 1e17); rounded
-    half-to-even (_rounded17) it is the 17-digit integer D that "%.17g"
-    prints, with the point after digit k and trailing fraction zeros
-    dropped.  Every value in scientific notation, subnormal, infinite or
-    NaN is left to `%`.
+    Zeros, and the x with 1e-99 <= |x| < 1e100, are written here.
+    k = floor(log10 |x|) gives the scale 10**(16 - k) that puts
+    |x| * 10**(16 - k) in [1e16, 1e17); rounded half-to-even (_rounded17)
+    it is the 17-digit integer D that "%.17g" prints.  For -4 <= k <= 16
+    the text is fixed notation, with the point after digit k; otherwise it
+    is d.dddddddddddddddde±XX.  Trailing fraction zeros, and then a bare
+    point, are dropped.  NaNs, infinities, subnormals, three-digit
+    exponents and the rare value that _rounded17 cannot tell are left to
+    `%`.
     """
     out = np.zeros((len(v), 24), np.uint8)
     a = np.abs(v)
     with np.errstate(invalid="ignore"):
-        idx = ((a >= 1e-4) & (a < 1e17)).nonzero()[0]
+        idx = ((a >= 1e-99) & (a < 1e100)).nonzero()[0]
     x = a[idx]
-    k = np.floor(np.log10(x)).astype(np.int8)
-    np.maximum(k, -4, out=k)
-    np.minimum(k, 16, out=k)
-    d = _rounded17(x, k)
+    k = np.floor(np.log10(x))
+    np.maximum(k, -99, out=k)
+    np.minimum(k, 99, out=k)
+    k = k.astype(np.int8)
+    # sorted by k, a block tells from its first and last k whether it is
+    # exact for _rounded17
+    order = np.argsort(k, kind="stable")
+    idx, x, k = idx[order], x[order], k[order]
+    d = _rounded17(x, k, not len(k) or (k[0] >= -5 and k[-1] <= 16))
     # log10 can miss k by one next to a power of ten, and rounding can carry
     # D to 10**17: k then moves by one and D is rounded again; a D still
-    # outside [1e16, 1e17) is left to `%`
+    # outside [1e16, 1e17), or a k outside [-99, 99], is left to `%`, and
+    # the block is sorted again
     moved = ((d < 10 ** 16) | (d >= 10 ** 17)).nonzero()[0]
     if moved.size:
         k[moved] += np.where(d[moved] < 10 ** 16, -1, 1).astype(np.int8)
-        inside = moved[(k[moved] >= -4) & (k[moved] <= 16)]
-        d[inside] = _rounded17(x[inside], k[inside])
-        k[moved[(d[moved] < 10 ** 16) | (d[moved] >= 10 ** 17)]] = 17
-    # group the values by k; group j is [bounds[j + 4], bounds[j + 5])
-    order = np.argsort(k, kind="stable")
-    k = k[order]
-    bounds = np.searchsorted(k, np.arange(-4, 18))
-    order, k = order[:bounds[21]], k[:bounds[21]]
-    lead, tail = _digits17(d[order])
+        d[moved] = _rounded17(x[moved], k[moved], False)
+        k[moved[(d[moved] < 10 ** 16) | (d[moved] >= 10 ** 17)
+                | (np.abs(k[moved]) > 99)]] = 100
+        order = np.argsort(k, kind="stable")
+        idx, d, k = idx[order], d[order], k[order]
+    # fixed-notation group j is [bounds[j + 4], bounds[j + 5]); scientific
+    # notation is [0, bounds[0]) and [bounds[21], bounds[22]), laid out and
+    # cut as k = 0, with its exponent written after the cut
+    bounds = np.searchsorted(k, _CSV_GROUPS).tolist()
+    idx, d, k = idx[:bounds[22]], d[:bounds[22]], k[:bounds[22]]
+    scientific = [(lo, hi, _EXPONENTS.take(k[lo:hi].astype(np.intp) + 99,
+                                           axis=0))
+                  for lo, hi in ((0, bounds[0]), (bounds[21], bounds[22]))
+                  if lo < hi]
+    groups = [*zip(bounds[:21], bounds[1:22], range(-4, 17))]
+    for lo, hi, _ in scientific:
+        k[lo:hi] = 0
+        groups.append((lo, hi, 0))
+    lead, tail = _digits17(d)
     # byte 0 of a slot is left for the sign; the text starts at byte 1: for
     # k >= 0 the k + 1 integer digits, the point and the 16 - k fraction
     # digits; for k < 0 "0.", -k - 1 zeros and the 17 digits
-    s = np.zeros((len(order), 24), np.uint8)
-    for j in (bounds[1:22] > bounds[:21]).nonzero()[0] - 4:
-        rows = slice(bounds[j + 4], bounds[j + 5])
-        t, first, digits = s[rows], lead[rows], tail[rows]
+    s = np.zeros((len(d), 24), np.uint8)
+    for lo, hi, j in groups:
+        if lo == hi:
+            continue
+        t, first, digits = s[lo:hi], lead[lo:hi], tail[lo:hi]
         if j >= 0:
             t[:, 1] = first
             t[:, 2:j + 2] = digits[:, :j]
@@ -412,7 +466,8 @@ def _csv_slots(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     end = 19 - np.minimum(k, 0) - cut - (cut == 16 - k)
     words = s.view(np.uint64)
     words &= _CSV_KEEP.take(end, axis=0)
-    idx = idx[order]
+    for lo, hi, exponent in scientific:
+        s[lo:hi, 19:23] = exponent
     out.view("V24")[idx, 0] = s.view("V24")[:, 0]
     zero = v == 0
     out[zero, 1] = ord("0")
@@ -440,9 +495,12 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     fixed-width NUL-padded slots beside the literals and compacted by one
     bytes.translate: the elementwise numpy kernel _csv_slots writes the
     correctly rounded 17 digits of "%.17g" exactly for zeros and for
-    1e-4 <= |x| < 1e17, and leaves every other value (scientific notation,
-    subnormals, infinities, NaNs) to one `%` over the block, the same
-    conversion as "%.17g" % float(x).  The whole table is never stacked.
+    1e-99 <= |x| < 1e100, in fixed or scientific notation, and leaves the
+    other values (subnormals, three-digit exponents, infinities, NaNs and
+    the rare value next to a rounding tie) to one `%` over the block, the
+    same conversion as "%.17g" % float(x).  The whole table is never
+    stacked.  A header whose length is not the number of columns, or
+    columns of unequal length, raise ValueError naming `path`.
 
     A table of at least _CSV_SPLIT_VALUES formatted values, on a host with
     os.fork and two usable CPUs, is formatted in two contiguous halves at
@@ -457,6 +515,9 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     the split.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
+    if len(header) != len(cols):
+        raise ValueError(f"{path}: {len(header)} header names for "
+                         f"{len(cols)} columns")
     lengths = {len(c) for c in cols}
     if len(lengths) > 1:
         raise ValueError(f"{path}: columns differ in length "

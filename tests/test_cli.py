@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import fractions
 import functools
 import importlib.util
 import io
@@ -549,6 +550,37 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def random_doubles(rng, lo: int, hi: int, n: int) -> np.ndarray:
+    """n random doubles with binary exponents from lo to hi - 1."""
+    bits = (rng.integers(0, 2 ** 64, size=n, dtype=np.uint64)
+            & ~np.uint64(0x7FF << 52)) | (rng.integers(
+                1023 + lo, 1023 + hi, size=n, dtype=np.uint64) << 52)
+    return bits.view(float)
+
+
+def scientific_table() -> list[np.ndarray]:
+    """Four columns of values that "%.17g" prints in scientific notation:
+    10**j and its neighbours for -101 <= j <= -4 and 16 <= j <= 100, the
+    edges of two-digit exponents, decimals whose 18th significant digit is
+    5, and 2**16 random doubles between 2**-333 and 2**-13 and between
+    2**56 and 2**333, each also negated."""
+    hand = []
+    for j in [*range(-101, -3), *range(16, 101)]:
+        ten = float(f"1e{j}")
+        hand += [ten, np.nextafter(ten, 0.0), np.nextafter(ten, math.inf)]
+    # the double below 1e-99 prints e-100
+    hand += [1e-99, np.nextafter(1e-99, 0.0), 1e-100]
+    rng = np.random.default_rng(24)
+    hand += [float(f"{lead}.{digits:016d}5e{k}") for lead, digits, k in zip(
+        rng.integers(1, 10, 2000), rng.integers(0, 10 ** 16, 2000),
+        rng.integers(-99, 100, 2000))]
+    values = np.concatenate([hand, random_doubles(rng, -333, -13, 2 ** 15),
+                             random_doubles(rng, 56, 333, 2 ** 15)])
+    values = np.concatenate([values, -values])
+    values = np.resize(values, len(values) + -len(values) % 4)
+    return list(values.reshape(-1, 4).T)
+
+
 def long_table(n: int) -> list[np.ndarray]:
     """A unique column, a constant one, columns of a few values each (f with
     NaN gaps, signed zeros, NaNs of other sign and payload, the two momenta
@@ -685,6 +717,108 @@ class TestWriteCsv:
         expected = ",".join(header) + "\n" + old_csv_rows(columns)
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_scientific_notation_matches_per_row_formula(
+            self, tmp_path, monkeypatch, forks, cpus):
+        # the kernel writes every value whose exponent has two digits and
+        # leaves only three-digit exponents to `%`; on two CPUs the table
+        # is split
+        columns = scientific_table()
+        left = []
+        slots = cli._csv_slots
+
+        def leaving(v):
+            out, rest = slots(v)
+            left.extend(v[rest].tolist())
+            return out, rest
+        monkeypatch.setattr(cli, "_csv_slots", leaving)
+        monkeypatch.setattr(cli, "_CSV_SPLIT_VALUES", 0)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        header = ["a", "b", "c", "d"]
+        cli.write_csv(tmp_path / "t.csv", header, columns)
+        expected = ",".join(header) + "\n" + old_csv_rows(columns)
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+        assert len(forks) == (cpus == 2)
+        assert_no_child_left()
+        # this process formats the rows of the first half, where split; of
+        # those, `%` gets every three-digit exponent and a few powers of ten
+        # whose D of 10**16 _rounded17 cannot tell
+        rows = len(columns[0]) // cpus
+        three_digits = [x for c in columns for x in c[:rows]
+                        if len(("%.16e" % x).split("e")[1]) == 4]
+        two_digits = [x for x in left if len(("%.16e" % x).split("e")[1]) < 4]
+        assert len(left) == len(three_digits) + len(two_digits)
+        assert len(two_digits) <= 20
+        assert {abs(x) for x in two_digits} <= {float(f"1e{j}")
+                                                for j in range(-99, 100)}
+        # a block whose exponents all lie in [-6, 16]: 1e-6 is the double
+        # just below 10**-6 and prints 9.9999999999999995e-07
+        edges = [x for j in range(-6, 17) for x in (
+            float(f"1e{j}"), np.nextafter(float(f"1e{j}"), 0.0))]
+        cli.write_csv(tmp_path / "edges.csv", ["a"], [np.array(edges)])
+        assert (tmp_path / "edges.csv").read_bytes() \
+            == ("a\n" + old_csv_rows([edges])).encode()
+        assert "9.9999999999999995e-07\n" in old_csv_rows([edges])
+
+    def test_near_ties_fall_back_to_percent(self, tmp_path, monkeypatch):
+        # the head and tail of 10**s are the double nearest 10**s and the
+        # double nearest the rest; the tail is 0 just where 10**s is a
+        # double
+        for s in range(-84, 117):
+            exact = fractions.Fraction(10) ** s
+            head, tail = cli._POW10[s + 84], cli._POW10_TAIL[s + 84]
+            assert head == float(exact)
+            assert tail == float(exact - fractions.Fraction(head))
+            assert (tail == 0) == (0 <= s <= 22)
+        # with every value near a half where 10**s has a tail, `%` formats
+        # all of them, and the bytes stay the same
+        monkeypatch.setattr(cli, "_NEAR_HALF", 0.5)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        columns = scientific_table()
+        left = []
+        slots = cli._csv_slots
+
+        def leaving(v):
+            out, rest = slots(v)
+            left.append((v, rest))
+            return out, rest
+        monkeypatch.setattr(cli, "_csv_slots", leaving)
+        header = ["a", "b", "c", "d"]
+        cli.write_csv(tmp_path / "t.csv", header, columns)
+        expected = ",".join(header) + "\n" + old_csv_rows(columns)
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+        v = np.concatenate([v for v, _ in left])
+        rest = np.concatenate([rest for _, rest in left])
+        exponents = np.array([int(("%.16e" % x).split("e")[1]) for x in v])
+        assert (rest == ((exponents < -6) | (exponents > 16))).all()
+
+    @pytest.mark.parametrize("name,table", [
+        ("tise_harmonic.json", "states.csv"),
+        ("piston_slow_doubling.json", "cycles.csv"),
+        ("variational_harmonic.json", "ground_state.csv")])
+    def test_kernel_formats_every_bundled_value(self, tmp_path, monkeypatch,
+                                                name, table):
+        # a wave function's tails and a slow piston's cycle times print in
+        # scientific notation; none of them is left to `%`
+        left = {}
+        write_csv, slots = cli.write_csv, cli._csv_slots
+
+        def recording(path, header, columns):
+            left[Path(path).name] = []
+            write_csv(path, header, columns)
+
+        def leaving(v):
+            out, rest = slots(v)
+            left[list(left)[-1]].append(int(rest.sum()))
+            return out, rest
+        monkeypatch.setattr(cli, "write_csv", recording)
+        monkeypatch.setattr(cli, "_csv_slots", leaving)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        out = tmp_path / "out"
+        assert run(name, out) == cli.EXIT_OK
+        assert "e-" in (out / table).read_text()
+        assert left[table] and not any(left[table])
+
     def test_kernel_imports_nothing(self, tmp_path):
         # a forked child must not import (write_csv's docstring): in a fresh
         # interpreter the kernel's first table leaves sys.modules as it was
@@ -747,6 +881,13 @@ class TestWriteCsv:
         path = tmp_path / "ragged.csv"
         with pytest.raises(ValueError, match="ragged.csv"):
             cli.write_csv(path, ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+    @pytest.mark.parametrize("header", [["a"], ["a", "b", "c"]])
+    def test_header_length_rejected(self, tmp_path, header):
+        path = tmp_path / "short.csv"
+        with pytest.raises(ValueError, match="short.csv"):
+            cli.write_csv(path, header, [np.zeros(3), np.zeros(3)])
+        assert not path.exists()
 
     def test_ragged_artifact_exits_1(self, tmp_path, monkeypatch, capsys):
         def ragged(params, consts):
