@@ -705,10 +705,8 @@ class TestWriteCsv:
         hand += [-x for x in hand]
         rng = np.random.default_rng(21)
         bits = rng.integers(0, 2 ** 64, size=2 ** 18, dtype=np.uint64)
-        fixed = (rng.integers(0, 2 ** 64, size=2 ** 16, dtype=np.uint64)
-                 & ~np.uint64(0x7FF << 52)) | (rng.integers(
-                     1023 - 14, 1023 + 57, size=2 ** 16, dtype=np.uint64) << 52)
-        values = np.concatenate([hand, bits.view(float), fixed.view(float)])
+        fixed = random_doubles(rng, -14, 57, 2 ** 16)
+        values = np.concatenate([hand, bits.view(float), fixed])
         values = np.resize(values, len(values) + -len(values) % 4)
         columns = list(values.reshape(-1, 4).T)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
