@@ -267,10 +267,15 @@ def _given(params: dict, *keys: str) -> dict:
 
 
 # Every table goes out in blocks of about _CSV_BLOCK_VALUES formatted
-# values, each formatted by the numpy kernel (_csv_slots).  Blocks of 2**12
-# values keep the kernel's temporaries near 1 MB; 2**13 wrote a trajectory
-# about 10% faster but raised a wave run's peak RSS by 1.6 MB.
-_CSV_BLOCK_VALUES = 2 ** 12
+# values, each formatted by the numpy kernel (_csv_slots), whose fixed cost
+# is about 90 us a call.  At 2**13 rather than 2**12 a trajectory's three
+# 62,833-row series tables take 186 calls instead of 369; on one CPU of a
+# 2-vCPU x86_64 host they were written in 0.35 s instead of 0.43 s.  A
+# block's arrays peak near 1 MB (tracemalloc, 8-column series), no more
+# than 2**12 took while the kernel kept its inputs, and the previous block,
+# to its end.  Peak RSS of a process that runs a workload's scenarios three
+# times: trajectory -0.5 MB, wave +0.0 to +0.3 MB, piston unchanged.
+_CSV_BLOCK_VALUES = 2 ** 13
 # A table of at least _CSV_SPLIT_VALUES formatted values (rows times columns
 # that are not literals) is formatted in two halves on two CPUs.  The split
 # costs about 5-7 ms (fork, the child's start, appending its half) and
@@ -374,8 +379,8 @@ def _digits17(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y[:, 0] -= lead * 10 ** 8
     # each 8-digit half as two 4-digit quarters, in reading order
     q = y // 10 ** 4
-    quads = _DIGIT_QUADS.take(np.stack([q, y - q * 10 ** 4], axis=-1)
-                              .reshape(-1, 4))
+    quads = _DIGIT_QUADS.take(np.stack([q, y - q * 10 ** 4], axis=-1,
+                                       dtype=np.intp).reshape(-1, 4))
     lead = (lead + ord("0")).astype(np.uint8)
     return lead, quads.view(np.uint8).reshape(-1, 16)
 
@@ -395,11 +400,10 @@ def _csv_slots(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exponents and the rare value that _rounded17 cannot tell are left to
     `%`.
     """
-    out = np.zeros((len(v), 24), np.uint8)
-    a = np.abs(v)
+    x = np.abs(v)
     with np.errstate(invalid="ignore"):
-        idx = ((a >= 1e-99) & (a < 1e100)).nonzero()[0]
-    x = a[idx]
+        idx = ((x >= 1e-99) & (x < 1e100)).nonzero()[0]
+    x = x[idx]
     k = np.floor(np.log10(x))
     np.maximum(k, -99, out=k)
     np.minimum(k, 99, out=k)
@@ -435,10 +439,13 @@ def _csv_slots(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k[lo:hi] = 0
         groups.append((lo, hi, 0))
     lead, tail = _digits17(d)
+    # the block's peak memory comes in the layout below; what it no longer
+    # needs goes first
+    del order, x, d
     # byte 0 of a slot is left for the sign; the text starts at byte 1: for
     # k >= 0 the k + 1 integer digits, the point and the 16 - k fraction
     # digits; for k < 0 "0.", -k - 1 zeros and the 17 digits
-    s = np.zeros((len(d), 24), np.uint8)
+    s = np.zeros((len(lead), 24), np.uint8)
     for lo, hi, j in groups:
         if lo == hi:
             continue
@@ -468,6 +475,7 @@ def _csv_slots(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     words &= _CSV_KEEP.take(end, axis=0)
     for lo, hi, exponent in scientific:
         s[lo:hi, 19:23] = exponent
+    out = np.zeros((len(v), 24), np.uint8)
     out.view("V24")[idx, 0] = s.view("V24")[:, 0]
     zero = v == 0
     out[zero, 1] = ord("0")
@@ -531,23 +539,27 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
                                                      np.uint8)
              for text in literals]
 
+    def rows(i: int, m: int) -> bytes:
+        # rows i..i + m - 1; a function, so that one block's arrays are
+        # freed before the next block is formatted
+        v = np.column_stack([c[i:i + m] for c in values]
+                            or [np.empty((m, 0))]).reshape(-1)
+        slots, rest = _csv_slots(v)
+        slots[:, 23] = ord(",")
+        slots = iter(slots.reshape(m, -1, 24).swapaxes(0, 1))
+        block = np.concatenate(
+            [next(slots) if literal is None
+             else np.broadcast_to(literal, (m, len(literal)))
+             for literal in fixed], axis=1)
+        block[:, -1] = ord("\n")
+        text = block.tobytes().translate(None, b"\0")
+        if rest.any():
+            text %= tuple(v[rest].tolist())
+        return text
+
     def emit(fh, lo: int, hi: int) -> None:
         for i in range(lo, hi, step):
-            m = min(step, hi - i)
-            v = np.column_stack([c[i:i + m] for c in values]
-                                or [np.empty((m, 0))]).reshape(-1)
-            slots, rest = _csv_slots(v)
-            slots[:, 23] = ord(",")
-            slots = iter(slots.reshape(m, -1, 24).swapaxes(0, 1))
-            block = np.concatenate(
-                [next(slots) if literal is None
-                 else np.broadcast_to(literal, (m, len(literal)))
-                 for literal in fixed], axis=1)
-            block[:, -1] = ord("\n")
-            text = block.tobytes().translate(None, b"\0")
-            if rest.any():
-                text %= tuple(v[rest].tolist())
-            fh.write(text)
+            fh.write(rows(i, min(step, hi - i)))
 
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())

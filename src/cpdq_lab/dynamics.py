@@ -119,23 +119,33 @@ def _infinite_well(width: float, q0: float, p0: float, t: np.ndarray,
 
 def _soft_well(pot: Potential, q0: float, p0: float, n: int, dt: float,
                m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Leapfrog in V = v0 tanh^2(q/a), one Python step at a time."""
-    v0, a = pot.v0, pot.a
+    """Leapfrog in V = v0 tanh^2(q/a), one Python step at a time.
 
-    def force(x: float) -> float:
-        return -2.0 * v0 * math.tanh(x / a) / (a * math.cosh(x / a) ** 2)
-
+    The force -V'(q) = c tanh(y) / (a cosh(y)^2), y = q/a, c = -2 v0, is
+    written inline and each step is stored through a memoryview of the
+    output arrays: no call and no numpy item assignment per step.  The
+    float operations and their order are those of the textbook step
+    (p += dt/2 F, q += dt p/m, p += dt/2 F), so the samples do not depend
+    on how the loop is written.  A cosh(q/a) past the double range raises
+    OverflowError.
+    """
+    a, c, h = pot.a, -2.0 * pot.v0, 0.5 * dt
+    tanh, cosh = math.tanh, math.cosh
     q = np.empty(n + 1)
     p = np.empty(n + 1)
     q[0], p[0] = q0, p0
+    qv, pv = memoryview(q), memoryview(p)
     qi, pi = q0, p0
-    fi = force(qi)
-    for i in range(n):
-        ph = pi + 0.5 * dt * fi
+    y = qi / a
+    fi = c * tanh(y) / (a * cosh(y) ** 2)
+    for i in range(1, n + 1):
+        ph = pi + h * fi
         qi = qi + dt * ph / m
-        fi = force(qi)
-        pi = ph + 0.5 * dt * fi
-        q[i + 1], p[i + 1] = qi, pi
+        y = qi / a
+        fi = c * tanh(y) / (a * cosh(y) ** 2)
+        pi = ph + h * fi
+        qv[i] = qi
+        pv[i] = pi
     return q, p
 
 

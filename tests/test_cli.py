@@ -635,7 +635,7 @@ class TestWriteCsv:
     def test_more_columns_than_block_values(self, tmp_path, monkeypatch,
                                             block_values, n_cols):
         # a row wider than a block goes out one row a block: a states.csv of
-        # 1366 states has 1 + 3 * 1366 = 4099 columns, more than 2**12
+        # 2731 states has 1 + 3 * 2731 = 8194 columns, more than 2**13
         if block_values is None:
             n_cols = cli._CSV_BLOCK_VALUES + 3
         else:
@@ -1378,6 +1378,17 @@ def test_wkb_potential_overflow_is_one_exit_1_line(tmp_path, potential, error):
         "grid": {"x_min": -4, "x_max": 4, "n": 100}}})
     assert len(lines) == 1 and error in lines[0], lines
 
+
+
+@pytest.mark.parametrize("q0,p0", [(0.9, 0.0), (0.0, 1.0)],
+                         ids=["at_start", "mid_run"])
+def test_soft_well_cosh_overflow_is_one_exit_1_line(tmp_path, q0, p0):
+    """A soft well so narrow that cosh(q/a) passes the double range, at q0
+    or after some steps, ends the run as one computation-error line."""
+    lines = fresh_run_stderr(tmp_path, {"kind": "trajectory", "params": {
+        "potential": {"kind": "soft_well", "v0": 1, "a": 1e-3},
+        "q0": q0, "p0": p0, "dt": 0.01, "n_steps": 1000}})
+    assert len(lines) == 1 and "OverflowError" in lines[0], lines
 
 # A dot product of 20,000 terms, summed by quantum._dot, as hex.
 DOT_PROBE = """

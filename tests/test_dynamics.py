@@ -163,6 +163,46 @@ def test_symplectic_bound_100_periods(consts):
     assert np.max(np.abs(traj.energy_e - e0)) <= dt**2 * e0
 
 
+def soft_well_reference(v0, a, q0, p0, dt, n, m):
+    """The soft-well leapfrog written plainly: a force closure and numpy
+    item stores, one step at a time."""
+    def force(x):
+        return -2.0 * v0 * math.tanh(x / a) / (a * math.cosh(x / a) ** 2)
+
+    q = np.empty(n + 1)
+    p = np.empty(n + 1)
+    q[0], p[0] = q0, p0
+    qi, pi = q0, p0
+    fi = force(qi)
+    for i in range(n):
+        ph = pi + 0.5 * dt * fi
+        qi = qi + dt * ph / m
+        fi = force(qi)
+        pi = ph + 0.5 * dt * fi
+        q[i + 1], p[i + 1] = qi, pi
+    return q, p
+
+
+@pytest.mark.parametrize("v0,a,q0,p0,dt,n,mass", [
+    (2.0, 0.7, 0.3, 0.4, 1e-3, 5000, 1.0),
+    # oscillates across q = 0 many times
+    (1.0, 0.5, -0.2, 1.1, 1e-2, 4000, 1.0),
+    # unbound: leaves the well and drifts out to |q|/a of about 130
+    (0.5, 0.05, 0.01, 3.0, 1e-2, 500, 2.0),
+    # starts on the plateau at |q|/a = 250, where cosh(q/a)**2 is about 3e216
+    (3.0, 0.1, -25.0, 0.0, 0.05, 200, 1.0),
+    # integer inputs, as a JSON config gives them
+    (1, 2, 1, -1, 0.25, 64, 3),
+], ids=["bound", "crosses_zero", "escapes", "plateau", "integers"])
+def test_soft_well_matches_plain_leapfrog(v0, a, q0, p0, dt, n, mass):
+    """The stepped soft well writes the same bits as the plain leapfrog."""
+    traj = integrate_hamilton(Potential("soft_well", v0=v0, a=a), q0, p0,
+                              IntegratorConfig(dt=dt, n_steps=n),
+                              dataclasses.replace(natural_units(), mass=mass))
+    q, p = soft_well_reference(v0, a, q0, p0, dt, n, mass)
+    assert np.array_equal(traj.q, q) and np.array_equal(traj.p, p)
+
+
 @given(q0=st.floats(-2, 2), p0=st.floats(-2, 2),
        pot=st.sampled_from([Potential("harmonic"), Potential("linear", f0=0.5),
                             Potential("soft_well", v0=2.0, a=0.7),
