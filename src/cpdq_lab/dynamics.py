@@ -123,11 +123,12 @@ def _soft_well(pot: Potential, q0: float, p0: float, n: int, dt: float,
 
     The force -V'(q) = c tanh(y) / (a cosh(y)^2), y = q/a, c = -2 v0, is
     written inline and each step is stored through a memoryview of the
-    output arrays: no call and no numpy item assignment per step.  The
-    float operations and their order are those of the textbook step
-    (p += dt/2 F, q += dt p/m, p += dt/2 F), so the samples do not depend
-    on how the loop is written.  A cosh(q/a) past the double range raises
-    OverflowError.
+    output arrays: no call and no numpy item assignment per step.  Every
+    float operation, in its order, is that of the plain step
+    p_h = p + (dt/2) F(q), q' = q + dt p_h / m, p' = p_h + (dt/2) F(q'), so
+    q and p are the bits a loop calling a force function would store
+    (tests/test_dynamics.py holds such a loop).  A cosh(q/a)**2 past the
+    double range raises OverflowError.
     """
     a, c, h = pot.a, -2.0 * pot.v0, 0.5 * dt
     tanh, cosh = math.tanh, math.cosh

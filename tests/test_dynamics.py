@@ -184,15 +184,15 @@ def soft_well_reference(v0, a, q0, p0, dt, n, m):
 
 
 @pytest.mark.parametrize("v0,a,q0,p0,dt,n,mass", [
-    (2.0, 0.7, 0.3, 0.4, 1e-3, 5000, 1.0),
+    (1.9, 0.7, 0.3, 0.4, 1e-3, 5000, 1.3),
     # oscillates across q = 0 many times
-    (1.0, 0.5, -0.2, 1.1, 1e-2, 4000, 1.0),
-    # unbound: leaves the well and drifts out to |q|/a of about 130
-    (0.5, 0.05, 0.01, 3.0, 1e-2, 500, 2.0),
+    (1.1, 0.5, -0.2, 1.1, 1e-2, 4000, 0.9),
+    # unbound: leaves the well and drifts out to |q|/a of about 160
+    (0.55, 0.05, 0.01, 3.0, 1e-2, 500, 1.7),
     # starts on the plateau at |q|/a = 250, where cosh(q/a)**2 is about 3e216
-    (3.0, 0.1, -25.0, 0.0, 0.05, 200, 1.0),
+    (3.0, 0.1, -25.0, 0.1, 0.05, 200, 3.0),
     # integer inputs, as a JSON config gives them
-    (1, 2, 1, -1, 0.25, 64, 3),
+    (3, 2, 1, -1, 0.3, 64, 3),
 ], ids=["bound", "crosses_zero", "escapes", "plateau", "integers"])
 def test_soft_well_matches_plain_leapfrog(v0, a, q0, p0, dt, n, mass):
     """The stepped soft well writes the same bits as the plain leapfrog."""
