@@ -271,10 +271,11 @@ def _given(params: dict, *keys: str) -> dict:
 # is about 90 us a call.  At 2**13 rather than 2**12 a trajectory's three
 # 62,833-row series tables take 186 calls instead of 369; on one CPU of a
 # 2-vCPU x86_64 host they were written in 0.35 s instead of 0.43 s.  A
-# block's arrays peak near 1 MB (tracemalloc, 8-column series), no more
-# than 2**12 took while the kernel kept its inputs, and the previous block,
-# to its end.  Peak RSS of a process that runs a workload's scenarios three
-# times: trajectory -0.5 MB, wave +0.0 to +0.3 MB, piston unchanged.
+# block's arrays peak near 1 MB (tracemalloc, 8-column series) because
+# each block is formatted in its own call and the kernel frees its inputs
+# before its layout.  Peak RSS of a process that runs a workload's
+# scenarios three times, against 2**12: trajectory -0.5 MB, wave +0.0 to
+# +0.3 MB, piston unchanged.
 _CSV_BLOCK_VALUES = 2 ** 13
 # A table of at least _CSV_SPLIT_VALUES formatted values (rows times columns
 # that are not literals) is formatted in two halves on two CPUs.  The split
