@@ -192,7 +192,8 @@ def validate_scenario(cfg: dict) -> tuple[Constants, dict]:
     scan `configs` (its runs' PistonConfigs), and a wkb run `v` and `dv`,
     V and V' sampled on the grid, and `seg`, its admitted block.  Raises
     ScenarioError, naming the offending key, for a config the schema or a
-    model rejects.
+    model rejects; V and V' are sampled on every grid, so a potential that
+    overflows there is one.
     """
     _check_schema(SCHEMA, cfg)
     kind, params = cfg["kind"], dict(cfg["params"])
@@ -251,10 +252,19 @@ def validate_scenario(cfg: dict) -> tuple[Constants, dict]:
             check_grid_in_well(pot, grid)
         except ValueError as exc:
             raise ScenarioError(f"grid: {exc}") from None
-    if kind == "wkb":
-        params["v"], params["dv"] = eval_potential(pot, grid.x)
+        # OverflowError from float arithmetic, FloatingPointError from numpy
         try:
-            params["seg"] = admitted_block(params["v"], params["energy"],
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                v, dv = eval_potential(pot, grid.x)
+            if not (np.isfinite(v).all() and np.isfinite(dv).all()):
+                raise OverflowError
+        except ArithmeticError:
+            raise ScenarioError(f"potential: {pot.kind.value} V or V' "
+                                f"overflows on the grid") from None
+    if kind == "wkb":
+        params["v"], params["dv"] = v, dv
+        try:
+            params["seg"] = admitted_block(v, params["energy"],
                                            **_given(params, "kinetic_fraction"))
         except ValueError as exc:
             raise ScenarioError(f"wkb: {exc}") from None

@@ -27,14 +27,20 @@ a fast FFT length, whatever the grid's DST-I length N (on the n = 2000
 grids of the bundled scenario and criterion 5 a DST-I pair would run
 pocketfft's Bluestein algorithm, since 2(N+1) = 2 * 1999).
 
-scipy is imported inside the two solvers that use it, solve_tise
-(scipy.linalg) and variational_ground_state (scipy.fft only), so a process
-that never calls them starts without loading scipy.
+scipy is loaded inside the two solvers that use it, so a process that
+never calls them starts without it.  variational_ground_state imports
+scipy.fft.  solve_tise calls LAPACK's dstebz and dstein through _lapack,
+which loads scipy's compiled wrapper scipy/linalg/_flapack from its file:
+the scipy.linalg package init, most of a cold quantum run's import time,
+never runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -201,15 +207,49 @@ def _sign_fixed(full: np.ndarray) -> np.ndarray:
     return full
 
 
+@functools.cache
+def _lapack():
+    """scipy's f2py LAPACK wrapper, for dstebz and dstein.
+
+    The extension scipy/linalg/_flapack is loaded from its file under its
+    own name and left out of sys.modules, so scipy.linalg is not imported:
+    its package init costs a cold start 0.24-0.36 s, the wrapper about
+    5 ms.  Where the file is missing or does not load, the public
+    scipy.linalg.lapack, which exposes the same routines, stands in.
+    """
+    import scipy
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+    from importlib.util import module_from_spec, spec_from_loader
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:  # scipy.linalg is loaded already
+        return sys.modules[name]
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in EXTENSION_SUFFIXES:
+        loader = ExtensionFileLoader(name,
+                                     os.path.join(folder, "_flapack" + suffix))
+        try:
+            module = module_from_spec(spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module
+        except (ImportError, OSError):
+            continue
+        finally:  # creating an extension module enters it in sys.modules
+            sys.modules.pop(name, None)
+    from scipy.linalg import lapack
+    return lapack
+
+
 def solve_tise(pot: Potential, grid: Grid1D, n_states: int,
                consts: Constants) -> EigenSolution:
     """Lowest eigenpairs of -(2 f^2/m) psi'' + V psi = E psi.
 
     3-point Dirichlet finite differences; O(h^2) accurate.  States come
-    back normalized, real, sign-fixed, with n nodes for state n.
+    back normalized, real, sign-fixed, with n nodes for state n.  The
+    tridiagonal eigenproblem is solved by LAPACK: dstebz bisects for the
+    lowest n_states eigenvalues, block-ordered, and dstein computes their
+    vectors by inverse iteration; a nonzero info raises ConvergenceError.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
     if n_states > grid.n - 2:
@@ -219,8 +259,18 @@ def solve_tise(pot: Potential, grid: Grid1D, n_states: int,
     coeff = 2.0 * consts.f**2 / consts.mass
     diag = 2.0 * coeff / h**2 + v[1:-1]
     off = np.full(grid.n - 3, -coeff / h**2)
-    energies, vecs = eigh_tridiagonal(diag, off, select="i",
-                                      select_range=(0, n_states - 1))
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    lapack = _lapack()
+    m, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1,
+                                               n_states, 0.0, "B")
+    if info:
+        raise ConvergenceError(f"LAPACK dstebz failed with info={info}")
+    vecs, info = lapack.dstein(diag, off, w[:m], iblock, isplit)
+    if info:
+        raise ConvergenceError(f"LAPACK dstein failed with info={info}")
+    order = np.argsort(w[:m])  # block order to ascending
+    energies, vecs = w[:m][order], vecs[:, order]
     if pot.kind is not PotentialKind.INFINITE_WELL:
         edge_v = min(v[0], v[-1])
         if energies[-1] > edge_v:

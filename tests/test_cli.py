@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from cpdq_lab import (Grid1D, IntegratorConfig, PistonConfig, Potential,
-                      acceptance, cli, core, thermo)
+                      acceptance, cli, core, quantum, thermo)
 from cpdq_lab.quantum import admitted_block
 from cpdq_lab.thermo import scan_configs
 
@@ -473,6 +474,38 @@ class TestRun:
         assert "ConvergenceError" in err and "iterations=3" in err
         assert math.isfinite(float(re.search(r"energy=(\S+)", err)[1]))
         assert not (out / "report.json").exists()
+
+    def test_eigensolver_failure_exits_1(self, tmp_path, capsys,
+                                         monkeypatch):
+        """A LAPACK info that reports unconverged vectors ends the run as
+        one computation-error line naming the routine."""
+        real = quantum._lapack()
+
+        def dstein(*args):
+            z, _ = real.dstein(*args)
+            return z, 1
+        monkeypatch.setattr(quantum, "_lapack", lambda: types.SimpleNamespace(
+            dstebz=real.dstebz, dstein=dstein))
+        out = tmp_path / "o"
+        assert cli.main(["run", str(scenario_path("tise_infinite_well.json")),
+                         "--out", str(out)]) == cli.EXIT_COMPUTE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "ConvergenceError" in err[0], err
+        assert "dstein" in err[0] and "info=1" in err[0], err
+        assert not out.exists()
+
+    def test_non_finite_operator_exits_1(self, tmp_path, capsys):
+        """f^2/m past the float range makes the operator infinite: the
+        LAPACK path keeps scipy's message for it."""
+        path = tmp_path / "huge_f.json"
+        path.write_text(json.dumps({"kind": "tise",
+                                    "constants": {"f": 1e154},
+                                    "params": dict(TISE_WELL, n_states=1)}))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) \
+            == cli.EXIT_COMPUTE
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: computation failed: ValueError: array must "
+                       "not contain infs or NaNs"]
 
     def test_piston_reads_constants_mass(self, tmp_path):
         path = tmp_path / "heavy.json"
@@ -1278,7 +1311,8 @@ import contextlib, io, json, sys
 import cpdq_lab, cpdq_lab.cli
 
 def loaded():
-    return [m for m in ("scipy.linalg", "scipy.fft") if m in sys.modules]
+    return [m for m in ("scipy", "scipy.linalg", "scipy.fft")
+            if m in sys.modules]
 
 seen = [loaded()]
 with contextlib.redirect_stdout(io.StringIO()):
@@ -1290,9 +1324,10 @@ print(json.dumps([code, seen + [loaded()]]))
 @pytest.mark.parametrize("name,loads", [
     ("piston_scan.json", []),
     ("harmonic_pzie.json", []),
-    ("tise_infinite_well.json", ["scipy.linalg"]),
+    # solve_tise loads LAPACK from its file, without scipy.linalg
+    ("tise_infinite_well.json", ["scipy"]),
     # the variational runner also calls solve_tise for its reference
-    ("variational_harmonic.json", ["scipy.linalg", "scipy.fft"]),
+    ("variational_harmonic.json", ["scipy", "scipy.fft"]),
 ])
 def test_scipy_loads_only_with_its_solvers(tmp_path, name, loads):
     """Kinds that call no scipy solver start and run without scipy; the
@@ -1304,6 +1339,18 @@ def test_scipy_loads_only_with_its_solvers(tmp_path, name, loads):
     assert code == cli.EXIT_OK
     assert after_import == []
     assert after_run == loads
+
+
+def test_suite_runs_without_scipy_linalg(tmp_path):
+    """The info criteria reach solve_tise through criterion 12's
+    quantum_profile fixture, and still leave scipy.linalg unloaded."""
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"kind": "suite", "params": {"filter": "info"}}))
+    proc = fresh_python("-c", SCIPY_PROBE, str(path), str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr
+    code, (after_import, after_run) = json.loads(proc.stdout)
+    assert code == cli.EXIT_OK
+    assert after_import == [] and after_run == ["scipy"]
 
 
 def test_variational_solver_loads_scipy_fft_only():
@@ -1336,14 +1383,14 @@ def test_runtime_warning_is_one_exit_1_line(tmp_path, cfg):
     assert len(lines) == 1 and "RuntimeWarning" in lines[0], lines
 
 
-def fresh_run_stderr(tmp_path, cfg) -> list[str]:
+def fresh_run_stderr(tmp_path, cfg, code=cli.EXIT_COMPUTE) -> list[str]:
     """stderr lines of `cpdq-lab run` on cfg in a fresh interpreter, which
-    must end in exit 1."""
+    must end in exit code (1 unless given)."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     proc = fresh_python("-m", "cpdq_lab.cli", "run", str(path),
                         "--out", str(tmp_path / "o"))
-    assert proc.returncode == cli.EXIT_COMPUTE
+    assert proc.returncode == code
     return proc.stderr.splitlines()
 
 
@@ -1364,19 +1411,29 @@ def test_unbound_states_are_one_exit_1_line(tmp_path, cfg):
     assert len(lines) == 1 and "UnboundStateWarning" in lines[0], lines
 
 
-@pytest.mark.parametrize("potential,error", [
-    ({"kind": "harmonic", "omega": 1e200}, "OverflowError"),
-    ({"kind": "linear", "f0": 1e308}, "RuntimeWarning"),
-    ({"kind": "soft_well", "a": 1e-320}, "RuntimeWarning"),
-], ids=["harmonic_omega_overflow", "linear_f0_overflow", "soft_well_subnormal_a"])
-def test_wkb_potential_overflow_is_one_exit_1_line(tmp_path, potential, error):
-    """V that overflows on the grid passes validation untouched and ends
-    the run as one computation-error line, not a traceback or a warning
-    printed during validation."""
-    lines = fresh_run_stderr(tmp_path, {"kind": "wkb", "params": {
-        "potential": potential, "energy": 1,
-        "grid": {"x_min": -4, "x_max": 4, "n": 100}}})
-    assert len(lines) == 1 and error in lines[0], lines
+@pytest.mark.parametrize("kind,extra", [
+    ("tise", {"n_states": 2}), ("variational", {}), ("wkb", {"energy": 1}),
+], ids=["tise", "variational", "wkb"])
+@pytest.mark.parametrize("potential", [
+    # omega**2 raises OverflowError; the other two overflow in numpy
+    {"kind": "harmonic", "omega": 1e200},
+    {"kind": "linear", "f0": 1e308},
+    {"kind": "soft_well", "a": 1e-320},
+    # m * omega**2 is inf without an error, and so is V everywhere
+    {"kind": "harmonic", "m": 1e300, "omega": 1e10},
+], ids=["harmonic_omega_overflow", "linear_f0_overflow",
+        "soft_well_subnormal_a", "harmonic_infinite_stiffness"])
+def test_potential_overflow_is_one_exit_2_line(tmp_path, kind, extra,
+                                               potential):
+    """V or V' that overflows on the grid is rejected by validation, with
+    one line naming the potential, before any solve and before a warning
+    can print."""
+    lines = fresh_run_stderr(tmp_path, {"kind": kind, "params": {
+        "potential": potential, **extra,
+        "grid": {"x_min": -4, "x_max": 4, "n": 100}}}, cli.EXIT_SCHEMA)
+    assert len(lines) == 1, lines
+    assert f"potential: {potential['kind']} V or V' overflows on the grid" \
+        in lines[0], lines
 
 
 

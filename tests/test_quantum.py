@@ -1,10 +1,15 @@
+import importlib.machinery
 import math
+import sys
+import types
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,7 +28,7 @@ from cpdq_lab import (
     solve_tise,
     variational_ground_state,
 )
-from cpdq_lab import quantum
+from cpdq_lab import cli, quantum
 from cpdq_lab.quantum import (UnboundStateWarning, admitted_block,
                               bohm_adiabaticity_report)
 
@@ -123,6 +128,117 @@ class TestEigensolver:
         with pytest.warns(UnboundStateWarning):
             solve_tise(Potential("soft_well", v0=1.0, a=0.5),
                        Grid1D(-20, 20, 512), 8, consts)
+
+
+def eigh_oracle(pot, grid, n_states, consts):
+    """The eigenpairs of solve_tise's operator as the public
+    scipy.linalg.eigh_tridiagonal computes them, each state normalized
+    and sign-fixed as solve_tise does; the states are rows."""
+    coeff = 2.0 * consts.f**2 / consts.mass
+    diag = 2.0 * coeff / grid.h**2 + quantum._grid_potential(pot, grid)[1:-1]
+    off = np.full(grid.n - 3, -coeff / grid.h**2)
+    energies, vecs = scipy.linalg.eigh_tridiagonal(
+        diag, off, select="i", select_range=(0, n_states - 1))
+    states = []
+    for vec in vecs.T:
+        full = np.pad(vec, 1)
+        full /= math.sqrt(float(np.trapezoid(full**2, dx=grid.h)))
+        states.append(quantum._sign_fixed(full))
+    return energies, np.array(states)
+
+
+ORACLE_POTENTIALS = {
+    "free": (Potential("free"), -5.0, 5.0),
+    "linear": (Potential("linear", f0=2.0), -3.0, 3.0),
+    "harmonic": (Potential("harmonic"), -10.0, 10.0),
+    "infinite_well": (Potential("infinite_well"), 0.0, 1.0),
+    "soft_well": (Potential("soft_well", v0=50.0, a=0.2), -3.0, 3.0),
+}
+
+
+@pytest.fixture
+def fresh_lapack():
+    """_lapack's cache cleared before and after the test."""
+    quantum._lapack.cache_clear()
+    yield
+    quantum._lapack.cache_clear()
+
+
+class TestLapack:
+    @pytest.mark.parametrize("kind", ORACLE_POTENTIALS)
+    @pytest.mark.parametrize("n,n_states", [(64, 62), (2000, 1), (8401, 4),
+                                            (20_000, 4)])
+    def test_matches_eigh_tridiagonal(self, consts, kind, n, n_states):
+        """dstebz and dstein give eigh_tridiagonal's values and vectors
+        bit for bit: every state of a small grid, and up to 20,000
+        points."""
+        pot, x_min, x_max = ORACLE_POTENTIALS[kind]
+        grid = Grid1D(x_min, x_max, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnboundStateWarning)
+            sol = solve_tise(pot, grid, n_states, consts)
+        energies, states = eigh_oracle(pot, grid, n_states, consts)
+        assert np.array_equal(sol.energies, energies)
+        assert np.array_equal([s.values for s in sol.states], states)
+
+    def test_loaded_from_its_file_once(self, fresh_lapack, monkeypatch):
+        """The wrapper is loaded from its file under its own name, left
+        out of sys.modules, and loaded once."""
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack",
+                            raising=False)
+        lapack = quantum._lapack()
+        assert lapack.__name__ == "scipy.linalg._flapack"
+        assert Path(lapack.__file__).parent \
+            == Path(scipy.__file__).parent / "linalg"
+        assert "scipy.linalg._flapack" not in sys.modules
+        assert quantum._lapack() is lapack
+
+    def test_fallback_writes_the_same_bytes(self, tmp_path, fresh_lapack,
+                                            monkeypatch):
+        """Where the file does not load, scipy.linalg.lapack stands in,
+        and a tise run writes the same bytes."""
+        scenario = Path(cli.__file__).parent / "scenarios" / "tise_harmonic.json"
+        written = {}
+        for name, suffixes in (
+                ("file", importlib.machinery.EXTENSION_SUFFIXES),
+                ("fallback", [".missing" + s for s in
+                              importlib.machinery.EXTENSION_SUFFIXES])):
+            monkeypatch.delitem(sys.modules, "scipy.linalg._flapack",
+                                raising=False)
+            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                                suffixes)
+            quantum._lapack.cache_clear()
+            _, code = cli.run_scenario(scenario, tmp_path / name)
+            assert code == cli.EXIT_OK
+            written[name] = {p.name: p.read_bytes()
+                             for p in (tmp_path / name).iterdir()
+                             if p.name != "timing.json"}
+        assert quantum._lapack() is scipy.linalg.lapack
+        assert written["file"] == written["fallback"]
+        assert set(written["file"]) == {"energies.csv", "states.csv",
+                                        "report.json"}
+
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    def test_nonzero_info_raises(self, consts, monkeypatch, routine):
+        real = quantum._lapack()
+
+        def failing(*args):
+            *out, _ = getattr(real, routine)(*args)
+            return (*out, 2)
+        monkeypatch.setattr(quantum, "_lapack", lambda: types.SimpleNamespace(
+            **{"dstebz": real.dstebz, "dstein": real.dstein,
+               routine: failing}))
+        with pytest.raises(ConvergenceError,
+                           match=f"LAPACK {routine} failed with info=2"):
+            solve_tise(Potential("harmonic"), Grid1D(-5, 5, 64), 1, consts)
+
+    def test_non_finite_operator_rejected(self, consts, monkeypatch):
+        """An infinite V keeps scipy's message, and LAPACK is not called."""
+        monkeypatch.setattr(quantum, "_lapack", None)
+        with pytest.raises(ValueError,
+                           match="^array must not contain infs or NaNs$"):
+            solve_tise(Potential("harmonic", m=1e300, omega=1e10),
+                       Grid1D(-5, 5, 64), 1, consts)
 
 
 class TestFisher:
