@@ -269,11 +269,12 @@ def solve_tise(pot: Potential, grid: Grid1D, n_states: int,
                                                n_states, 0.0, "B")
     if info:
         raise ConvergenceError(f"LAPACK dstebz failed with info={info}")
-    vecs, info = lapack.dstein(diag, off, w[:m], iblock, isplit)
+    w = w[:m]
+    vecs, info = lapack.dstein(diag, off, w, iblock, isplit)
     if info:
         raise ConvergenceError(f"LAPACK dstein failed with info={info}")
-    order = np.argsort(w[:m])  # block order to ascending
-    energies, vecs = w[:m][order], vecs[:, order]
+    order = np.argsort(w)  # block order to ascending
+    energies, vecs = w[order], vecs[:, order]
     if pot.kind is not PotentialKind.INFINITE_WELL:
         edge_v = min(v[0], v[-1])
         if energies[-1] > edge_v:
