@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -22,3 +23,16 @@ def harmonic_traj(consts):
     n = int(round(10 * 2 * math.pi / 1e-3))
     return integrate_hamilton(Potential("harmonic"), 1.0, 0.0,
                               IntegratorConfig(dt=1e-3, n_steps=n), consts)
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """One entry per os.fork this process makes from here on."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return calls

@@ -3,7 +3,8 @@ import json
 from pathlib import Path
 
 import cpdq_lab.cli as cli
-from cpdq_lab import Grid1D, PistonConfig, Potential, natural_units, quantum
+from cpdq_lab import (Grid1D, PistonConfig, Potential, _csv, natural_units,
+                      quantum)
 
 TOOL = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 spec = importlib.util.spec_from_file_location("tracer", TOOL)
@@ -83,7 +84,7 @@ def test_tracer_counts_a_split_csv_write_once(tmp_path, monkeypatch):
     # series.csv (62,833 rows of 8 columns) is formatted in two halves by
     # two processes; the child leaves by os._exit, so it adds no span and
     # no count to the ones the parent records
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_csv, "_usable_cpus", lambda: 2)
     path = Path(cli.__file__).parent / "scenarios" / "harmonic_pzie.json"
     t = tracer.Tracer()
     try:
