@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import operator
 import sys
 import time
 import warnings
@@ -27,13 +26,12 @@ import numpy as np
 
 from . import __version__
 from ._csv import write_csv
+from ._schema import _NUMBER, _POSITIVE, _schema_errors, field_schemas
 from .acceptance import Check, REGIME_EXPECTED, regime_fixture_metrics, run_criteria
 from .core import (
-    _PARAMS,
     Constants,
     ModelViolationError,
     Potential,
-    PotentialKind,
     eval_potential,
     natural_units,
     si_units,
@@ -68,8 +66,6 @@ EXIT_COMPUTE = 1
 EXIT_SCHEMA = 2
 EXIT_CHECK = 3
 
-_NUMBER = {"type": "number"}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _NON_NEGATIVE = {"type": "number", "minimum": 0}
 _FRACTION = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 
@@ -83,86 +79,13 @@ def _object(properties: dict, required: tuple = ()) -> dict:
     return schema
 
 
-# the parameters some kind reads (core._PARAMS); all but f0 are positive
-_POTENTIAL_SCHEMA = _object({
-    "kind": {"enum": [k.value for k in PotentialKind]},
-    **{name: _NUMBER if name == "f0" else _POSITIVE
-       for names in _PARAMS.values() for name in names},
-}, required=("kind",))
+# the models declare their fields' schemas (_schema.field_schemas)
+_POTENTIAL_SCHEMA = _object(field_schemas(Potential), ("kind",))
+_GRID_SCHEMA = _object(field_schemas(Grid1D), ("x_min", "x_max", "n"))
 
-_GRID_SCHEMA = _object({
-    "x_min": _NUMBER,
-    "x_max": _NUMBER,
-    "n": {"type": "integer", "minimum": 64, "maximum": 1_000_000},
-}, required=("x_min", "x_max", "n"))
 
 class ScenarioError(ValueError):
     """Config failed validation; message names the offending key."""
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-# JSON Schema 2020-12 types and numeric bounds, worded as the Python
-# reference validator words them
-_TYPES = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
-    "boolean": lambda x: isinstance(x, bool),
-    "number": _is_number,
-    "integer": lambda x: _is_number(x) and (isinstance(x, int)
-                                            or x.is_integer()),
-}
-_BOUNDS = {
-    "minimum": (operator.lt, "less than the minimum"),
-    "maximum": (operator.gt, "greater than the maximum"),
-    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
-    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
-}
-
-
-def _schema_errors(schema: dict, x, path: tuple = ()):
-    """Yield (path, message) for each way x fails schema.
-
-    Follows JSON Schema 2020-12 for the keywords SCHEMA and the KINDS
-    params schemas use (enums of strings, additionalProperties false) and
-    yields in the order the Python reference validator does: keywords in
-    dict order, properties in schema order.  Other keywords are
-    annotations.
-    """
-    for key, value in schema.items():
-        if key == "type":
-            if not _TYPES[value](x):
-                yield path, f"{x!r} is not of type {value!r}"
-        elif key == "enum":
-            if x not in value:
-                yield path, f"{x!r} is not one of {value!r}"
-        elif key in _BOUNDS:
-            below, text = _BOUNDS[key]
-            if _is_number(x) and below(x, value):
-                yield path, f"{x!r} is {text} of {value!r}"
-        elif isinstance(x, dict):
-            if key == "additionalProperties":
-                unknown = sorted(set(x) - set(schema["properties"]))
-                if unknown:
-                    yield path, f"unknown key(s) {unknown}"
-            elif key == "required":
-                yield from ((path, f"{k!r} is a required property")
-                            for k in value if k not in x)
-            elif key == "properties":
-                for k, sub in value.items():
-                    if k in x:
-                        yield from _schema_errors(sub, x[k], path + (k,))
-        elif isinstance(x, list):
-            if key == "items":
-                for i, item in enumerate(x):
-                    yield from _schema_errors(value, item, path + (i,))
-            elif key == "minItems" and len(x) < value:
-                yield path, f"{x!r} is too short"
-            elif key == "maxItems" and len(x) > value:
-                yield path, f"{x!r} is too long"
 
 
 def _check_schema(schema: dict, instance, prefix: str = "") -> None:
@@ -209,6 +132,7 @@ def validate_scenario(cfg: dict) -> tuple[Constants, dict]:
             raise ScenarioError("n_states exceeds interior grid dimension")
         if params["n_states"] * params["grid"]["n"] > MAX_EVENTS:
             raise ScenarioError(f"n_states * grid n exceeds {MAX_EVENTS}")
+        params["n_states"] = int(params["n_states"])
     if kind == "trajectory":
         if not pot.contains(params["q0"]):
             raise ScenarioError("q0 lies outside the potential's domain")
@@ -480,19 +404,12 @@ KINDS = {
         "potential": _POTENTIAL_SCHEMA,
         "q0": _NUMBER,
         "p0": _NUMBER,
-        "dt": _POSITIVE,
-        "n_steps": {"type": "integer", "minimum": 4, "maximum": MAX_EVENTS},
+        **field_schemas(IntegratorConfig),
         "energy_drift_tol": _POSITIVE,
         "pzie_tol_bits": _POSITIVE,
     }, required=("potential", "q0", "p0", "dt", "n_steps")), _run_trajectory),
     "piston": (_object({
-        "l0": _POSITIVE,
-        "v0": _POSITIVE,
-        "u": _NUMBER,
-        "mode": {"enum": ["constant_speed", "sudden_jump"]},
-        "l_end": _POSITIVE,
-        "t_end": _POSITIVE,
-        "t_jump": _POSITIVE,
+        **field_schemas(PistonConfig),
         "scan": _object({
             "ratios": {"type": "array", "minItems": 2, "items": _FRACTION},
             "expansion": {"type": "number", "exclusiveMinimum": 1},
@@ -545,8 +462,7 @@ SCHEMA = {
     **_object({
         "kind": {"enum": sorted(KINDS)},
         "units": {"enum": ["natural", "si"]},
-        "constants": _object({f.name: _POSITIVE
-                              for f in dataclasses.fields(Constants)}),
+        "constants": _object(field_schemas(Constants)),
         "params": {"type": "object"},
         "out_dir": {"type": "string"},
     }, required=("kind", "params")),

@@ -9,10 +9,12 @@ an enclosed (thermodynamic) degree of freedom carries f = f_ref * exp(S/k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
+
+from ._schema import _NUMBER, _POSITIVE, check_fields
 
 # 2018 CODATA
 SI_HBAR = 1.054571817e-34       # J s
@@ -48,18 +50,16 @@ class Constants:
                undefined (turning points)
     """
 
-    f: float
-    hbar: float
-    k_boltz: float
-    mass: float
-    c: float
-    f_ref: float
-    p_floor: float
+    f: float = field(metadata=_POSITIVE)
+    hbar: float = field(metadata=_POSITIVE)
+    k_boltz: float = field(metadata=_POSITIVE)
+    mass: float = field(metadata=_POSITIVE)
+    c: float = field(metadata=_POSITIVE)
+    f_ref: float = field(metadata=_POSITIVE)
+    p_floor: float = field(metadata=_POSITIVE)
 
     def __post_init__(self):
-        for field in fields(self):
-            if not getattr(self, field.name) > 0.0:
-                raise ValueError(f"{field.name} must be positive")
+        check_fields(self)
 
     @property
     def h(self) -> float:
@@ -104,7 +104,7 @@ class Potential:
 
     Potential(kind, **params) takes the kind by name or as a PotentialKind
     and only the parameters that kind reads (_PARAMS); each defaults to 1
-    and all but f0 must be positive.
+    and all but f0 must exceed 0.
 
     Conventions:
       linear        V = -f0*q  (constant force +f0)
@@ -114,15 +114,17 @@ class Potential:
       soft_well     V = v0*tanh^2(q/a)  (smooth well of finite height v0)
     """
 
-    kind: PotentialKind
-    f0: float | None = None
-    m: float | None = None
-    omega: float | None = None
-    width: float | None = None
-    v0: float | None = None
-    a: float | None = None
+    kind: PotentialKind = field(
+        metadata={"enum": [k.value for k in PotentialKind]})
+    f0: float | None = field(default=None, metadata=_NUMBER)
+    m: float | None = field(default=None, metadata=_POSITIVE)
+    omega: float | None = field(default=None, metadata=_POSITIVE)
+    width: float | None = field(default=None, metadata=_POSITIVE)
+    v0: float | None = field(default=None, metadata=_POSITIVE)
+    a: float | None = field(default=None, metadata=_POSITIVE)
 
     def __post_init__(self):
+        check_fields(self)
         kind = PotentialKind(self.kind)
         object.__setattr__(self, "kind", kind)
         for name in (f.name for f in fields(self)[1:]):
@@ -132,8 +134,6 @@ class Potential:
                     raise ValueError(f"{kind.value} potential takes no {name}")
             elif value is None:
                 object.__setattr__(self, name, 1.0)
-            elif name != "f0" and not value > 0:
-                raise ValueError(f"{kind.value} potential needs {name} > 0")
 
     def contains(self, q) -> np.ndarray | bool:
         """Whether q lies in the domain; each wall has 1e-12 of slack."""

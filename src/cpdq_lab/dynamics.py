@@ -13,10 +13,11 @@ stepped one leapfrog step at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._schema import _POSITIVE, check_fields
 from .core import (
     Constants,
     DomainError,
@@ -25,19 +26,18 @@ from .core import (
     PotentialKind,
     tderiv,
 )
+from .thermo import MAX_EVENTS
 from .variational import Trajectory
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    dt: float
-    n_steps: int
+    dt: float = field(metadata=_POSITIVE)
+    n_steps: int = field(metadata={"type": "integer", "minimum": 4,
+                                   "maximum": MAX_EVENTS})
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.n_steps < 4:
-            raise ValueError("need at least 4 steps")
+        check_fields(self)
 
 
 def check_step_stable(pot: Potential, dt: float, consts: Constants) -> None:

@@ -197,7 +197,7 @@ def rate_bounds(energy: float, theta: float, consts: Constants) -> RateBounds:
     continuous_bound = sqrt(energy_rate_cap/(2 f))/ln2.
     """
     if energy <= 0 or theta <= 0:
-        raise ValueError("energy and theta must be positive")
+        raise ValueError("energy and theta must exceed 0")
     f, h = consts.f, consts.h
     k_theta = consts.k_boltz * theta
     energy_rate_cap = k_theta**2 / (2.0 * f)

@@ -42,10 +42,11 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._schema import _NUMBER, check_fields
 from .core import Constants, Potential, PotentialKind, eval_potential
 
 
@@ -65,15 +66,15 @@ class UnboundStateWarning(RuntimeWarning):
 
 @dataclass(frozen=True)
 class Grid1D:
-    x_min: float
-    x_max: float
-    n: int
+    x_min: float = field(metadata=_NUMBER)
+    x_max: float = field(metadata=_NUMBER)
+    n: int = field(metadata={"type": "integer", "minimum": 64,
+                             "maximum": 1_000_000})
 
     def __post_init__(self):
-        if self.n < 64:
-            raise ValueError("need at least 64 grid points")
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
+        check_fields(self)
+        if not 0.0 < self.h < math.inf:
+            raise ValueError("x_max must exceed x_min; need 0 < h < inf")
 
     @property
     def h(self) -> float:

@@ -33,13 +33,14 @@ is the exact interval representative of that differential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from ._schema import _NUMBER, _POSITIVE, check_fields
 from .core import Constants, ModelViolationError
 
 # Largest event log a run may record (start, hits, jump and stop rows).
@@ -115,22 +116,17 @@ class PistonConfig:
     allocated.
     """
 
-    l0: float
-    v0: float
-    u: float = 0.0
-    mode: str = "constant_speed"
-    l_end: float | None = None
-    t_end: float | None = None
-    t_jump: float | None = None
+    l0: float = field(metadata=_POSITIVE)
+    v0: float = field(metadata=_POSITIVE)
+    u: float = field(default=0.0, metadata=_NUMBER)
+    mode: str = field(default="constant_speed",
+                      metadata={"enum": ["constant_speed", "sudden_jump"]})
+    l_end: float | None = field(default=None, metadata=_POSITIVE)
+    t_end: float | None = field(default=None, metadata=_POSITIVE)
+    t_jump: float | None = field(default=None, metadata=_POSITIVE)
 
     def __post_init__(self):
-        if not (self.l0 > 0 and self.v0 > 0):
-            raise ValueError("l0 and v0 must be positive")
-        for name in ("u", "l_end", "t_end", "t_jump"):
-            if math.isnan(getattr(self, name) or 0.0):
-                raise ValueError(f"{name} must not be NaN")
-        if self.mode not in ("constant_speed", "sudden_jump"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        check_fields(self)
         if self.mode == "constant_speed":
             if self.t_jump is not None:
                 raise ValueError("t_jump applies only to mode sudden_jump")

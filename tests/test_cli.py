@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from cpdq_lab import (Grid1D, IntegratorConfig, PistonConfig, Potential,
-                      _csv, acceptance, cli, core, quantum, thermo)
+                      _csv, _schema, acceptance, cli, core, quantum, thermo)
 from cpdq_lab.quantum import admitted_block
 from cpdq_lab.thermo import scan_configs
 from test_csv import EDGE_FLOATS, assert_no_child_left, old_csv_rows
@@ -192,6 +192,16 @@ class TestValidation:
         ("wkb", {"potential": {"kind": "harmonic"}, "energy": 0.001,
                  "grid": {"x_min": -4, "x_max": 4, "n": 100}},
          "wkb: admitted region too short for stencils"),
+        # the grid spacing overflows to inf or underflows to 0
+        ("wkb", {"potential": {"kind": "harmonic"}, "energy": 1,
+                 "grid": {"x_min": -1e308, "x_max": 1e308, "n": 100}},
+         "grid: x_max must exceed x_min"),
+        ("tise", {"potential": {"kind": "harmonic"}, "n_states": 1,
+                  "grid": {"x_min": 0, "x_max": 5e-324, "n": 64}},
+         "grid: x_max must exceed x_min"),
+        ("wkb", {"potential": {"kind": "harmonic"}, "energy": 1,
+                 "grid": {"x_min": 0, "x_max": 5e-324, "n": 64}},
+         "grid: x_max must exceed x_min"),
     ], ids=["tise_too_many_energies", "tise_zero_energy", "piston_no_l0",
             "piston_l_end_unreachable", "piston_collapsing_box",
             "piston_scan_with_run_keys", "piston_jump_after_end",
@@ -208,7 +218,8 @@ class TestValidation:
             "free_potential_omega", "harmonic_potential_f0",
             "linear_potential_width", "infinite_well_potential_m",
             "soft_well_potential_omega", "wkb_no_allowed_region",
-            "wkb_admitted_region_too_short"])
+            "wkb_admitted_region_too_short", "wkb_grid_spacing_overflows",
+            "tise_grid_spacing_underflows", "wkb_grid_spacing_underflows"])
     def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch, kind,
                                   params, named):
         # kind names the scenario kind, or is (kind, units)
@@ -284,6 +295,37 @@ class TestValidation:
         assert cli._int(str(2 ** 1023)) == 2 ** 1023
         with pytest.raises(ValueError, match="310 digits"):
             cli._int("-" + "9" * 310)
+
+    @pytest.mark.parametrize("kind,params,path", [
+        ("tise", {"potential": {"kind": "harmonic"}, "n_states": 1,
+                  "grid": {"x_min": -5, "x_max": 5, "n": 64}}, ("grid", "n")),
+        ("tise", {"potential": {"kind": "harmonic"}, "n_states": 1,
+                  "grid": {"x_min": -5, "x_max": 5, "n": 64}}, ("n_states",)),
+        ("wkb", {"potential": {"kind": "harmonic"}, "energy": 10,
+                 "grid": {"x_min": -4.2, "x_max": 4.2, "n": 100}},
+         ("grid", "n")),
+        ("trajectory", {"potential": {"kind": "soft_well"}, "q0": 0.1,
+                        "p0": 0.5, "dt": 0.01, "n_steps": 100}, ("n_steps",)),
+    ], ids=["tise_grid_n", "tise_n_states", "wkb_grid_n",
+            "soft_well_n_steps"])
+    def test_integral_float_counts_run_as_integers(self, tmp_path, capsys,
+                                                   kind, params, path):
+        # the schema admits 64.0 as an integer; the run is its twin's
+        floated = copy.deepcopy(params)
+        *inner, key = path
+        target = functools.reduce(dict.__getitem__, inner, floated)
+        target[key] = float(target[key])
+        outputs = []
+        for name, cfg in (("int", params), ("float", floated)):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"kind": kind, "params": cfg}))
+            code = cli.main(["run", str(config), "--out",
+                             str(tmp_path / name)])
+            csvs = {p.name: p.read_bytes()
+                    for p in sorted((tmp_path / name).glob("*.csv"))}
+            outputs.append((code, csvs))
+        assert "error" not in capsys.readouterr().err
+        assert outputs[0][1] and outputs[1] == outputs[0]
 
     def test_non_object_config_exits_2(self, tmp_path, capsys):
         # without --out the output directory is resolved only after the
@@ -797,7 +839,7 @@ def test_schema_traps(schema, instance, message):
     assert reference_check(schema, instance) == message
 
 
-# the keywords cli._schema_errors checks, and the annotations it skips
+# the keywords _schema._schema_errors checks, and the annotations it skips
 WALKED = {"type", "enum", "minimum", "maximum", "exclusiveMinimum",
           "exclusiveMaximum", "required", "properties", "additionalProperties",
           "items", "minItems", "maxItems"}
@@ -817,7 +859,7 @@ def test_schema_keywords_are_walked():
     for root in [cli.SCHEMA, *(kind_schema(kind) for kind in cli.KINDS)]:
         for schema in subschemas(root):
             assert set(schema) <= WALKED | {"$schema", "title"}, schema
-            assert schema.get("type", "object") in cli._TYPES, schema
+            assert schema.get("type", "object") in _schema._TYPES, schema
             assert all(isinstance(e, str) for e in schema.get("enum", []))
             if "additionalProperties" in schema:
                 assert schema["additionalProperties"] is False

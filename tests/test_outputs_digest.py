@@ -3,6 +3,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from cpdq_lab import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "outputs_digest.py"
 spec = importlib.util.spec_from_file_location("outputs_digest", TOOL)
@@ -66,3 +68,14 @@ def test_diff_names_what_differs(tmp_path, capsys):
     assert out[1] == "x.json artifacts/series.csv: c != d" and len(out) == 8
     assert outputs_digest.main(["--diff", str(paths[0])]) == 2
     assert "--diff A.json B.json" in capsys.readouterr().err
+
+
+def test_digest_holds_the_params_schemas(monkeypatch):
+    # no scenarios: the digest holds the two schema runs alone
+    monkeypatch.setattr(outputs_digest, "SCENARIOS", Path("no-scenarios"))
+    runs = outputs_digest.digest(ROOT)
+    assert sorted(runs) == ["params_schemas", "schema"]
+    dump = json.dumps({k: v[0] for k, v in cli.KINDS.items()}) + "\n"
+    assert runs["params_schemas"] == {
+        "exit": 0, "stdout": hashlib.sha256(dump.encode()).hexdigest(),
+        "stderr": hashlib.sha256(b"").hexdigest(), "artifacts": {}}

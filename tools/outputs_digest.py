@@ -4,9 +4,10 @@
     python3 tools/outputs_digest.py CHECKOUT_ROOT > digest.json
     python3 tools/outputs_digest.py --diff A.json B.json
 
-The first form runs each `src/cpdq_lab/scenarios/*.json` of the checkout, and
-`cpdq-lab schema`, in a fresh interpreter with that checkout's `src/` on
-the path, and prints JSON with, per run, the exit code, the sha256 of
+The first form runs each `src/cpdq_lab/scenarios/*.json` of the checkout,
+`cpdq-lab schema`, and a dump of every kind's params schema in its own key
+order (`params_schemas`), in a fresh interpreter with that checkout's `src/`
+on the path, and prints JSON with, per run, the exit code, the sha256 of
 stdout and of stderr, and the sha256 of every artifact except
 `timing.json`.  Scenarios are named by their path relative to the root,
 so messages that quote the path match between checkouts.  The suite's
@@ -29,6 +30,10 @@ import tempfile
 from pathlib import Path
 
 SCENARIOS = Path("src") / "cpdq_lab" / "scenarios"
+CLI = ("-m", "cpdq_lab.cli")
+# without sort_keys, so that a change in property order shows
+PARAMS_SCHEMAS = ("-c", "import json; from cpdq_lab import cli; "
+                  "print(json.dumps({k: v[0] for k, v in cli.KINDS.items()}))")
 
 
 def _sha256(data: bytes) -> str:
@@ -42,11 +47,13 @@ def mask_wall_clock(text: str) -> str:
     return re.sub(r"(failing checks, )[0-9.]+s$", r"\1*s", text, flags=re.M)
 
 
-def run_digest(root: Path, args: list[str], out: Path | None = None) -> dict:
+def run_digest(root: Path, args: list[str], out: Path | None = None,
+               command: tuple[str, ...] = CLI) -> dict:
     """Exit code and sha256 of stdout, stderr and each artifact in `out`
-    of `cpdq-lab *args` run from `root`."""
+    of `python *command *args` (by default `cpdq-lab *args`) run from
+    `root`."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([sys.executable, "-m", "cpdq_lab.cli", *args],
+    proc = subprocess.run([sys.executable, *command, *args],
                           cwd=root, env=env, capture_output=True, timeout=600)
     artifacts = {}
     if out is not None and out.exists():
@@ -60,7 +67,8 @@ def run_digest(root: Path, args: list[str], out: Path | None = None) -> dict:
 
 def digest(root: Path) -> dict:
     root = root.resolve()
-    runs = {"schema": run_digest(root, ["schema"])}
+    runs = {"schema": run_digest(root, ["schema"]),
+            "params_schemas": run_digest(root, [], command=PARAMS_SCHEMAS)}
     with tempfile.TemporaryDirectory() as tmp:
         for path in sorted((root / SCENARIOS).glob("*.json")):
             out = Path(tmp) / path.stem
