@@ -207,7 +207,7 @@ def criterion_4_cramer_rao() -> list[Check]:
     fm = fisher_metrics(gauss)
     _, sd = gauss.mean_and_std()
     checks.append(_le("cramer_rao/gaussian_equality_margin",
-                      abs(cr_bound_check(gauss, sd)), 1e-6))
+                      abs(cr_bound_check(fm, sd)), 1e-6))
     checks.append(_le("cramer_rao/gaussian_decomposition",
                       fm.decomposition_residual / fm.fi_generalized, 1e-8))
 
@@ -220,7 +220,7 @@ def criterion_4_cramer_rao() -> list[Check]:
     checks.append(_le("cramer_rao/plane_decomposition",
                       fp.decomposition_residual / fp.fi_generalized, 1e-8))
     checks.append(_le("cramer_rao/plane_equality_margin",
-                      abs(cr_bound_check(plane, 1.0 / (2.0 * k))), 1e-8))
+                      abs(cr_bound_check(fp, 1.0 / (2.0 * k))), 1e-8))
 
     gx = Grid1D(-12.0, 12.0, 8001)
     gpw = WaveFunction.gaussian(gx, sigma=1.0, k=3.0)

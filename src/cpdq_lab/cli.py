@@ -42,6 +42,7 @@ from .info import LN2, info_ledger, rate_bounds, regime_classify
 from .quantum import (
     Grid1D,
     _dot,
+    _spacing_squared,
     admitted_block,
     appendix_a_consistency,
     bohm_adiabaticity_report,
@@ -108,8 +109,9 @@ def validate_scenario(cfg: dict) -> tuple[Constants, dict]:
     scan `configs` (its runs' PistonConfigs), and a wkb run `v` and `dv`,
     V and V' sampled on the grid, and `seg`, its admitted block.  Raises
     ScenarioError, naming the offending key, for a config the schema or a
-    model rejects, such as V or V' that overflows on the grid or at q0, or
-    constants whose kinetic coefficient 2 f^2/mass overflows.
+    model rejects, such as V or V' that overflows on the grid or at q0, a
+    tise or variational grid spacing whose square is not a positive finite
+    double, or constants whose kinetic coefficient 2 f^2/mass overflows.
     """
     _check_schema(SCHEMA, cfg)
     kind, params = cfg["kind"], dict(cfg["params"])
@@ -167,6 +169,8 @@ def validate_scenario(cfg: dict) -> tuple[Constants, dict]:
         try:
             grid = params["grid"] = Grid1D(**params["grid"])
             check_grid_in_well(pot, grid)
+            if kind != "wkb":  # solve_tise's operator divides by h**2
+                _spacing_squared(grid)
         except ValueError as exc:
             raise ScenarioError(f"grid: {exc}") from None
         # 2 f^2/mass, over h^2 in tise's and variational's operators

@@ -29,10 +29,10 @@ pocketfft's Bluestein algorithm, since 2(N+1) = 2 * 1999).
 
 scipy is loaded inside the two solvers that use it, so a process that
 never calls them starts without it.  variational_ground_state imports
-scipy.fft.  solve_tise calls LAPACK's dstebz and dstein through _lapack,
-which loads scipy's compiled wrapper scipy/linalg/_flapack from its file:
-the scipy.linalg package init, most of a cold quantum run's import time,
-never runs.
+scipy.fft.  solve_tise calls LAPACK's dstebz (and, once its states are
+read, dstein) through _lapack, which loads scipy's compiled wrapper
+scipy/linalg/_flapack from its file: the scipy.linalg package init, most
+of a cold quantum run's import time, never runs.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,7 +130,9 @@ class WaveFunction:
         """Gaussian about x = 0 whose |psi|^2 has standard deviation sigma."""
         x = grid.x
         env = np.exp(-(x ** 2) / (4.0 * sigma**2))
-        return WaveFunction.normalized(grid, env * np.exp(1j * k * x))
+        if k:  # the carrier e^{i 0 x} is exactly 1 and is left out
+            env = env * np.exp(1j * k * x)
+        return WaveFunction.normalized(grid, env)
 
     @staticmethod
     def plane_wave(grid: Grid1D, k: float) -> "WaveFunction":
@@ -144,8 +147,15 @@ class WaveFunction:
 
 @dataclass(frozen=True)
 class EigenSolution:
+    """Lowest eigenpairs from solve_tise, in ascending order.  The states
+    are computed on the first read of `states`, by _vectors."""
+
     energies: np.ndarray
-    states: list
+    _vectors: Callable[[], list] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def states(self) -> list:
+        return self._vectors()
 
 
 @dataclass(frozen=True)
@@ -242,25 +252,41 @@ def _lapack():
     return lapack
 
 
+def _spacing_squared(grid: Grid1D) -> float:
+    """h**2 of the grid; ValueError where it is not a positive finite
+    double (h below about 1e-162 or above about 1e154)."""
+    h = grid.h
+    try:
+        h2 = h**2
+    except OverflowError:
+        h2 = math.inf
+    if not 0.0 < h2 < math.inf:
+        raise ValueError(f"grid spacing h = {h!r} has no positive finite "
+                         f"square")
+    return h2
+
+
 def solve_tise(pot: Potential, grid: Grid1D, n_states: int,
                consts: Constants) -> EigenSolution:
     """Lowest eigenpairs of -(2 f^2/m) psi'' + V psi = E psi.
 
-    3-point Dirichlet finite differences; O(h^2) accurate.  States come
-    back normalized, real, sign-fixed, with n nodes for state n.  The
-    tridiagonal eigenproblem is solved by LAPACK: dstebz bisects for the
-    lowest n_states eigenvalues, block-ordered, and dstein computes their
-    vectors by inverse iteration; a nonzero info raises ConvergenceError.
+    3-point Dirichlet finite differences; O(h^2) accurate.  The
+    tridiagonal eigenproblem is solved by LAPACK.  dstebz bisects for the
+    lowest n_states eigenvalues, block-ordered, in this call.  dstein
+    computes their vectors by inverse iteration only on the first read of
+    the solution's `states`, which come back normalized, real, sign-fixed,
+    with n nodes for state n.  A nonzero info raises ConvergenceError:
+    dstebz's from this call, dstein's from that read.
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
     if n_states > grid.n - 2:
         raise ValueError("n_states exceeds interior grid dimension")
-    h = grid.h
+    h2 = _spacing_squared(grid)
     v = _grid_potential(pot, grid)
     coeff = 2.0 * consts.f**2 / consts.mass
-    diag = 2.0 * coeff / h**2 + v[1:-1]
-    off = np.full(grid.n - 3, -coeff / h**2)
+    diag = 2.0 * coeff / h2 + v[1:-1]
+    off = np.full(grid.n - 3, -coeff / h2)
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError("array must not contain infs or NaNs")
     lapack = _lapack()
@@ -271,24 +297,27 @@ def solve_tise(pot: Potential, grid: Grid1D, n_states: int,
     if info:
         raise ConvergenceError(f"LAPACK dstebz failed with info={info}")
     w = w[:m]
-    vecs, info = lapack.dstein(diag, off, w, iblock, isplit)
-    if info:
-        raise ConvergenceError(f"LAPACK dstein failed with info={info}")
     order = np.argsort(w)  # block order to ascending
-    energies, vecs = w[order], vecs[:, order]
+    energies = w[order]
     if pot.kind is not PotentialKind.INFINITE_WELL:
         edge_v = min(v[0], v[-1])
         if energies[-1] > edge_v:
             warnings.warn("requested states extend above the edge potential; "
                           "they are not bound on this grid", UnboundStateWarning)
-    states = []
-    for i in range(n_states):
-        full = np.zeros(grid.n)
-        full[1:-1] = vecs[:, i]
-        full /= math.sqrt(float(np.trapezoid(full**2, dx=h)))
-        full = _sign_fixed(full)
-        states.append(WaveFunction(grid=grid, values=full.astype(complex)))
-    return EigenSolution(energies=energies, states=states)
+
+    def states() -> list:
+        vecs, info = lapack.dstein(diag, off, w, iblock, isplit)
+        if info:
+            raise ConvergenceError(f"LAPACK dstein failed with info={info}")
+        out = []
+        for i in order:
+            full = np.zeros(grid.n)
+            full[1:-1] = vecs[:, i]
+            full /= math.sqrt(float(np.trapezoid(full**2, dx=grid.h)))
+            full = _sign_fixed(full)
+            out.append(WaveFunction(grid=grid, values=full.astype(complex)))
+        return out
+    return EigenSolution(energies=energies, _vectors=states)
 
 
 _P_FLOOR_RATIO = 1e-14
@@ -327,10 +356,10 @@ def fisher_metrics(psi: WaveFunction) -> FisherMetrics:
                          decomposition_residual=residual)
 
 
-def cr_bound_check(psi: WaveFunction, delta_x: float) -> float:
-    """Margin (delta_x)^2 * integral(4|psi'|^2) - 1 of the generalized bound."""
-    fi = fisher_metrics(psi).fi_generalized
-    return delta_x**2 * fi - 1.0
+def cr_bound_check(metrics: FisherMetrics, delta_x: float) -> float:
+    """Margin (delta_x)^2 * integral(4|psi'|^2) - 1 of the generalized
+    bound, from an amplitude's fisher_metrics."""
+    return delta_x**2 * metrics.fi_generalized - 1.0
 
 
 @dataclass(frozen=True)

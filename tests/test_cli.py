@@ -202,6 +202,20 @@ class TestValidation:
         ("wkb", {"potential": {"kind": "harmonic"}, "energy": 1,
                  "grid": {"x_min": 0, "x_max": 5e-324, "n": 64}},
          "grid: x_max must exceed x_min"),
+        # h is a double but h**2 overflows or underflows to 0
+        ("tise", {"potential": {"kind": "infinite_well", "width": 1e308},
+                  "n_states": 1, "grid": {"x_min": 0, "x_max": 1e308, "n": 64}},
+         "grid: grid spacing h = 1.5873015873015875e+306 has no positive "
+         "finite square"),
+        ("variational", {"potential": {"kind": "infinite_well",
+                                       "width": 1e308},
+                         "grid": {"x_min": 0, "x_max": 1e308, "n": 64}},
+         "grid: grid spacing h = 1.5873015873015875e+306 has no positive "
+         "finite square"),
+        ("tise", {"potential": {"kind": "harmonic"}, "n_states": 1,
+                  "grid": {"x_min": 0, "x_max": 1e-170, "n": 64}},
+         "grid: grid spacing h = 1.5873015873015874e-172 has no positive "
+         "finite square"),
     ], ids=["tise_too_many_energies", "tise_zero_energy", "piston_no_l0",
             "piston_l_end_unreachable", "piston_collapsing_box",
             "piston_scan_with_run_keys", "piston_jump_after_end",
@@ -219,7 +233,10 @@ class TestValidation:
             "linear_potential_width", "infinite_well_potential_m",
             "soft_well_potential_omega", "wkb_no_allowed_region",
             "wkb_admitted_region_too_short", "wkb_grid_spacing_overflows",
-            "tise_grid_spacing_underflows", "wkb_grid_spacing_underflows"])
+            "tise_grid_spacing_underflows", "wkb_grid_spacing_underflows",
+            "tise_spacing_square_overflows",
+            "variational_spacing_square_overflows",
+            "tise_spacing_square_underflows"])
     def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch, kind,
                                   params, named):
         # kind names the scenario kind, or is (kind, units)

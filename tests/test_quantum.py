@@ -1,5 +1,6 @@
 import importlib.machinery
 import math
+import re
 import sys
 import types
 import warnings
@@ -230,7 +231,51 @@ class TestLapack:
                routine: failing}))
         with pytest.raises(ConvergenceError,
                            match=f"LAPACK {routine} failed with info=2"):
-            solve_tise(Potential("harmonic"), Grid1D(-5, 5, 64), 1, consts)
+            solve_tise(Potential("harmonic"), Grid1D(-5, 5, 64), 1,
+                       consts).states
+
+    def test_dstein_runs_once_on_first_read(self, consts, monkeypatch):
+        """dstein runs only when the states are read, and once however
+        often they are read; the energies need only dstebz."""
+        real = quantum._lapack()
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return real.dstein(*args)
+        monkeypatch.setattr(quantum, "_lapack", lambda: types.SimpleNamespace(
+            dstebz=real.dstebz, dstein=counted))
+        grid = Grid1D(-10.0, 10.0, 2000)
+        unread = solve_tise(Potential("harmonic"), grid, 3, consts)
+        assert unread.energies[0] == pytest.approx(0.5, rel=1e-3)
+        assert calls == []
+        sol = solve_tise(Potential("harmonic"), grid, 3, consts)
+        first = sol.states
+        assert sol.states is first
+        assert calls == [grid.n - 2]
+        assert len(first) == 3
+
+    def test_dstein_failure_is_not_cached(self, consts, monkeypatch):
+        """A failed dstein raises at every read of the states."""
+        real = quantum._lapack()
+        monkeypatch.setattr(quantum, "_lapack", lambda: types.SimpleNamespace(
+            dstebz=real.dstebz,
+            dstein=lambda *args: (real.dstein(*args)[0], 1)))
+        sol = solve_tise(Potential("harmonic"), Grid1D(-5, 5, 64), 1, consts)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="dstein"):
+                sol.states
+
+    @pytest.mark.parametrize("x_max", [1e-170, 1e170],
+                             ids=["underflows", "overflows"])
+    def test_grid_spacing_without_a_square(self, consts, x_max):
+        """A spacing whose square is 0 or past the double range raises a
+        ValueError naming it, not ZeroDivisionError or OverflowError."""
+        grid = Grid1D(0.0, x_max, 64)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"grid spacing h = {grid.h!r} has "
+                                           f"no positive finite square")):
+            solve_tise(Potential("harmonic"), grid, 1, consts)
 
     def test_non_finite_operator_rejected(self, consts, monkeypatch):
         """An infinite V keeps scipy's message, and LAPACK is not called."""
@@ -301,11 +346,34 @@ class TestFisher:
 
 
 class TestCramerRao:
+    def test_criterion_4_evaluates_each_amplitude_once(self, monkeypatch):
+        """Criterion 4 computes fisher_metrics once per amplitude, and
+        cr_bound_check reuses it."""
+        from cpdq_lab import acceptance
+        points = []
+
+        def counted(psi):
+            points.append(len(psi.values))
+            return fisher_metrics(psi)
+        monkeypatch.setattr(acceptance, "fisher_metrics", counted)
+        monkeypatch.setattr(quantum, "fisher_metrics", counted)
+        assert all(c.passed for c in acceptance.criterion_4_cramer_rao())
+        assert points == [96001, 1025, 8001]
+
+    def test_gaussian_without_carrier_keeps_its_bits(self):
+        """At k = 0 the carrier is left out, and the values equal the
+        product with e^{i 0 x} bit for bit."""
+        g = Grid1D(-12.0, 12.0, 96001)
+        env = np.exp(-(g.x ** 2) / 4.0)
+        carried = WaveFunction.normalized(g, env * np.exp(1j * 0.0 * g.x))
+        values = WaveFunction.gaussian(g, sigma=1.0).values
+        assert values.tobytes() == carried.values.tobytes()
+
     def test_gaussian_equality(self, consts):
         g = Grid1D(-12.0, 12.0, 96001)
         psi = WaveFunction.gaussian(g, sigma=1.0)
         _, sd = psi.mean_and_std()
-        assert abs(cr_bound_check(psi, sd)) <= 1e-6
+        assert abs(cr_bound_check(fisher_metrics(psi), sd)) <= 1e-6
 
     def test_double_hump_strict_inequality(self, consts):
         g = Grid1D(-16.0, 16.0, 4001)
@@ -313,12 +381,12 @@ class TestCramerRao:
         hump = (np.exp(-((x - 3) ** 2) / 2) + np.exp(-((x + 3) ** 2) / 2))
         psi = WaveFunction.normalized(g, hump)
         _, sd = psi.mean_and_std()
-        assert cr_bound_check(psi, sd) > 0.0
+        assert cr_bound_check(fisher_metrics(psi), sd) > 0.0
 
     def test_plane_wave_equality(self, consts):
         g = Grid1D(0.0, 4 * math.pi, 1025)
         psi = WaveFunction.plane_wave(g, 2.0)
-        assert abs(cr_bound_check(psi, 0.25)) <= 1e-8
+        assert abs(cr_bound_check(fisher_metrics(psi), 0.25)) <= 1e-8
 
 
 def dense_descent_operators(grid, consts, tau=0.01):
