@@ -1,20 +1,28 @@
-"""JSON Schema checks shared by the scenario CLI and the model types.
+"""JSON Schema checks shared by the scenario CLI, the models and functions.
 
 A model field declares its schema once, as its dataclasses.field metadata;
 check_fields checks it in __post_init__ and field_schemas gives it to cli.
+A function's bounded arguments are declared once, in a table of schemas
+beside it; check_args checks them on each call and cli reads the table.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import operator
 
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NON_NEGATIVE = {"type": "number", "minimum": 0}
+_FRACTION = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A real number, numpy's scalars included, but not a bool; int and
+    float come first, as the abstract class is slower to test."""
+    return (isinstance(x, (int, float, numbers.Real))
+            and not isinstance(x, bool))
 
 
 # JSON Schema 2020-12 types and numeric bounds, worded as the Python
@@ -25,8 +33,8 @@ _TYPES = {
     "string": lambda x: isinstance(x, str),
     "boolean": lambda x: isinstance(x, bool),
     "number": _is_number,
-    "integer": lambda x: _is_number(x) and (isinstance(x, int)
-                                            or x.is_integer()),
+    "integer": lambda x: _is_number(x) and (
+        isinstance(x, (int, numbers.Integral)) or x.is_integer()),
 }
 _BOUNDS = {
     "minimum": (operator.lt, "less than the minimum"),
@@ -78,20 +86,32 @@ def _schema_errors(schema: dict, x, path: tuple = ()):
                 yield path, f"{x!r} is too long"
 
 
-def check_fields(obj) -> None:
-    """Raise ValueError for the first field of a frozen dataclass that
-    fails its schema; a field at None is unset.  An integral float in an
-    integer field is stored as an int."""
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if not f.metadata or value is None:
+def check_args(schemas: dict, values) -> None:
+    """Raise ValueError for the first name in schemas whose entry in values
+    fails its schema; None is unset.  NaN, or a list holding NaN, raises
+    `<name> must not be NaN`, any other failure the walker's message and
+    ` at <name>`."""
+    for name, schema in schemas.items():
+        value = values[name]
+        if value is None:
             continue
-        if value != value:
-            raise ValueError(f"{f.name} must not be NaN")
-        for _, message in _schema_errors(f.metadata, value):
-            raise ValueError(f"{message} at {f.name}")
-        if f.metadata.get("type") == "integer":
-            object.__setattr__(obj, f.name, int(value))
+        if value != value or (isinstance(value, list)
+                              and any(v != v for v in value)):
+            raise ValueError(f"{name} must not be NaN")
+        for _, message in _schema_errors(schema, value):
+            raise ValueError(f"{message} at {name}")
+
+
+def check_fields(obj) -> None:
+    """check_args on the fields of a frozen dataclass that declare a
+    schema; an integral number in an integer field is stored as an int."""
+    schemas = {f.name: f.metadata for f in dataclasses.fields(obj)
+               if f.metadata}
+    values = vars(obj)
+    check_args(schemas, values)
+    for name, schema in schemas.items():
+        if schema.get("type") == "integer" and values[name] is not None:
+            object.__setattr__(obj, name, int(values[name]))
 
 
 def field_schemas(cls) -> dict:

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from ._csv import write_csv
-from ._schema import _NUMBER, _POSITIVE, _schema_errors, field_schemas
+from ._schema import (_FRACTION, _NUMBER, _POSITIVE, _schema_errors,
+                      field_schemas)
 from .acceptance import Check, REGIME_EXPECTED, regime_fixture_metrics, run_criteria
 from .core import (
     Constants,
@@ -38,9 +39,14 @@ from .core import (
 )
 from .dynamics import (IntegratorConfig, check_step_stable, cpdq_diagnostics,
                        energy_budget, integrate_hamilton)
-from .info import LN2, info_ledger, rate_bounds, regime_classify
+from .info import (LN2, _RATE_BOUNDS_ARGS, _REGIME_ARGS, _REGIME_METRICS,
+                   info_ledger, rate_bounds, regime_classify)
 from .quantum import (
     Grid1D,
+    _DISPERSION_ARGS,
+    _TISE_ARGS,
+    _VARIATIONAL_ARGS,
+    _check_n_states,
     _dot,
     _spacing_squared,
     admitted_block,
@@ -55,6 +61,7 @@ from .quantum import (
 from .thermo import (
     MAX_EVENTS,
     PistonConfig,
+    _SCAN_ARGS,
     adiabatic_scan,
     extended_quantities,
     heat_theorem_residual,
@@ -66,10 +73,6 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_SCHEMA = 2
 EXIT_CHECK = 3
-
-_NON_NEGATIVE = {"type": "number", "minimum": 0}
-_FRACTION = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
-
 
 def _object(properties: dict, required: tuple = ()) -> dict:
     """Schema of a JSON object that rejects unknown keys."""
@@ -130,8 +133,10 @@ def validate_scenario(cfg: dict) -> tuple[Constants, dict]:
         if len(expected) > params["n_states"] or 0 in expected:
             raise ScenarioError("expected_energies takes at most n_states "
                                 "values, none of them zero")
-        if params["n_states"] > params["grid"]["n"] - 2:
-            raise ScenarioError("n_states exceeds interior grid dimension")
+        try:
+            _check_n_states(params["n_states"], params["grid"]["n"])
+        except ValueError as exc:
+            raise ScenarioError(exc) from None
         if params["n_states"] * params["grid"]["n"] > MAX_EVENTS:
             raise ScenarioError(f"n_states * grid n exceeds {MAX_EVENTS}")
         params["n_states"] = int(params["n_states"])
@@ -415,22 +420,22 @@ KINDS = {
     "piston": (_object({
         **field_schemas(PistonConfig),
         "scan": _object({
-            "ratios": {"type": "array", "minItems": 2, "items": _FRACTION},
-            "expansion": {"type": "number", "exclusiveMinimum": 1},
+            "ratios": {"type": "array", "minItems": 2,
+                       "items": _SCAN_ARGS["ratios"]["items"]},
+            "expansion": _SCAN_ARGS["expansion"],
         }, required=("ratios",)),
     }), _run_piston),
     "tise": (_object({
         "potential": _POTENTIAL_SCHEMA,
         "grid": _GRID_SCHEMA,
-        "n_states": {"type": "integer", "minimum": 1},
+        **_TISE_ARGS,
         "expected_energies": {"type": "array", "items": _NUMBER},
         "energy_rel_tol": _POSITIVE,
     }, required=("potential", "grid", "n_states")), _run_tise),
     "variational": (_object({
         "potential": _POTENTIAL_SCHEMA,
         "grid": _GRID_SCHEMA,
-        "max_iters": {"type": "integer", "minimum": 2},
-        "tol": _POSITIVE,
+        **_VARIATIONAL_ARGS,
     }, required=("potential", "grid")), _run_variational),
     "wkb": (_object({
         "potential": _POTENTIAL_SCHEMA,
@@ -439,23 +444,14 @@ KINDS = {
         "kinetic_fraction": _FRACTION,
         "with_bohm_report": {"type": "boolean"},
     }, required=("potential", "energy", "grid")), _run_wkb),
-    "dispersion": (_object({
-        "k": _NUMBER,
-        "m0": _NON_NEGATIVE,
-    }, required=("k", "m0")), _run_dispersion),
-    "bounds": (_object({
-        "energy": _POSITIVE,
-        "theta": _POSITIVE,
-    }, required=("energy", "theta")), _run_bounds),
+    "dispersion": (_object(_DISPERSION_ARGS, required=("k", "m0")),
+                   _run_dispersion),
+    "bounds": (_object(_RATE_BOUNDS_ARGS, required=("energy", "theta")),
+               _run_bounds),
     "regime": (_object({
         "fixture": {"enum": sorted(REGIME_EXPECTED)},
-        "metrics": _object({
-            "mean_abs_d_i": _NON_NEGATIVE,
-            "max_step_d_i_q": _NON_NEGATIVE,
-            "max_step_d_i_p": _NON_NEGATIVE,
-        }, required=("mean_abs_d_i", "max_step_d_i_q", "max_step_d_i_p")),
-        "thresholds": {"type": "array", "minItems": 2, "maxItems": 2,
-                       "items": _POSITIVE},
+        "metrics": _object(_REGIME_METRICS, required=tuple(_REGIME_METRICS)),
+        "thresholds": _REGIME_ARGS["thresholds"],
     }), _run_regime),
     "suite": (_object({"filter": {"type": "string"}}), None),
 }

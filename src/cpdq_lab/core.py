@@ -104,7 +104,7 @@ class Potential:
 
     Potential(kind, **params) takes the kind by name or as a PotentialKind
     and only the parameters that kind reads (_PARAMS); each defaults to 1
-    and all but f0 must exceed 0.
+    and all but f0 are above 0.
 
     Conventions:
       linear        V = -f0*q  (constant force +f0)

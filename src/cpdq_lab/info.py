@@ -20,6 +20,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._schema import _NON_NEGATIVE, _POSITIVE, check_args
 from .core import Constants, eval_potential
 from .thermo import PistonRecord
 from .variational import Trajectory
@@ -108,6 +109,13 @@ def info_ledger(rec) -> InfoLedger:
     raise TypeError(f"no ledger for {type(rec).__name__}")
 
 
+# argument schemas, checked on each call (check_args) and read by cli.KINDS
+_REGIME_METRICS = dict.fromkeys(
+    ("mean_abs_d_i", "max_step_d_i_q", "max_step_d_i_p"), _NON_NEGATIVE)
+_REGIME_ARGS = {**_REGIME_METRICS, "thresholds": {
+    "type": "array", "minItems": 2, "maxItems": 2, "items": _POSITIVE}}
+
+
 def regime_classify(mean_abs_d_i: float, max_step_d_i_q: float,
                     max_step_d_i_p: float,
                     thresholds: tuple[float, float] = (1e-6, 0.1)) -> RegimeReport:
@@ -117,8 +125,7 @@ def regime_classify(mean_abs_d_i: float, max_step_d_i_q: float,
     Columns: are the individual per-crossing increments small (within
     tol_small)?  Deterministic in the three metrics and two thresholds.
     """
-    if min(mean_abs_d_i, max_step_d_i_q, max_step_d_i_p) < 0:
-        raise ValueError("metrics must be non-negative")
+    check_args(_REGIME_ARGS, {**locals(), "thresholds": list(thresholds)})
     tol_zero, tol_small = thresholds
     conserved = mean_abs_d_i <= tol_zero
     small_steps = max_step_d_i_q <= tol_small and max_step_d_i_p <= tol_small
@@ -188,6 +195,9 @@ def wkb_regime_metrics(profile):
     return 0.0, max_step, max_step
 
 
+_RATE_BOUNDS_ARGS = {"energy": _POSITIVE, "theta": _POSITIVE}
+
+
 def rate_bounds(energy: float, theta: float, consts: Constants) -> RateBounds:
     """Upper bounds on information transfer for a signal of given energy.
 
@@ -196,8 +206,7 @@ def rate_bounds(energy: float, theta: float, consts: Constants) -> RateBounds:
     energy_rate_cap = (k theta)^2/(2 f);
     continuous_bound = sqrt(energy_rate_cap/(2 f))/ln2.
     """
-    if energy <= 0 or theta <= 0:
-        raise ValueError("energy and theta must exceed 0")
+    check_args(_RATE_BOUNDS_ARGS, locals())
     f, h = consts.f, consts.h
     k_theta = consts.k_boltz * theta
     energy_rate_cap = k_theta**2 / (2.0 * f)

@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._schema import _NUMBER, check_fields
+from ._schema import (_NON_NEGATIVE, _NUMBER, _POSITIVE, check_args,
+                      check_fields)
 from .core import Constants, Potential, PotentialKind, eval_potential
 
 
@@ -266,6 +267,16 @@ def _spacing_squared(grid: Grid1D) -> float:
     return h2
 
 
+def _check_n_states(n_states: int, n: int) -> None:
+    """ValueError where n_states exceeds the interior of an n-point grid."""
+    if n_states > n - 2:
+        raise ValueError("n_states exceeds interior grid dimension")
+
+
+# argument schemas, checked on each call (check_args) and read by cli.KINDS
+_TISE_ARGS = {"n_states": {"type": "integer", "minimum": 1}}
+
+
 def solve_tise(pot: Potential, grid: Grid1D, n_states: int,
                consts: Constants) -> EigenSolution:
     """Lowest eigenpairs of -(2 f^2/m) psi'' + V psi = E psi.
@@ -278,10 +289,8 @@ def solve_tise(pot: Potential, grid: Grid1D, n_states: int,
     with n nodes for state n.  A nonzero info raises ConvergenceError:
     dstebz's from this call, dstein's from that read.
     """
-    if n_states < 1:
-        raise ValueError("n_states must be at least 1")
-    if n_states > grid.n - 2:
-        raise ValueError("n_states exceeds interior grid dimension")
+    check_args(_TISE_ARGS, locals())
+    _check_n_states(n_states, grid.n)
     h2 = _spacing_squared(grid)
     v = _grid_potential(pot, grid)
     coeff = 2.0 * consts.f**2 / consts.mass
@@ -419,6 +428,10 @@ def _kinetic_step(exp_t: np.ndarray):
     return step
 
 
+_VARIATIONAL_ARGS = {"max_iters": {"type": "integer", "minimum": 2},
+                     "tol": _POSITIVE}
+
+
 def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
                              max_iters: int = 5000, tol: float = 1e-10,
                              psi0: WaveFunction | None = None) -> VariationalResult:
@@ -454,10 +467,10 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
     cap raises ConvergenceError with the last Ritz vector and its E.  The
     minimum agrees with the finite-difference eigensolver to O(h^2).
     """
+    check_args(_VARIATIONAL_ARGS, locals())
+    _spacing_squared(grid)
     from scipy.fft import dst
 
-    if max_iters < 2:
-        raise ValueError("max_iters must be at least 2")
     x = grid.x
     h = grid.h
     v_int = _grid_potential(pot, grid)[1:-1]
@@ -629,6 +642,9 @@ class DispersionResult:
     nr_residual: float
 
 
+_DISPERSION_ARGS = {"k": _NUMBER, "m0": _NON_NEGATIVE}
+
+
 def dispersion_checks(k: float, m0: float, consts: Constants) -> DispersionResult:
     """Plane-wave residuals of the relativistic and free-particle equations.
 
@@ -638,11 +654,10 @@ def dispersion_checks(k: float, m0: float, consts: Constants) -> DispersionResul
     non-relativistic branch checks w = (2f) k^2 / (2m), with c, f and m
     the run's constants.
     """
+    check_args(_DISPERSION_ARGS, locals())
     c, f = consts.c, consts.f
     if not math.isfinite(k):
         raise ValueError("wavenumber must be finite")
-    if m0 < 0:
-        raise ValueError("rest mass must be non-negative")
     mass_term = (m0 * c / (2.0 * f)) ** 2
     omega_kg = c * math.sqrt(k * k + mass_term)
     terms = (k * k, -((omega_kg / c) ** 2), mass_term)

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._schema import _NUMBER, _POSITIVE, check_fields
+from ._schema import _FRACTION, _NUMBER, _POSITIVE, check_args, check_fields
 from .core import Constants, ModelViolationError
 
 # Largest event log a run may record (start, hits, jump and stop rows).
@@ -384,6 +384,11 @@ class AdiabaticScan:
     delta_s_over_k: np.ndarray
 
 
+# argument schemas, checked on each call (check_args) and read by cli.KINDS
+_SCAN_ARGS = {"ratios": {"type": "array", "items": _FRACTION},
+              "expansion": {"type": "number", "exclusiveMinimum": 1}}
+
+
 def scan_configs(ratios, l0: float = 1.0, v0: float = 1.0,
                  expansion: float = 2.0) -> list[PistonConfig]:
     """The runs of a wall-speed scan, one per ratio u/v0 in (0, 1).
@@ -392,8 +397,7 @@ def scan_configs(ratios, l0: float = 1.0, v0: float = 1.0,
     u = ratio*v0; a run the model cannot represent raises here.
     """
     ratios = np.asarray(ratios, dtype=float)
-    if np.any(ratios >= 1.0) or np.any(ratios <= 0.0):
-        raise ValueError("ratios must lie in (0, 1)")
+    check_args(_SCAN_ARGS, {**locals(), "ratios": ratios.tolist()})
     return [PistonConfig(l0=l0, v0=v0, u=r * v0, l_end=expansion * l0)
             for r in ratios]
 

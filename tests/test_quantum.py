@@ -565,6 +565,21 @@ class TestVariational:
                                      Grid1D(-10.0, 10.0, 200), consts,
                                      max_iters=1)
 
+    @pytest.mark.parametrize("pot", [
+        Potential("harmonic"), Potential("infinite_well", width=1e-170)],
+        ids=["harmonic", "infinite_well"])
+    def test_grid_spacing_without_a_square(self, consts, pot):
+        """Rejected with solve_tise's ValueError, before the kinetic
+        eigenvalues overflow into a propagator that underflows."""
+        grid = Grid1D(0.0, 1e-170, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=re.escape(f"grid spacing h = {grid.h!r}"
+                                               f" has no positive finite "
+                                               f"square")):
+                variational_ground_state(pot, grid, consts)
+
     def test_grid_past_the_well_rejected(self, consts, monkeypatch):
         def no_transform(*args, **kwargs):
             raise AssertionError("transformed before checking the grid")
