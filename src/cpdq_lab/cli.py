@@ -26,8 +26,7 @@ import numpy as np
 
 from . import __version__
 from ._csv import write_csv
-from ._schema import (_FRACTION, _NUMBER, _POSITIVE, _schema_errors,
-                      field_schemas)
+from ._schema import _NUMBER, _POSITIVE, _schema_errors, field_schemas
 from .acceptance import Check, REGIME_EXPECTED, regime_fixture_metrics, run_criteria
 from .core import (
     Constants,
@@ -43,6 +42,7 @@ from .info import (LN2, _RATE_BOUNDS_ARGS, _REGIME_ARGS, _REGIME_METRICS,
                    info_ledger, rate_bounds, regime_classify)
 from .quantum import (
     Grid1D,
+    _ADMITTED_ARGS,
     _DISPERSION_ARGS,
     _TISE_ARGS,
     _VARIATIONAL_ARGS,
@@ -441,7 +441,7 @@ KINDS = {
         "potential": _POTENTIAL_SCHEMA,
         "energy": _NUMBER,
         "grid": _GRID_SCHEMA,
-        "kinetic_fraction": _FRACTION,
+        **_ADMITTED_ARGS,
         "with_bohm_report": {"type": "boolean"},
     }, required=("potential", "energy", "grid")), _run_wkb),
     "dispersion": (_object(_DISPERSION_ARGS, required=("k", "m0")),

@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._schema import (_NON_NEGATIVE, _NUMBER, _POSITIVE, check_args,
-                      check_fields)
+from ._schema import (_FRACTION, _NON_NEGATIVE, _NUMBER, _POSITIVE,
+                      check_args, check_fields)
 from .core import Constants, Potential, PotentialKind, eval_potential
 
 
@@ -593,6 +593,9 @@ def _allowed(v: np.ndarray, energy: float) -> np.ndarray:
     return allowed
 
 
+_ADMITTED_ARGS = {"kinetic_fraction": _FRACTION}
+
+
 def admitted_block(v: np.ndarray, energy: float,
                    kinetic_fraction: float = 0.1) -> np.ndarray:
     """Indices of the largest contiguous block of classically allowed points
@@ -602,6 +605,7 @@ def admitted_block(v: np.ndarray, energy: float,
     Raises ValueError if no point is allowed, or if the block is shorter
     than the 5 points the difference stencils need.
     """
+    check_args(_ADMITTED_ARGS, locals())
     admitted = _allowed(v, energy) & ((energy - v) >= kinetic_fraction * energy)
     idx = np.flatnonzero(admitted)
     breaks = np.flatnonzero(np.diff(idx) > 1)

@@ -45,6 +45,8 @@ from .core import Constants, ModelViolationError
 
 # Largest event log a run may record (start, hits, jump and stop rows).
 MAX_EVENTS = 10_000_000
+# Hits whose rows piston_simulate computes at once
+_BLOCK = 1 << 16
 
 
 class WallEvent(IntEnum):
@@ -75,16 +77,26 @@ class _Leg(NamedTuple):
     def hit_time(self, j):
         return self.t0 + (j * self.box - self.s0) / (self.v0 - j * self.u)
 
+    def size(self, t):
+        """The box size at time t."""
+        return self.box + self.u * (t - self.t0)
+
+    def rows(self, j: np.ndarray):
+        """(t, speed, box_l, event) just after the hits j, an index array."""
+        t = self.hit_time(j)
+        # each right-wall hit takes 2u off the speed
+        return (t, np.abs(self.v0 - 2 * ((j + 1) // 2) * self.u), self.size(t),
+                np.where(j % 2 == 1, WallEvent.RIGHT, WallEvent.LEFT))
+
 
 def _leg(tag: WallEvent, t0: float, s0: float, box: float, u: float,
          v0: float, j_first: int, t_stop: float) -> _Leg:
     """The leg whose hits j >= j_first are those falling before t_stop."""
-    tau = t_stop - t0
-    size = box + u * tau
+    leg = _Leg(tag, t0, s0, box, u, v0, j_first, j_first - 1)
+    tau, size = t_stop - t0, leg.size(t_stop)
     if not (size > 0 and s0 + v0 * tau < MAX_EVENTS * size):
         raise ModelViolationError(
             f"more than {MAX_EVENTS} wall collisions before t = {t_stop:g}")
-    leg = _Leg(tag, t0, s0, box, u, v0, j_first, j_first - 1)
 
     def before(j):
         # hits past speed exhaustion (v0 <= j*u) never happen
@@ -264,26 +276,39 @@ class PistonRecord:
         return float(abs(math.log(self.f_values[i] / self.f_values[0])))
 
 
-def piston_simulate(cfg: PistonConfig, consts: Constants) -> PistonRecord:
-    """Event log of the bouncing particle, leg by leg from the hit formula."""
-    n = cfg.n_events
+def _record(cfg: PistonConfig, consts: Constants, hits) -> PistonRecord:
+    """The rows of cfg's record that hits picks: each leg's opening row and
+    the rows of its hits hits(leg), an index array; then the stop row, with
+    the speed of the row before it."""
+    picked = [(leg, hits(leg)) for leg in cfg._legs]
+    n = sum(len(j) + 1 for _, j in picked) + 1
     t, speed, box_l = np.empty(n), np.empty(n), np.empty(n)
     event = np.empty(n, dtype=int)
     i = 0
-    for leg in cfg._legs:
+    for leg, j in picked:
         t[i], speed[i], box_l[i], event[i] = leg.t0, leg.v0, leg.box, leg.tag
-        j = np.arange(leg.j_first, leg.j_last + 1)
-        rows = slice(i + 1, i + 1 + len(j))
-        t[rows] = leg.hit_time(j)
-        # each right-wall hit takes 2u off the speed
-        speed[rows] = np.abs(leg.v0 - 2 * ((j + 1) // 2) * leg.u)
-        box_l[rows] = leg.box + leg.u * (t[rows] - leg.t0)
-        event[rows] = np.where(j % 2 == 1, WallEvent.RIGHT, WallEvent.LEFT)
-        i = rows.stop
+        i += 1
+        # a block at a time, so that the temporaries stay small
+        for block in np.split(j, range(_BLOCK, len(j), _BLOCK)):
+            rows = slice(i, i + len(block))
+            t[rows], speed[rows], box_l[rows], event[rows] = leg.rows(block)
+            i = rows.stop
     t[i], speed[i], event[i] = cfg.stop_time, speed[i - 1], WallEvent.STOP
-    box_l[i] = leg.box + leg.u * (t[i] - leg.t0)
+    box_l[i] = leg.size(t[i])
     return PistonRecord(t=t, speed=speed, box_l=box_l, event=event,
                         consts=consts)
+
+
+def piston_simulate(cfg: PistonConfig, consts: Constants) -> PistonRecord:
+    """Event log of the bouncing particle, leg by leg from the hit formula."""
+    return _record(cfg, consts,
+                   lambda leg: np.arange(leg.j_first, leg.j_last + 1))
+
+
+def _last_right_hit(leg: _Leg) -> np.ndarray:
+    """The leg's last right-wall (odd) hit index, if it has one."""
+    j = leg.j_last - 1 + leg.j_last % 2
+    return np.array([j] if j >= leg.j_first else [], dtype=int)
 
 
 def _cycles(rec: PistonRecord):
@@ -410,11 +435,19 @@ def adiabatic_scan(configs: list[PistonConfig],
     collision-phase-aligned sampling (see PistonRecord.aligned_delta_ln_pl)
     and grows monotonically with u/v0; delta_s_over_k is each run's total
     entropy change in units of k.
+
+    Both read only a record's first row, its last right-wall hit and its
+    stop row, so each run builds those rows and each leg's last right-wall
+    hit from the hit formula, not its whole event log: a scan costs the
+    same at any collision count.  The values are piston_simulate's, bit
+    for bit.  The stop row keeps the speed of the row before it, which is
+    the speed after the run's last hit: a left-wall hit j + 1 leaves the
+    speed of right-wall hit j, and a static leg never changes it.
     """
     viol = np.empty(len(configs))
     ds = np.empty(len(configs))
     for n, cfg in enumerate(configs):
-        rec = piston_simulate(cfg, consts)
+        rec = _record(cfg, consts, _last_right_hit)
         viol[n] = rec.aligned_delta_ln_pl()
         ds[n] = rec.total_delta_s() / consts.k_boltz
     return AdiabaticScan(delta_ln_pl=viol, delta_s_over_k=ds)

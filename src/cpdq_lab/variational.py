@@ -30,6 +30,12 @@ class Trajectory:
     f_series[i] = |p[i]| * delta_q_series[i] wherever the gap mask is
     clear; by construction of delta_q = f/|p| this equals the configured
     f up to round-off, which dynamics.cpdq_diagnostics verifies.
+
+    Each step t[k+1] - t[k] must match dt within 1e-12*max(|dt|, 1) plus
+    the rounding of t = arange(n)*dt, eps*max|t| with eps = 2**-52: each
+    t[k] lies within half an ulp, at most eps/2*|t[k]|, of k*dt, and two
+    neighbours subtract exactly, so a step is off dt by at most
+    eps/2*(|t[k]| + |t[k+1]|).  That passes 1e-12 once t reaches 8192.
     """
 
     t: np.ndarray
@@ -48,8 +54,11 @@ class Trajectory:
         steps = np.diff(self.t)
         if np.any(steps <= 0):
             raise ValueError("t must be strictly increasing")
-        if np.max(np.abs(steps - self.dt)) > 1e-12 * max(abs(self.dt), 1.0):
-            raise ValueError("sampling must be uniform within 1e-12 relative")
+        rounding = np.finfo(float).eps * max(abs(self.t[0]), abs(self.t[-1]))
+        if (np.max(np.abs(steps - self.dt))
+                > 1e-12 * max(abs(self.dt), 1.0) + rounding):
+            raise ValueError("sampling must be uniform within 1e-12 relative "
+                             "and the rounding of t")
 
     def __len__(self) -> int:
         return len(self.t)

@@ -144,6 +144,9 @@ CALLS = {
     "quantum._VARIATIONAL_ARGS": (quantum.variational_ground_state,
                                   {**_HARMONIC, "max_iters": 5000,
                                    "tol": 1e-10}),
+    "quantum._ADMITTED_ARGS": (quantum.admitted_block,
+                               {"v": np.linspace(-1.0, 1.0, 64) ** 2,
+                                "energy": 1.0, "kinetic_fraction": 0.1}),
     "quantum._DISPERSION_ARGS": (quantum.dispersion_checks,
                                  {"k": 2.0, "m0": 1.0,
                                   "consts": natural_units()}),
@@ -161,6 +164,7 @@ BOUNDED_ARGS = [
     ("quantum._TISE_ARGS", "n_states"),
     ("quantum._VARIATIONAL_ARGS", "max_iters"),
     ("quantum._VARIATIONAL_ARGS", "tol"),
+    ("quantum._ADMITTED_ARGS", "kinetic_fraction"),
     ("quantum._DISPERSION_ARGS", "m0"),
     ("info._RATE_BOUNDS_ARGS", "energy"),
     ("info._RATE_BOUNDS_ARGS", "theta"),
@@ -248,6 +252,7 @@ def test_kinds_read_the_argument_tables():
     for kind, path, table in [
             ("tise", (), "quantum._TISE_ARGS"),
             ("variational", (), "quantum._VARIATIONAL_ARGS"),
+            ("wkb", (), "quantum._ADMITTED_ARGS"),
             ("dispersion", (), "quantum._DISPERSION_ARGS"),
             ("bounds", (), "info._RATE_BOUNDS_ARGS"),
             ("regime", ("metrics",), "info._REGIME_ARGS"),

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import numpy as np
@@ -14,6 +16,7 @@ from cpdq_lab import (
     heat_theorem_residual,
     natural_units,
     piston_simulate,
+    si_units,
 )
 from cpdq_lab.thermo import WallEvent, scan_configs
 
@@ -237,6 +240,89 @@ def test_scan_monotone_default_grid(consts):
 def test_scan_rejects_bad_ratio(consts):
     with pytest.raises(ValueError):
         adiabatic_scan(scan_configs([0.5, 1.5]), consts)
+
+
+def old_scan(configs, consts) -> tuple[np.ndarray, np.ndarray]:
+    """What adiabatic_scan replaced, kept as its reference: each run's full
+    record, then the two PistonRecord methods."""
+    viol, ds = [], []
+    for cfg in configs:
+        rec = piston_simulate(cfg, consts)
+        viol.append(rec.aligned_delta_ln_pl())
+        ds.append(rec.total_delta_s() / consts.k_boltz)
+    return np.array(viol), np.array(ds)
+
+
+# u as a share of v0: expansion, compression, or a static wall
+_SHARE = st.one_of(st.floats(min_value=1e-3, max_value=0.9),
+                   st.floats(min_value=-0.9, max_value=-1e-3))
+
+
+@st.composite
+def piston_kwargs(draw) -> dict:
+    """A PistonConfig's keywords in each shape: a constant-speed wall
+    stopped by l_end or by t_end, and a sudden jump, timed or not."""
+    l0 = draw(st.floats(min_value=0.1, max_value=10.0))
+    v0 = draw(st.floats(min_value=0.1, max_value=10.0))
+    crossing = l0 / v0
+    shape = draw(st.sampled_from(["l_end", "t_end", "sudden_jump"]))
+    if shape == "l_end":
+        u = draw(_SHARE) * v0
+        factor = draw(st.floats(min_value=1.01, max_value=4.0))
+        return dict(l0=l0, v0=v0, u=u,
+                    l_end=l0 * (factor if u > 0 else 1.0 / factor))
+    if shape == "t_end":
+        u = draw(st.one_of(st.just(0.0), _SHARE)) * v0
+        return dict(l0=l0, v0=v0, u=u, t_end=crossing * draw(
+            st.floats(min_value=0.01, max_value=50.0)))
+    kwargs = dict(l0=l0, v0=v0, mode="sudden_jump",
+                  l_end=l0 * draw(st.floats(min_value=1.01, max_value=5.0)))
+    if draw(st.booleans()):
+        kwargs["t_jump"] = crossing * draw(
+            st.floats(min_value=0.01, max_value=6.0))
+    if draw(st.booleans()):
+        kwargs["t_end"] = crossing * draw(
+            st.floats(min_value=0.02, max_value=30.0))
+    return kwargs
+
+
+_CONSTANTS = st.one_of(
+    st.just(natural_units()), st.just(si_units()),
+    st.builds(lambda m, k, f_ref: replace(natural_units(), mass=m,
+                                          k_boltz=k, f_ref=f_ref),
+              *[st.floats(min_value=1e-3, max_value=1e3)] * 3))
+
+
+@given(runs=st.lists(piston_kwargs(), min_size=1, max_size=3),
+       consts=_CONSTANTS)
+def test_scan_matches_full_records(runs, consts):
+    # the scan builds a few rows per run; its values are those of the full
+    # records, bit for bit
+    configs = []
+    for kwargs in runs:
+        try:
+            configs.append(PistonConfig(**kwargs))
+        except (ValueError, ModelViolationError):
+            assume(False)
+    assume(sum(cfg.n_events for cfg in configs) <= 100_000)
+    scan = adiabatic_scan(configs, consts)
+    viol, ds = old_scan(configs, consts)
+    assert scan.delta_ln_pl.tobytes() == viol.tobytes()
+    assert scan.delta_s_over_k.tobytes() == ds.tobytes()
+
+
+def test_scan_memory_is_independent_of_events(consts):
+    # the 9.8M-event run near the cap: its full record took hundreds of MB
+    configs = scan_configs([5.1e-8])
+    assert configs[0].n_events > 9_800_000
+    tracemalloc.start()
+    try:
+        scan = adiabatic_scan(configs, consts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert 0.0 < scan.delta_ln_pl[0] < 1e-6
 
 
 @given(ratio=st.floats(min_value=1.1, max_value=20.0))

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from cpdq_lab import (
     GapError,
+    IntegratorConfig,
     Potential,
     Trajectory,
     action_and_variation,
     custom_variation,
     eval_potential,
     first_order_dL,
+    integrate_hamilton,
     lagrangian_eval,
     natural_units,
     special_variation,
@@ -52,6 +54,23 @@ def test_trajectory_validation(consts):
     with pytest.raises(ValueError):
         Trajectory(t=t[:3], q=t[:3], p=t[:3], dt=1.0, pot=Potential("free"),
                    consts=consts)
+
+
+def test_long_trajectory_is_uniform(consts):
+    # past t = 8192 a step of arange(n + 1)*dt misses dt by an ulp of t,
+    # about 1.8e-12, which a bound of 1e-12 alone rejected
+    traj = integrate_hamilton(Potential("harmonic"), 1.0, 0.0,
+                              IntegratorConfig(dt=0.1, n_steps=83_000), consts)
+    assert np.max(np.abs(np.diff(traj.t) - 0.1)) > 1e-12
+    assert traj.t[-1] == pytest.approx(8300.0, rel=1e-15)
+
+
+@given(dt=st.floats(min_value=1e-6, max_value=1e3),
+       n=st.integers(min_value=4, max_value=200_000))
+def test_arange_sampling_is_uniform(consts, dt, n):
+    # the rounding bound of the docstring admits every t = arange(n + 1)*dt
+    t = np.arange(n + 1) * dt
+    Trajectory(t=t, q=t, p=t, dt=dt, pot=Potential("free"), consts=consts)
 
 
 def test_special_variation_constant_momentum(consts):
