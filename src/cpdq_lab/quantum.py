@@ -176,10 +176,10 @@ class WkbProfile:
     allowed_mask: np.ndarray
 
 
-# A dot product over more terms than this is summed in pieces of this length,
-# in a fixed order.  OpenBLAS splits one long dot product across its
-# threads, so its rounding would depend on OPENBLAS_NUM_THREADS; a piece
-# this short runs on one thread.
+# OpenBLAS splits a long product across its threads, so its rounding would
+# depend on OPENBLAS_NUM_THREADS.  A product over more terms than this is
+# summed in pieces of this length, in order, and one with a longer output
+# is computed in column pieces of this length; each piece runs on one thread.
 _DOT_CHUNK = 8192
 
 
@@ -191,6 +191,17 @@ def _dot(x: np.ndarray, y: np.ndarray):
         return x @ y
     return sum(x[..., i:i + _DOT_CHUNK] @ y[i:i + _DOT_CHUNK]
                for i in range(0, n, _DOT_CHUNK))
+
+
+def _dot_wide(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for a short contraction and a 2-d y, in pieces of _DOT_CHUNK
+    of y's columns."""
+    if y.shape[1] <= _DOT_CHUNK:
+        return x @ y
+    out = np.empty(x.shape[:-1] + y.shape[1:])
+    for i in range(0, y.shape[1], _DOT_CHUNK):
+        out[..., i:i + _DOT_CHUNK] = x @ y[:, i:i + _DOT_CHUNK]
+    return out
 
 
 def _quad(y: np.ndarray, h: float, periodic: bool = False) -> float:
@@ -445,7 +456,8 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
     the dominant eigenvector of P, is found here by a Lanczos iteration on
     the same P, which reaches it in far fewer applications than the
     descent's e^{-tau (E1 - E0)} per step.  Every new Lanczos vector is
-    reorthogonalised twice against the whole basis.  When the basis holds
+    reorthogonalised against the basis block by classical Gram-Schmidt
+    twice (Giraud et al., Numer. Math. 101 (2005) 87).  When the basis holds
     _LANCZOS_BASIS vectors it restarts thick (Wu and Simon, SIAM J. Matrix
     Anal. Appl. 22 (2000) 602): the top _THICK_KEEP Ritz vectors and the
     normalised residual are kept, so the projected matrix is an arrowhead
@@ -487,38 +499,29 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
         return float((kinetic + _dot(v_int, w * w)) / _dot(w, w))
 
     def ritz(s: np.ndarray) -> np.ndarray:
-        u = np.zeros(n_int)
-        for c, b in zip(s, basis):
-            u += np.multiply(b, c, out=scratch)
-        return u
+        return _dot_wide(s, basis[:s.shape[-1]])
 
     if psi0 is not None:
         u = np.real(psi0.values[1:-1])
     else:
         u = np.exp(-((x[1:-1] - 0.5 * (x[0] + x[-1])) / (0.25 * (x[-1] - x[0]))) ** 2)
 
-    # The basis is a list of n-vectors, the size of every other temporary
-    # here.  One (cap, n) block leaves a large freed hole in the heap after
-    # each solve; later allocations fragment it, and a long run's peak
-    # memory measurably rose.
-    basis = [u / math.sqrt(float(_dot(u, u)))]
+    basis = np.empty((_LANCZOS_BASIS, n_int))  # the Lanczos vectors in rows :m
+    basis[0] = u / math.sqrt(float(_dot(u, u)))
+    m = 1
     proj = np.zeros((_LANCZOS_BASIS, _LANCZOS_BASIS))  # P on the basis
-    gs = np.empty(_LANCZOS_BASIS)
-    scratch = np.empty(n_int)
     kept = 0  # Ritz vectors kept by the last restart
     prev = last = None  # previous application's Ritz coefficients and E
     applications = 0
     while True:
-        m = len(basis)
-        w = exp_v * kinetic_step(exp_v * basis[-1])
+        w = exp_v * kinetic_step(exp_v * basis[m - 1])
         applications += 1
-        proj[m - 1, m - 1] = _dot(basis[-1], w)
-        gs[:m] = 0.0
-        for _ in range(2):  # full reorthogonalisation, twice is enough
-            for i, b in enumerate(basis):
-                c = _dot(b, w)
-                w -= np.multiply(b, c, out=scratch)
-                gs[i] += c
+        proj[m - 1, m - 1] = _dot(basis[m - 1], w)
+        gs = 0.0
+        for _ in range(2):  # classical Gram-Schmidt, twice is enough
+            c = _dot(basis[:m], w)
+            w -= _dot_wide(c, basis[:m])
+            gs += c
         if m - 1 == kept:
             proj[kept, :kept] = proj[:kept, kept] = gs[:kept]
         beta = math.sqrt(float(_dot(w, w)))
@@ -552,15 +555,15 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
         w /= beta
         if m < _LANCZOS_BASIS:
             proj[m - 1, m] = proj[m, m - 1] = beta
-            basis.append(w)
             prev = s
-            continue
-        # thick restart: the top Ritz vectors, best first, then the residual
-        basis = [ritz(y) for y in vecs[:, :-_THICK_KEEP - 1:-1].T] + [w]
-        kept = _THICK_KEEP
-        proj[:] = 0.0
-        proj[:kept, :kept] = np.diag(thetas[:-kept - 1:-1])
-        prev = np.ones(1)
+        else:  # thick restart: the top Ritz vectors, best first, then w
+            kept = m = _THICK_KEEP
+            basis[:kept] = ritz(vecs[:, :-kept - 1:-1].T)
+            proj[:] = 0.0
+            proj[:kept, :kept] = np.diag(thetas[:-kept - 1:-1])
+            prev = np.ones(1)
+        basis[m] = w
+        m += 1
 
 
 def local_wkb_profile(v: np.ndarray, dv: np.ndarray, energy: float,

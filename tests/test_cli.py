@@ -1208,15 +1208,18 @@ print(float(_dot(x, y)).hex(), float(_dot(x, x)).hex())
 """
 
 
-def test_large_grid_bytes_independent_of_blas_threads(tmp_path):
+@pytest.mark.parametrize("n", [20_000, 60_000])
+def test_large_grid_bytes_independent_of_blas_threads(tmp_path, n):
     """OpenBLAS splits a dot product of more than about 10,000 terms across
     its threads.  quantum._dot sums 8192-term pieces in order instead, so
-    a variational run on 20,000 points writes the same bytes under one and
-    two BLAS threads, and so does the dot product itself."""
+    a variational run writes the same bytes under one and two BLAS threads,
+    and so does the dot product itself.  At 60,000 points OpenBLAS also
+    splits the Lanczos block's products with an n-long output, which
+    quantum._dot_wide computes in 8192-column pieces."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"kind": "variational", "params": {
         "potential": {"kind": "harmonic"},
-        "grid": {"x_min": -10.0, "x_max": 10.0, "n": 20_000}}}))
+        "grid": {"x_min": -10.0, "x_max": 10.0, "n": n}}}))
     runs = []
     for threads in ("1", "2"):
         out = tmp_path / threads

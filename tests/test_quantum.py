@@ -529,6 +529,23 @@ class TestVariational:
                                         Grid1D(0.0, 1.0, 2000), consts)
         assert well.iterations == 7
 
+    @pytest.mark.parametrize("pot,grid", [
+        (Potential("harmonic"), Grid1D(-10.0, 10.0, 2000)),
+        (Potential("infinite_well", width=1.0), Grid1D(0.0, 1.0, 2000))],
+        ids=["harmonic", "infinite_well"])
+    def test_short_pieces_change_only_rounding(self, consts, monkeypatch,
+                                               pot, grid):
+        """Products summed or computed in 500-long pieces, so that every
+        product past a piece takes the multi-piece branches of _dot and
+        _dot_wide, agree with the default single pieces to rounding."""
+        whole = variational_ground_state(pot, grid, consts)
+        monkeypatch.setattr(quantum, "_DOT_CHUNK", 500)
+        pieces = variational_ground_state(pot, grid, consts)
+        assert pieces.iterations == whole.iterations
+        assert pieces.energy == pytest.approx(whole.energy, rel=1e-14, abs=0)
+        assert np.max(np.abs(pieces.psi.values - whole.psi.values)) \
+            <= 1e-13 * np.max(np.abs(whole.psi.values))
+
     def test_ground_state_has_no_negative_lobe(self, consts):
         res = variational_ground_state(Potential("harmonic"),
                                        Grid1D(-10.0, 10.0, 2000), consts)
