@@ -1,7 +1,8 @@
 """Scenario-driven command line: validate a JSON config, run it, report.
 
-Each scenario kind is one entry of KINDS: the schema of its params and a
-runner that returns its checks and artifacts without doing any I/O.
+Each scenario kind is one entry of KINDS: the schema of its params, a
+build that turns them into the models its run uses, and a runner that
+returns its checks and artifacts without doing any I/O.
 
 Reports are byte-deterministic: fixed key ordering, shortest round-trip
 float repr in strict JSON, %.17g in CSV (a constant column's text formatted
@@ -28,46 +29,19 @@ from . import __version__
 from ._csv import write_csv
 from ._schema import _NUMBER, _POSITIVE, _schema_errors, field_schemas
 from .acceptance import Check, REGIME_EXPECTED, regime_fixture_metrics, run_criteria
-from .core import (
-    Constants,
-    ModelViolationError,
-    Potential,
-    eval_potential,
-    natural_units,
-    si_units,
-)
-from .dynamics import (IntegratorConfig, check_step_stable, cpdq_diagnostics,
+from .core import Constants, Potential, natural_units, si_units
+from .dynamics import (IntegratorConfig, TrajectoryProblem, cpdq_diagnostics,
                        energy_budget, integrate_hamilton)
 from .info import (LN2, _RATE_BOUNDS_ARGS, _REGIME_ARGS, _REGIME_METRICS,
                    info_ledger, rate_bounds, regime_classify)
-from .quantum import (
-    Grid1D,
-    _ADMITTED_ARGS,
-    _DISPERSION_ARGS,
-    _TISE_ARGS,
-    _VARIATIONAL_ARGS,
-    _check_n_states,
-    _dot,
-    _spacing_squared,
-    admitted_block,
-    appendix_a_consistency,
-    bohm_adiabaticity_report,
-    check_grid_in_well,
-    dispersion_checks,
-    local_wkb_profile,
-    solve_tise,
-    variational_ground_state,
-)
-from .thermo import (
-    MAX_EVENTS,
-    PistonConfig,
-    _SCAN_ARGS,
-    adiabatic_scan,
-    extended_quantities,
-    heat_theorem_residual,
-    piston_simulate,
-    scan_configs,
-)
+from .quantum import (_ADMITTED_ARGS, _DISPERSION_ARGS, _TISE_ARGS,
+                      _VARIATIONAL_ARGS, Grid1D, GridProblem, _dot,
+                      admitted_block, appendix_a_consistency,
+                      bohm_adiabaticity_report, dispersion_checks,
+                      local_wkb_profile, solve_tise, variational_ground_state)
+from .thermo import (MAX_EVENTS, _SCAN_ARGS, PistonConfig, adiabatic_scan,
+                     extended_quantities, heat_theorem_residual,
+                     piston_simulate, scan_configs)
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -107,101 +81,99 @@ def validate_scenario(cfg: dict) -> tuple[Constants, dict]:
 
     Returns the run's Constants (its unit system with its overrides
     applied) and a copy of params in which `potential` is a Potential and
-    `grid` a Grid1D; a trajectory gains `integrator` (its
-    IntegratorConfig), a single piston run `piston` (its PistonConfig), a
-    scan `configs` (its runs' PistonConfigs), and a wkb run `v` and `dv`,
-    V and V' sampled on the grid, and `seg`, its admitted block.  Raises
-    ScenarioError, naming the offending key, for a config the schema or a
-    model rejects, such as V or V' that overflows on the grid or at q0, a
-    tise or variational grid spacing whose square is not a positive finite
-    double, or constants whose kinetic coefficient 2 f^2/mass overflows.
+    the kind's build (KINDS) has put its models.  Raises ScenarioError,
+    naming the offending key, for a config that the schema, a model or a
+    rule of the kind rejects.
     """
     _check_schema(SCHEMA, cfg)
     kind, params = cfg["kind"], dict(cfg["params"])
-    _check_schema(KINDS[kind][0], params, f"params for kind {kind!r}: ")
+    schema, build, _ = KINDS[kind]
+    _check_schema(schema, params, f"params for kind {kind!r}: ")
     base = si_units() if cfg.get("units") == "si" else natural_units()
     consts = dataclasses.replace(base, **cfg.get("constants", {}))
     if "potential" in params:
-        try:
-            pot = params["potential"] = Potential(**params["potential"])
-        except ValueError as exc:
-            raise ScenarioError(f"potential: {exc}") from None
-    if kind == "regime" and ("fixture" in params) == ("metrics" in params):
-        raise ScenarioError("regime needs exactly one of fixture/metrics")
-    if kind == "tise":
-        expected = params.get("expected_energies", [])
-        if len(expected) > params["n_states"] or 0 in expected:
-            raise ScenarioError("expected_energies takes at most n_states "
-                                "values, none of them zero")
-        try:
-            _check_n_states(params["n_states"], params["grid"]["n"])
-        except ValueError as exc:
-            raise ScenarioError(exc) from None
-        if params["n_states"] * params["grid"]["n"] > MAX_EVENTS:
-            raise ScenarioError(f"n_states * grid n exceeds {MAX_EVENTS}")
-        params["n_states"] = int(params["n_states"])
-    if kind == "trajectory":
-        if not pot.contains(params["q0"]):
-            raise ScenarioError("q0 lies outside the potential's domain")
-        try:
-            check_step_stable(pot, params["dt"], consts)
-        except ModelViolationError as exc:
-            raise ScenarioError(f"trajectory: {exc}") from None
-        params["integrator"] = IntegratorConfig(params["dt"],
-                                                params["n_steps"])
-    if kind == "piston" and "scan" in params:
+        params["potential"] = _model("potential: ", Potential,
+                                     **params["potential"])
+    try:
+        build(params, consts)
+    except ValueError as exc:
+        raise ScenarioError(exc) from None
+    return consts, params
+
+
+def _model(prefix: str, make, *args, **kwargs):
+    """make(*args, **kwargs); its ValueError as a ScenarioError whose
+    message follows prefix."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{prefix}{exc}") from None
+
+
+def _build_trajectory(params: dict, consts: Constants) -> None:
+    params["problem"] = TrajectoryProblem(
+        params["potential"], params["q0"], params["p0"],
+        IntegratorConfig(params["dt"], params["n_steps"]), consts)
+
+
+def _build_grid(params: dict, consts: Constants,
+                operator: bool = True) -> GridProblem:
+    """params' GridProblem, its sample and, with operator, kinetic read."""
+    grid = _model("grid: ", Grid1D, **params["grid"])
+    problem = params["problem"] = GridProblem(params["potential"], grid,
+                                              consts)
+    if operator:
+        problem.kinetic
+    problem.sample
+    return problem
+
+
+def _build_tise(params: dict, consts: Constants) -> None:
+    expected = params.get("expected_energies", [])
+    if len(expected) > params["n_states"] or 0 in expected:
+        raise ScenarioError("expected_energies takes at most n_states "
+                            "values, none of them zero")
+    if params["n_states"] * params["grid"]["n"] > MAX_EVENTS:
+        raise ScenarioError(f"n_states * grid n exceeds {MAX_EVENTS}")
+    _build_grid(params, consts).check_n_states(params["n_states"])
+    params["n_states"] = int(params["n_states"])
+
+
+def _build_wkb(params: dict, consts: Constants) -> None:
+    # the Bohm report's eigensolve forms the operator
+    problem = _build_grid(params, consts,
+                          params.get("with_bohm_report", False))
+    params["seg"] = _model("wkb: ", admitted_block, problem.sample[0],
+                           params["energy"],
+                           **_given(params, "kinetic_fraction"))
+
+
+def _build_piston(params: dict, consts: Constants) -> None:
+    if "scan" in params:
         extra = [k for k in ("u", "mode", "l_end", "t_end", "t_jump")
                  if k in params]
         if extra:
             raise ScenarioError(f"piston scan takes no single-run "
                                 f"key(s) {extra}")
-        try:
-            params["configs"] = scan_configs(**params["scan"],
-                                             **_given(params, "l0", "v0"))
-        except ValueError as exc:
-            raise ScenarioError(f"piston scan: {exc}") from None
-    elif kind == "piston":
-        try:
-            piston = params["piston"] = PistonConfig(**params)
-        except TypeError:
-            raise ScenarioError("piston without scan needs l0 and v0") from None
-        except ValueError as exc:
-            raise ScenarioError(f"piston: {exc}") from None
-        if piston.n_right_hits < 2:
-            raise ScenarioError("piston: the run stops before its second "
-                                "right-wall collision")
-    if "grid" in params:
-        try:
-            grid = params["grid"] = Grid1D(**params["grid"])
-            check_grid_in_well(pot, grid)
-            if kind != "wkb":  # solve_tise's operator divides by h**2
-                _spacing_squared(grid)
-        except ValueError as exc:
-            raise ScenarioError(f"grid: {exc}") from None
-        # 2 f^2/mass, over h^2 in tise's and variational's operators
-        h = 1.0 if kind == "wkb" else grid.h
-        if not math.isfinite(2.0 * consts.f * consts.f / consts.mass / h / h):
-            raise ScenarioError("constants: 2 f^2/mass overflows on the grid")
-    if "grid" in params or kind == "trajectory":
-        at, q = (("on the grid", grid.x) if "grid" in params
-                 else ("at q0", params["q0"]))
-        # OverflowError from float arithmetic, FloatingPointError from numpy
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                v, dv = eval_potential(pot, q)
-            if not (np.isfinite(v).all() and np.isfinite(dv).all()):
-                raise OverflowError
-        except ArithmeticError:
-            raise ScenarioError(f"potential: {pot.kind.value} V or V' "
-                                f"overflows {at}") from None
-    if kind == "wkb":
-        params["v"], params["dv"] = v, dv
-        try:
-            params["seg"] = admitted_block(v, params["energy"],
-                                           **_given(params, "kinetic_fraction"))
-        except ValueError as exc:
-            raise ScenarioError(f"wkb: {exc}") from None
-    return consts, params
+        params["configs"] = _model("piston scan: ", scan_configs,
+                                   **params["scan"],
+                                   **_given(params, "l0", "v0"))
+        return
+    if not {"l0", "v0"} <= params.keys():
+        raise ScenarioError("piston without scan needs l0 and v0")
+    piston = params["piston"] = _model("piston: ", PistonConfig, **params)
+    if piston.n_right_hits < 2:
+        raise ScenarioError("piston: the run stops before its second "
+                            "right-wall collision")
+
+
+def _build_regime(params: dict, consts: Constants) -> None:
+    if ("fixture" in params) == ("metrics" in params):
+        raise ScenarioError("regime needs exactly one of fixture/metrics")
+
+
+def _no_rules(params: dict, consts: Constants) -> None:
+    """The schema holds every rule of the kind."""
 
 
 def _given(params: dict, *keys: str) -> dict:
@@ -238,8 +210,9 @@ def _failure(exc: Exception) -> str:
 
 
 def _run_trajectory(params, consts):
-    traj = integrate_hamilton(params["potential"], params["q0"], params["p0"],
-                              params["integrator"], consts)
+    problem = params["problem"]
+    traj = integrate_hamilton(problem.potential, problem.q0, problem.p0,
+                              problem.integrator, consts)
     drift = cpdq_diagnostics(traj)
     _, e_drift = energy_budget(traj)
     ledger = info_ledger(traj)
@@ -297,7 +270,7 @@ def _run_piston(params, consts):
 
 
 def _run_tise(params, consts):
-    grid = params["grid"]
+    grid = params["problem"].grid
     sol = solve_tise(params["potential"], grid, params["n_states"], consts)
     vals = np.stack([s.values.real for s in sol.states])
     ortho = float(np.max(np.abs(_dot(vals, vals.T) * grid.h
@@ -331,7 +304,7 @@ def _run_tise(params, consts):
 
 
 def _run_variational(params, consts):
-    pot, grid = params["potential"], params["grid"]
+    pot, grid = params["potential"], params["problem"].grid
     max_iters = params.get("max_iters", 5000)
     res = variational_ground_state(pot, grid, consts, max_iters=max_iters,
                                    **_given(params, "tol"))
@@ -346,7 +319,8 @@ def _run_variational(params, consts):
 
 
 def _run_wkb(params, consts):
-    grid, v, dv, seg = (params[k] for k in ("grid", "v", "dv", "seg"))
+    problem, seg = params["problem"], params["seg"]
+    grid, (v, dv) = problem.grid, problem.sample
     profile = local_wkb_profile(v, dv, params["energy"], consts)
     residual = appendix_a_consistency(profile, dv, grid.h, consts, seg)
     checks = [Check("force_recovery_max_rel_residual", residual, 1e-3)]
@@ -407,7 +381,8 @@ def _run_regime(params, consts):
     return checks, {"regime.json": payload}
 
 
-# kind -> (params schema, runner); the suite kind runs acceptance_suite
+# kind -> (params schema, build, runner); a build puts the models a run
+# uses in its params and checks the kind's own rules
 KINDS = {
     "trajectory": (_object({
         "potential": _POTENTIAL_SCHEMA,
@@ -416,7 +391,8 @@ KINDS = {
         **field_schemas(IntegratorConfig),
         "energy_drift_tol": _POSITIVE,
         "pzie_tol_bits": _POSITIVE,
-    }, required=("potential", "q0", "p0", "dt", "n_steps")), _run_trajectory),
+    }, required=("potential", "q0", "p0", "dt", "n_steps")),
+        _build_trajectory, _run_trajectory),
     "piston": (_object({
         **field_schemas(PistonConfig),
         "scan": _object({
@@ -424,36 +400,36 @@ KINDS = {
                        "items": _SCAN_ARGS["ratios"]["items"]},
             "expansion": _SCAN_ARGS["expansion"],
         }, required=("ratios",)),
-    }), _run_piston),
+    }), _build_piston, _run_piston),
     "tise": (_object({
         "potential": _POTENTIAL_SCHEMA,
         "grid": _GRID_SCHEMA,
         **_TISE_ARGS,
         "expected_energies": {"type": "array", "items": _NUMBER},
         "energy_rel_tol": _POSITIVE,
-    }, required=("potential", "grid", "n_states")), _run_tise),
+    }, required=("potential", "grid", "n_states")), _build_tise, _run_tise),
     "variational": (_object({
         "potential": _POTENTIAL_SCHEMA,
         "grid": _GRID_SCHEMA,
         **_VARIATIONAL_ARGS,
-    }, required=("potential", "grid")), _run_variational),
+    }, required=("potential", "grid")), _build_grid, _run_variational),
     "wkb": (_object({
         "potential": _POTENTIAL_SCHEMA,
         "energy": _NUMBER,
         "grid": _GRID_SCHEMA,
         **_ADMITTED_ARGS,
         "with_bohm_report": {"type": "boolean"},
-    }, required=("potential", "energy", "grid")), _run_wkb),
+    }, required=("potential", "energy", "grid")), _build_wkb, _run_wkb),
     "dispersion": (_object(_DISPERSION_ARGS, required=("k", "m0")),
-                   _run_dispersion),
+                   _no_rules, _run_dispersion),
     "bounds": (_object(_RATE_BOUNDS_ARGS, required=("energy", "theta")),
-               _run_bounds),
+               _no_rules, _run_bounds),
     "regime": (_object({
         "fixture": {"enum": sorted(REGIME_EXPECTED)},
         "metrics": _object(_REGIME_METRICS, required=tuple(_REGIME_METRICS)),
         "thresholds": _REGIME_ARGS["thresholds"],
-    }), _run_regime),
-    "suite": (_object({"filter": {"type": "string"}}), None),
+    }), _build_regime, _run_regime),
+    "suite": (_object({"filter": {"type": "string"}}), _no_rules, None),
 }
 
 SCHEMA = {
@@ -508,7 +484,7 @@ def run_scenario(path: str | Path, out_dir: str | Path | None = None) -> tuple[d
                 out_dir = cfg.get("out_dir", path.parent / (path.stem + "_out"))
             if cfg["kind"] == "suite":
                 return None, acceptance_suite(params.get("filter"), out_dir)
-            checks, artifacts = KINDS[cfg["kind"]][1](params, consts)
+            checks, artifacts = KINDS[cfg["kind"]][2](params, consts)
         elapsed = time.perf_counter() - validated
         report = {"version": __version__, "scenario": cfg,
                   "checks": _check_rows(checks),

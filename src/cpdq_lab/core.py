@@ -174,6 +174,21 @@ def eval_potential(pot: Potential, q):
     return v, dv
 
 
+def finite_potential(pot: Potential, q, where: str):
+    """eval_potential(pot, q); ValueError naming the potential where V or V'
+    overflows or is not finite `where` (on the grid, at q0)."""
+    # OverflowError from float arithmetic, FloatingPointError from numpy
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            v, dv = eval_potential(pot, q)
+        if not (np.isfinite(v).all() and np.isfinite(dv).all()):
+            raise OverflowError
+    except ArithmeticError:
+        raise ValueError(f"potential: {pot.kind.value} V or V' overflows "
+                         f"{where}") from None
+    return v, dv
+
+
 def delta_q_series(p, consts: Constants) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized f/|p| with a gap mask where |p| <= p_floor (NaN there)."""
     p = np.asarray(p, dtype=float)

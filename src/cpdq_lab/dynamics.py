@@ -24,6 +24,7 @@ from .core import (
     ModelViolationError,
     Potential,
     PotentialKind,
+    finite_potential,
     tderiv,
 )
 from .thermo import MAX_EVENTS
@@ -40,18 +41,32 @@ class IntegratorConfig:
         check_fields(self)
 
 
-def check_step_stable(pot: Potential, dt: float, consts: Constants) -> None:
-    """Raise ModelViolationError if a harmonic leapfrog step is unstable.
+@dataclass(frozen=True)
+class TrajectoryProblem:
+    """Hamilton's equations from (V, q0, p0), to integrate by leapfrog.
 
-    One step in V = k q^2/2 rotates phase space by theta with
-    sin(theta/2) = sqrt(a)/2, a = k dt^2/m; from a = 4 on there is no such
-    rotation and the recurrence grows without bound.  omega*omega rather
-    than omega**2: a float product past the range is inf, not OverflowError.
+    Checks that q0 lies in V's domain (DomainError), that V and V' are
+    finite at q0 (ValueError), and that a harmonic step is stable
+    (ModelViolationError): it rotates phase space by theta, sin(theta/2) =
+    sqrt(a)/2 with a = k dt^2/m, and from a = 4 on the recurrence grows.
     """
-    if pot.kind is PotentialKind.HARMONIC and \
-            not pot.m * (pot.omega * pot.omega) * dt * dt / consts.mass < 4.0:
-        raise ModelViolationError("harmonic leapfrog step is unstable: "
-                                  "k*dt^2/mass must be below 4")
+
+    potential: Potential
+    q0: float
+    p0: float
+    integrator: IntegratorConfig
+    consts: Constants
+
+    def __post_init__(self):
+        pot, dt = self.potential, self.integrator.dt
+        if not bool(pot.contains(self.q0)):
+            raise DomainError("q0 lies outside the potential's domain")
+        # omega*omega: a float product past the range is inf, not an error
+        if pot.kind is PotentialKind.HARMONIC and not pot.m * (
+                pot.omega * pot.omega) * dt * dt / self.consts.mass < 4.0:
+            raise ModelViolationError("trajectory: harmonic leapfrog step is "
+                                      "unstable: k*dt^2/mass must be below 4")
+        finite_potential(pot, self.q0, "at q0")
 
 
 def _harmonic(pot: Potential, q0: float, p0: float, n: int, dt: float,
@@ -152,10 +167,9 @@ def _soft_well(pot: Potential, q0: float, p0: float, n: int, dt: float,
 
 def integrate_hamilton(pot: Potential, q0: float, p0: float,
                        cfg: IntegratorConfig, consts: Constants) -> Trajectory:
-    """Velocity-Verlet integration of qdot = p/m, pdot = -V'(q)."""
-    if not bool(pot.contains(q0)):
-        raise DomainError("initial position outside potential domain")
-    check_step_stable(pot, cfg.dt, consts)
+    """Velocity-Verlet integration of qdot = p/m, pdot = -V'(q), after
+    the TrajectoryProblem checks on its arguments."""
+    TrajectoryProblem(pot, q0, p0, cfg, consts)
     m = consts.mass
     n = cfg.n_steps
     dt = cfg.dt

@@ -49,7 +49,7 @@ import numpy as np
 
 from ._schema import (_FRACTION, _NON_NEGATIVE, _NUMBER, _POSITIVE,
                       check_args, check_fields)
-from .core import Constants, Potential, PotentialKind, eval_potential
+from .core import Constants, Potential, PotentialKind, finite_potential
 
 
 class ConvergenceError(RuntimeError):
@@ -85,6 +85,58 @@ class Grid1D:
     @property
     def x(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n)
+
+
+@dataclass(frozen=True)
+class GridProblem:
+    """The operator -(2 f^2/m) psi'' + V psi on a grid, Dirichlet ends.
+
+    Checks that the grid lies inside an infinite well (V = 0 between walls
+    that the ends represent) and that coeff = 2 f^2/m is finite; `sample`
+    (V and V' on the grid) and `kinetic` (coeff/h^2, from an h^2 that is a
+    positive finite double) are checked finite on their first read.  Each
+    ValueError's message is the line the CLI prints for the rule.
+    """
+
+    potential: Potential
+    grid: Grid1D
+    consts: Constants
+    coeff: float = field(init=False)
+
+    def __post_init__(self):
+        pot, grid, consts = self.potential, self.grid, self.consts
+        if not np.all(pot.contains((grid.x_min, grid.x_max))):
+            raise ValueError("grid: grid must lie inside the well")
+        try:
+            coeff = 2.0 * consts.f**2 / consts.mass
+        except OverflowError:
+            coeff = math.inf
+        if not coeff < math.inf:
+            raise ValueError("constants: 2 f^2/mass overflows on the grid")
+        object.__setattr__(self, "coeff", coeff)
+
+    @functools.cached_property
+    def sample(self) -> tuple[np.ndarray, np.ndarray]:
+        return finite_potential(self.potential, self.grid.x, "on the grid")
+
+    @functools.cached_property
+    def kinetic(self) -> float:
+        h = self.grid.h
+        try:
+            h2 = h**2
+        except OverflowError:
+            h2 = math.inf
+        if not 0.0 < h2 < math.inf:
+            raise ValueError(f"grid: grid spacing h = {h!r} has no positive "
+                             f"finite square")
+        if not self.coeff / h2 < math.inf:
+            raise ValueError("constants: 2 f^2/mass overflows on the grid")
+        return self.coeff / h2
+
+    def check_n_states(self, n_states: int) -> None:
+        """ValueError where n_states exceeds the grid's interior."""
+        if n_states > self.grid.n - 2:
+            raise ValueError("n_states exceeds interior grid dimension")
 
 
 @dataclass(frozen=True)
@@ -210,19 +262,6 @@ def _quad(y: np.ndarray, h: float, periodic: bool = False) -> float:
     return float(np.trapezoid(y, dx=h))
 
 
-def check_grid_in_well(pot: Potential, grid: Grid1D) -> None:
-    """Raise ValueError if the grid reaches past an infinite well's walls."""
-    if not np.all(pot.contains((grid.x_min, grid.x_max))):
-        raise ValueError("grid must lie inside the well")
-
-
-def _grid_potential(pot: Potential, grid: Grid1D) -> np.ndarray:
-    """V on the full grid, after the well check; an infinite well is V = 0
-    inside walls that the Dirichlet ends already represent."""
-    check_grid_in_well(pot, grid)
-    return eval_potential(pot, grid.x)[0]
-
-
 def _sign_fixed(full: np.ndarray) -> np.ndarray:
     """Deterministic sign: the first significantly nonzero lobe positive."""
     if full[np.argmax(np.abs(full) > 1e-3 * np.abs(full).max())] < 0:
@@ -264,26 +303,6 @@ def _lapack():
     return lapack
 
 
-def _spacing_squared(grid: Grid1D) -> float:
-    """h**2 of the grid; ValueError where it is not a positive finite
-    double (h below about 1e-162 or above about 1e154)."""
-    h = grid.h
-    try:
-        h2 = h**2
-    except OverflowError:
-        h2 = math.inf
-    if not 0.0 < h2 < math.inf:
-        raise ValueError(f"grid spacing h = {h!r} has no positive finite "
-                         f"square")
-    return h2
-
-
-def _check_n_states(n_states: int, n: int) -> None:
-    """ValueError where n_states exceeds the interior of an n-point grid."""
-    if n_states > n - 2:
-        raise ValueError("n_states exceeds interior grid dimension")
-
-
 # argument schemas, checked on each call (check_args) and read by cli.KINDS
 _TISE_ARGS = {"n_states": {"type": "integer", "minimum": 1}}
 
@@ -301,14 +320,21 @@ def solve_tise(pot: Potential, grid: Grid1D, n_states: int,
     dstebz's from this call, dstein's from that read.
     """
     check_args(_TISE_ARGS, locals())
-    _check_n_states(n_states, grid.n)
-    h2 = _spacing_squared(grid)
-    v = _grid_potential(pot, grid)
-    coeff = 2.0 * consts.f**2 / consts.mass
-    diag = 2.0 * coeff / h2 + v[1:-1]
-    off = np.full(grid.n - 3, -coeff / h2)
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+    problem = GridProblem(pot, grid, consts)
+    problem.check_n_states(n_states)
+    kinetic = problem.kinetic
+    v = problem.sample[0]
+    diag = 2.0 * kinetic + v[1:-1]
+    off = np.full(grid.n - 3, -kinetic)
+    if not np.isfinite(diag).all():
         raise ValueError("array must not contain infs or NaNs")
+    # dstebz is wrong below sqrt(tiny) and from sqrt(huge)/2 on, dstein
+    # NaN from about 1e149: as LAPACK's dstevx does, scale into range
+    top = max(np.abs(diag).max(), kinetic)
+    scale = 1.0
+    if not 2.0**-400 <= top <= 2.0**400:
+        scale = math.ldexp(1.0, -math.frexp(top)[1])
+        diag, off = diag * scale, off * scale
     lapack = _lapack()
     # range 2: eigenvalues 1..n_states by index (vl, vu unused); tol 0:
     # LAPACK's default; order "B": grouped by split block, as dstein needs
@@ -318,7 +344,7 @@ def solve_tise(pot: Potential, grid: Grid1D, n_states: int,
         raise ConvergenceError(f"LAPACK dstebz failed with info={info}")
     w = w[:m]
     order = np.argsort(w)  # block order to ascending
-    energies = w[order]
+    energies = w[order] / scale
     if pot.kind is not PotentialKind.INFINITE_WELL:
         edge_v = min(v[0], v[-1])
         if energies[-1] > edge_v:
@@ -480,13 +506,14 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
     minimum agrees with the finite-difference eigensolver to O(h^2).
     """
     check_args(_VARIATIONAL_ARGS, locals())
-    _spacing_squared(grid)
+    problem = GridProblem(pot, grid, consts)
+    problem.kinetic  # raises where the operator is out of the double range
+    v_int = problem.sample[0][1:-1]
     from scipy.fft import dst
 
     x = grid.x
     h = grid.h
-    v_int = _grid_potential(pot, grid)[1:-1]
-    coeff = 2.0 * consts.f**2 / consts.mass
+    coeff = problem.coeff
     n_int = grid.n - 2
     k_modes = np.pi * np.arange(1, n_int + 1) / (h * (grid.n - 1))
     exp_v = np.exp(-0.5 * _TAU * v_int)
@@ -570,7 +597,7 @@ def local_wkb_profile(v: np.ndarray, dv: np.ndarray, energy: float,
                       consts: Constants) -> WkbProfile:
     """Local wavenumber, uncertainty scale, and semiclassical validity.
 
-    v and dv are V and V' sampled on the grid (eval_potential).
+    v and dv are V and V' sampled on the grid (GridProblem.sample).
     k(x) = sqrt((E - V)/(2 f^2/m)), delta_x = 1/(2k); the validity metric
     |V'| * delta_x / (2 (E - V)) is the fractional potential change across
     one uncertainty interval and must stay small for a trajectory picture
@@ -589,8 +616,12 @@ def local_wkb_profile(v: np.ndarray, dv: np.ndarray, energy: float,
 
 def _allowed(v: np.ndarray, energy: float) -> np.ndarray:
     """Mask of the classically allowed points, E - V > 0; raises
-    ValueError if there are none."""
-    allowed = energy - v > 0
+    ValueError if E - V overflows or if there are none."""
+    with np.errstate(over="ignore"):
+        gap = energy - v
+    if np.isinf(gap).any():
+        raise ValueError("E - V overflows on the grid")
+    allowed = gap > 0
     if not np.any(allowed):
         raise ValueError("no classically allowed region at this energy")
     return allowed
@@ -605,8 +636,8 @@ def admitted_block(v: np.ndarray, energy: float,
     of the sampled potential v where E - V >= kinetic_fraction*E (for E <= 0
     the second test alone would admit forbidden points).
 
-    Raises ValueError if no point is allowed, or if the block is shorter
-    than the 5 points the difference stencils need.
+    Raises ValueError if E - V overflows, if no point is allowed, or if
+    the block is shorter than the 5 points the difference stencils need.
     """
     check_args(_ADMITTED_ARGS, locals())
     admitted = _allowed(v, energy) & ((energy - v) >= kinetic_fraction * energy)

@@ -23,8 +23,10 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from cpdq_lab import (Grid1D, IntegratorConfig, PistonConfig, Potential,
-                      _csv, _schema, acceptance, cli, core, quantum, thermo)
-from cpdq_lab.quantum import admitted_block
+                      _csv, _schema, acceptance, cli, core, dynamics, quantum,
+                      thermo)
+from cpdq_lab.dynamics import TrajectoryProblem
+from cpdq_lab.quantum import GridProblem, admitted_block
 from cpdq_lab.thermo import scan_configs
 from test_csv import EDGE_FLOATS, assert_no_child_left, old_csv_rows
 
@@ -216,6 +218,19 @@ class TestValidation:
                   "grid": {"x_min": 0, "x_max": 1e-170, "n": 64}},
          "grid: grid spacing h = 1.5873015873015874e-172 has no positive "
          "finite square"),
+        # E - V passes the double range on the grid
+        ("wkb", {"potential": {"kind": "linear", "f0": 1e308}, "energy": 1e308,
+                 "grid": {"x_min": -1, "x_max": 1, "n": 64}},
+         "wkb: E - V overflows on the grid"),
+        ("wkb", {"potential": {"kind": "linear", "f0": 1e308},
+                 "energy": -1e308, "grid": {"x_min": -1, "x_max": 1, "n": 64}},
+         "wkb: E - V overflows on the grid"),
+        # the Bohm report's eigensolve forms the operator
+        ("wkb", {"potential": {"kind": "linear"}, "energy": 1,
+                 "grid": {"x_min": -1e-170, "x_max": 1e-170, "n": 64},
+                 "with_bohm_report": True},
+         "grid: grid spacing h = 3.174603174603175e-172 has no positive "
+         "finite square"),
     ], ids=["tise_too_many_energies", "tise_zero_energy", "piston_no_l0",
             "piston_l_end_unreachable", "piston_collapsing_box",
             "piston_scan_with_run_keys", "piston_jump_after_end",
@@ -236,7 +251,8 @@ class TestValidation:
             "tise_grid_spacing_underflows", "wkb_grid_spacing_underflows",
             "tise_spacing_square_overflows",
             "variational_spacing_square_overflows",
-            "tise_spacing_square_underflows"])
+            "tise_spacing_square_underflows", "wkb_e_minus_v_overflows",
+            "wkb_e_minus_v_overflows_below", "wkb_bohm_spacing_underflows"])
     def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch, kind,
                                   params, named):
         # kind names the scenario kind, or is (kind, units)
@@ -357,25 +373,32 @@ class TestValidation:
     @pytest.mark.parametrize("kind,params,built", [
         ("trajectory", {"potential": {"kind": "harmonic"}, "q0": 1.0,
                         "p0": 0.0, "dt": 0.01, "n_steps": 100},
-         {"potential": Potential("harmonic"),
-          "integrator": IntegratorConfig(0.01, 100)}),
+         lambda c: {"potential": Potential("harmonic"),
+                    "problem": TrajectoryProblem(
+                        Potential("harmonic"), 1.0, 0.0,
+                        IntegratorConfig(0.01, 100), c)}),
         ("piston", {"l0": 1.0, "v0": 1.0, "u": 0.01, "l_end": 2.0},
-         {"piston": PistonConfig(l0=1.0, v0=1.0, u=0.01, l_end=2.0)}),
+         lambda c: {"piston": PistonConfig(l0=1.0, v0=1.0, u=0.01,
+                                           l_end=2.0)}),
         ("piston", {"v0": 3.0, "scan": {"ratios": [0.3, 0.1],
                                         "expansion": 1.5}},
-         {"configs": scan_configs([0.3, 0.1], v0=3.0, expansion=1.5)}),
+         lambda c: {"configs": scan_configs([0.3, 0.1], v0=3.0,
+                                            expansion=1.5)}),
         ("tise", dict(TISE_WELL, n_states=1),
-         {"potential": Potential("infinite_well"),
-          "grid": Grid1D(0.0, 1.0, 200)}),
+         lambda c: {"potential": Potential("infinite_well"),
+                    "problem": GridProblem(Potential("infinite_well"),
+                                           Grid1D(0.0, 1.0, 200), c)}),
         ("variational", HARMONIC,
-         {"potential": Potential("harmonic"),
-          "grid": Grid1D(-10.0, 10.0, 2000)}),
+         lambda c: {"potential": Potential("harmonic"),
+                    "problem": GridProblem(Potential("harmonic"),
+                                           Grid1D(-10.0, 10.0, 2000), c)}),
     ], ids=["trajectory", "piston", "scan", "tise", "variational"])
     def test_validation_builds_the_models(self, kind, params, built):
         consts, run_params = cli.validate_scenario(
             {"kind": kind, "units": "si", "constants": {"mass": 2.0},
              "params": params})
         assert consts == dataclasses.replace(core.si_units(), mass=2.0)
+        built = built(consts)
         assert run_params == {**params, **built}
         assert all(type(run_params[k]) is type(v) for k, v in built.items())
 
@@ -385,12 +408,12 @@ class TestValidation:
         consts, run_params = cli.validate_scenario(
             {"kind": "wkb", "params": params})
         assert consts == core.natural_units()
-        grid = run_params["grid"]
+        grid = run_params["problem"].grid
         assert grid == Grid1D(-2.0, 2.0, 64)
-        assert np.array_equal(run_params["v"], -2.0 * grid.x)
-        assert np.array_equal(run_params["dv"], np.full(64, -2.0))
-        assert np.array_equal(run_params["seg"],
-                              admitted_block(run_params["v"], 5.0))
+        v, dv = run_params["problem"].sample
+        assert np.array_equal(v, -2.0 * grid.x)
+        assert np.array_equal(dv, np.full(64, -2.0))
+        assert np.array_equal(run_params["seg"], admitted_block(v, 5.0))
         # the config itself is left as parsed
         assert params["grid"] == {"x_min": -2.0, "x_max": 2.0, "n": 64}
 
@@ -663,7 +686,7 @@ class TestWriteCsv:
         def ragged(params, consts):
             return [], {"t.csv": (["a", "b"], [np.zeros(3), np.zeros(2)])}
         monkeypatch.setitem(cli.KINDS, "bounds",
-                            (cli.KINDS["bounds"][0], ragged))
+                            (*cli.KINDS["bounds"][:2], ragged))
         code = run("bounds_si_1joule.json", tmp_path / "out")
         assert code == cli.EXIT_COMPUTE
         assert "columns differ in length" in capsys.readouterr().err
@@ -1187,6 +1210,75 @@ def test_overflow_at_q0_is_one_exit_2_line(tmp_path, potential, q0):
     assert len(lines) == 1, lines
     assert f"potential: {potential['kind']} V or V' overflows at q0" \
         in lines[0], lines
+
+
+GRID = {"x_min": -4, "x_max": 4, "n": 100}
+
+
+@pytest.mark.parametrize("cfg,call", [
+    ({"kind": "tise", "params": {"potential": {"kind": "harmonic",
+                                               "omega": 1e200},
+                                 "grid": GRID, "n_states": 2}},
+     lambda c: quantum.solve_tise(Potential("harmonic", omega=1e200),
+                                  Grid1D(**GRID), 2, c)),
+    ({"kind": "variational", "params": {"potential": {"kind": "harmonic",
+                                                      "omega": 1e200},
+                                        "grid": GRID}},
+     lambda c: quantum.variational_ground_state(
+         Potential("harmonic", omega=1e200), Grid1D(**GRID), c)),
+    ({"kind": "tise", "params": {"potential": {"kind": "linear", "f0": 1e308},
+                                 "grid": {"x_min": -10, "x_max": 10, "n": 100},
+                                 "n_states": 2}},
+     lambda c: quantum.solve_tise(Potential("linear", f0=1e308),
+                                  Grid1D(-10, 10, 100), 2, c)),
+    ({"kind": "tise", "constants": {"f": 1e160},
+      "params": dict(TISE_WELL, n_states=1)},
+     lambda c: quantum.solve_tise(Potential("infinite_well"),
+                                  Grid1D(0.0, 1.0, 200), 1,
+                                  dataclasses.replace(c, f=1e160))),
+    ({"kind": "variational", "params": dict(TISE_WELL, grid=WELL_OVERRUN)},
+     lambda c: quantum.variational_ground_state(
+         Potential("infinite_well"), Grid1D(**WELL_OVERRUN), c)),
+    ({"kind": "tise", "params": {"potential": {"kind": "harmonic"},
+                                 "n_states": 1, "grid": {
+                                     "x_min": 0, "x_max": 1e-170, "n": 64}}},
+     lambda c: quantum.solve_tise(Potential("harmonic"),
+                                  Grid1D(0, 1e-170, 64), 1, c)),
+    ({"kind": "trajectory", "params": {
+        "potential": {"kind": "linear", "f0": 1e308}, "q0": -10.0,
+        "p0": 0.0, "dt": 0.01, "n_steps": 10}},
+     lambda c: dynamics.integrate_hamilton(
+         Potential("linear", f0=1e308), -10.0, 0.0,
+         IntegratorConfig(0.01, 10), c)),
+    ({"kind": "trajectory", "params": {
+        "potential": {"kind": "infinite_well"}, "q0": 2.0, "p0": 1.0,
+        "dt": 0.01, "n_steps": 10}},
+     lambda c: dynamics.integrate_hamilton(
+         Potential("infinite_well"), 2.0, 1.0, IntegratorConfig(0.01, 10), c)),
+    ({"kind": "trajectory", "params": {
+        "potential": {"kind": "harmonic", "omega": 2.0}, "q0": 1.0,
+        "p0": 0.0, "dt": 1.0, "n_steps": 10}},
+     lambda c: dynamics.integrate_hamilton(
+         Potential("harmonic", omega=2.0), 1.0, 0.0,
+         IntegratorConfig(1.0, 10), c)),
+], ids=["tise_v_overflow", "variational_v_overflow", "tise_linear_overflow",
+        "tise_kinetic_coefficient", "variational_grid_past_well",
+        "tise_spacing", "trajectory_v_overflow_at_q0",
+        "trajectory_q0_outside_well", "trajectory_unstable_step"])
+def test_library_raises_the_cli_line(tmp_path, capsys, cfg, call):
+    """A library call that breaks a problem model's rule raises the
+    ValueError whose message is the line the CLI prints for its config,
+    before any warning."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) \
+        == cli.EXIT_SCHEMA
+    line = capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            call(core.natural_units())
+    assert line == f"error: invalid scenario {path}: {info.value}\n"
 
 
 @pytest.mark.parametrize("q0,p0", [(0.0, 1.0)], ids=["mid_run"])

@@ -20,7 +20,7 @@ from cpdq_lab import (
     newton_uncertainty_residual,
 )
 from cpdq_lab.core import tderiv
-from cpdq_lab.dynamics import check_step_stable
+from cpdq_lab.dynamics import TrajectoryProblem
 
 
 def test_config_validation():
@@ -370,4 +370,5 @@ def test_step_limit_only_binds_the_harmonic_kind(consts):
     traj = integrate_hamilton(Potential("linear", f0=2.0), 0.0, 0.0,
                               IntegratorConfig(dt=10.0, n_steps=10), consts)
     assert traj.q[-1] == 0.5 * 2.0 * 100.0**2
-    check_step_stable(Potential("harmonic", omega=1.99), 1.0, consts)
+    TrajectoryProblem(Potential("harmonic", omega=1.99), 1.0, 0.0,
+                      IntegratorConfig(dt=1.0, n_steps=10), consts)

@@ -73,9 +73,33 @@ def test_diff_names_what_differs(tmp_path, capsys):
 def test_digest_holds_the_params_schemas(monkeypatch):
     # no scenarios: the digest holds the two schema runs alone
     monkeypatch.setattr(outputs_digest, "SCENARIOS", Path("no-scenarios"))
+    monkeypatch.setattr(outputs_digest, "EDGE", {})
     runs = outputs_digest.digest(ROOT)
     assert sorted(runs) == ["params_schemas", "schema"]
     dump = json.dumps({k: v[0] for k, v in cli.KINDS.items()}) + "\n"
     assert runs["params_schemas"] == {
         "exit": 0, "stdout": hashlib.sha256(dump.encode()).hexdigest(),
         "stderr": hashlib.sha256(b"").hexdigest(), "artifacts": {}}
+
+
+def test_digest_runs_the_edge_configs(monkeypatch):
+    # each runs from edge/<name>.json, so its message is the same line on
+    # every checkout and in every temporary directory
+    monkeypatch.setattr(outputs_digest, "SCENARIOS", Path("no-scenarios"))
+    names = ["q0_outside_well", "tise_well_f_1e-81"]
+    monkeypatch.setattr(outputs_digest, "EDGE",
+                        {k: outputs_digest.EDGE[k] for k in names})
+    runs = outputs_digest.digest(ROOT)
+    assert sorted(runs) == [f"edge/{k}.json" for k in names] + [
+        "params_schemas", "schema"]
+    rejected = runs["edge/q0_outside_well.json"]
+    line = (b"error: invalid scenario edge/q0_outside_well.json: q0 lies "
+            b"outside the potential's domain\n")
+    assert rejected == {"exit": 2, "stderr": hashlib.sha256(line).hexdigest(),
+                        "stdout": hashlib.sha256(b"").hexdigest(),
+                        "artifacts": {}}
+    well = runs["edge/tise_well_f_1e-81.json"]
+    assert well["exit"] == 0
+    assert sorted(well["artifacts"]) == ["energies.csv", "report.json",
+                                         "states.csv"]
+

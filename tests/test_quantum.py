@@ -30,8 +30,8 @@ from cpdq_lab import (
     variational_ground_state,
 )
 from cpdq_lab import cli, quantum
-from cpdq_lab.quantum import (UnboundStateWarning, admitted_block,
-                              bohm_adiabaticity_report)
+from cpdq_lab.quantum import (GridProblem, UnboundStateWarning,
+                              admitted_block, bohm_adiabaticity_report)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ class TestEigensolver:
 
     def test_grid_must_lie_inside_the_well(self, consts):
         well = Potential("infinite_well", width=1.0)
-        quantum.check_grid_in_well(well, Grid1D(-1e-13, 1.0 + 1e-13, 64))
+        GridProblem(well, Grid1D(-1e-13, 1.0 + 1e-13, 64), consts)
         for grid in (Grid1D(0.0, 2.0, 200), Grid1D(-2e-12, 1.0, 64)):
             with pytest.raises(ValueError, match="inside the well"):
                 solve_tise(well, grid, 1, consts)
@@ -136,7 +136,7 @@ def eigh_oracle(pot, grid, n_states, consts):
     scipy.linalg.eigh_tridiagonal computes them, each state normalized
     and sign-fixed as solve_tise does; the states are rows."""
     coeff = 2.0 * consts.f**2 / consts.mass
-    diag = 2.0 * coeff / grid.h**2 + quantum._grid_potential(pot, grid)[1:-1]
+    diag = 2.0 * coeff / grid.h**2 + eval_potential(pot, grid.x)[0][1:-1]
     off = np.full(grid.n - 3, -coeff / grid.h**2)
     energies, vecs = scipy.linalg.eigh_tridiagonal(
         diag, off, select="i", select_range=(0, n_states - 1))
@@ -277,13 +277,43 @@ class TestLapack:
                                            f"no positive finite square")):
             solve_tise(Potential("harmonic"), grid, 1, consts)
 
+    @pytest.mark.parametrize("e", [1e-160, 1e-200, 1e150, 1e200])
+    def test_operator_outside_lapack_range(self, consts, e):
+        """An operator with off-diagonal -e that dstebz and dstein cannot
+        take as it is (wrong values below about 1.5e-154 and from 6.7e153,
+        NaN vectors from about 1e150 at this N) has the closed-form
+        discrete spectrum E_k = 2e(1 - cos(k pi/(N+1))), taken as 4e
+        sin^2(k pi/(2(N+1))) without the cancellation, and sine vectors;
+        dstebz's default tolerance is about 2e-10 of E_1 here."""
+        grid = Grid1D(0.0, 1.0, 2000)
+        n = grid.n - 2
+        f = math.sqrt(e * grid.h**2 / 2.0)
+        e = 2.0 * f**2 / consts.mass / grid.h**2  # as the operator holds it
+        sol = solve_tise(Potential("infinite_well"), grid, 3,
+                         replace(consts, f=f))
+        k = np.arange(1, 4)
+        exact = 4.0 * e * np.sin(k * np.pi / (2 * (n + 1)))**2
+        assert np.allclose(sol.energies, exact, rtol=1e-8, atol=0.0)
+        for kk, state in zip(k, sol.states):
+            ref = np.pad(np.sin(kk * np.arange(1, n + 1) * np.pi / (n + 1)), 1)
+            ref /= math.sqrt(float(np.trapezoid(ref**2, dx=grid.h)))
+            assert np.allclose(state.values.real, ref, rtol=0.0, atol=1e-8)
+
     def test_non_finite_operator_rejected(self, consts, monkeypatch):
-        """An infinite V keeps scipy's message, and LAPACK is not called."""
+        """An infinite V is the potential's line, a diagonal past the
+        double range keeps scipy's message, and LAPACK is not called."""
         monkeypatch.setattr(quantum, "_lapack", None)
-        with pytest.raises(ValueError,
-                           match="^array must not contain infs or NaNs$"):
+        with pytest.raises(ValueError, match="^potential: harmonic V or V' "
+                                             "overflows on the grid$"):
             solve_tise(Potential("harmonic", m=1e300, omega=1e10),
                        Grid1D(-5, 5, 64), 1, consts)
+        # 2 f^2/(m h^2) is about 1.5e308, twice it is not a double
+        grid = Grid1D(0.0, 1.0, 64)
+        f = math.sqrt(1.5e308 * grid.h**2 / 2.0)
+        with pytest.raises(ValueError,
+                           match="^array must not contain infs or NaNs$"):
+            solve_tise(Potential("infinite_well"), grid, 1,
+                       replace(consts, f=f))
 
 
 class TestFisher:

@@ -5,6 +5,9 @@
     python3 tools/outputs_digest.py --diff A.json B.json
 
 The first form runs each `src/cpdq_lab/scenarios/*.json` of the checkout,
+each config of the fixed EDGE table (configs at the edge of what the models
+hold, written to `edge/<name>.json` in a temporary directory and run from
+there, so that messages quoting the path match between checkouts),
 `cpdq-lab schema`, and a dump of every kind's params schema in its own key
 order (`params_schemas`), in a fresh interpreter with that checkout's `src/`
 on the path, and prints JSON with, per run, the exit code, the sha256 of
@@ -35,6 +38,58 @@ CLI = ("-m", "cpdq_lab.cli")
 PARAMS_SCHEMAS = ("-c", "import json; from cpdq_lab import cli; "
                   "print(json.dumps({k: v[0] for k, v in cli.KINDS.items()}))")
 
+_WELL = {"x_min": 0, "x_max": 1, "n": 2000}
+_LINEAR_MAX = {"kind": "linear", "f0": 1e308}
+
+
+def _tise_well(f: float) -> dict:
+    """A 3-state infinite-well tise run whose operator's entries scale as
+    f^2: from f = 1e-81 to 1e78 they leave LAPACK's range."""
+    return {"kind": "tise", "constants": {"f": f}, "params": {
+        "potential": {"kind": "infinite_well"}, "grid": _WELL, "n_states": 3}}
+
+
+# name -> config: one per exit-2 rule of the problem models, then the runs
+# that end at the wkb E - V and the eigensolver's range
+EDGE = {
+    "q0_outside_well": {"kind": "trajectory", "params": {
+        "potential": {"kind": "infinite_well"}, "q0": 2, "p0": 1,
+        "dt": 0.01, "n_steps": 10}},
+    "unstable_step": {"kind": "trajectory", "params": {
+        "potential": {"kind": "harmonic", "omega": 2}, "q0": 1, "p0": 0,
+        "dt": 1, "n_steps": 10}},
+    "overflow_at_q0": {"kind": "trajectory", "params": {
+        "potential": {"kind": "soft_well", "a": 1e-3}, "q0": 0.4, "p0": 0,
+        "dt": 0.01, "n_steps": 10}},
+    "grid_past_well": {"kind": "variational", "params": {
+        "potential": {"kind": "infinite_well"},
+        "grid": {"x_min": 0, "x_max": 2, "n": 200}}},
+    "overflow_on_grid": {"kind": "tise", "params": {
+        "potential": {"kind": "harmonic", "omega": 1e200}, "n_states": 1,
+        "grid": {"x_min": -4, "x_max": 4, "n": 100}}},
+    "spacing_square": {"kind": "tise", "params": {
+        "potential": {"kind": "harmonic"}, "n_states": 1,
+        "grid": {"x_min": 0, "x_max": 1e-170, "n": 64}}},
+    "kinetic_coefficient": {"kind": "wkb", "constants": {"f": 1e154},
+                            "params": {"potential": {"kind": "harmonic"},
+                                       "energy": 10, "grid": _WELL}},
+    "kinetic_over_spacing": {"kind": "variational", "constants": {"f": 1e153},
+                             "params": {"potential": {"kind": "harmonic"},
+                                        "grid": _WELL}},
+    "wkb_e_minus_v": {"kind": "wkb", "params": {
+        "potential": _LINEAR_MAX, "energy": 1e308,
+        "grid": {"x_min": -1, "x_max": 1, "n": 64}}},
+    "wkb_e_minus_v_below": {"kind": "wkb", "params": {
+        "potential": _LINEAR_MAX, "energy": -1e308,
+        "grid": {"x_min": -1, "x_max": 1, "n": 64}}},
+    "wkb_bohm_spacing": {"kind": "wkb", "params": {
+        "potential": {"kind": "linear"}, "energy": 1,
+        "grid": {"x_min": -1e-170, "x_max": 1e-170, "n": 64},
+        "with_bohm_report": True}},
+    **{f"tise_well_f_{f:g}": _tise_well(f) for f in (1e-81, 3.5e73, 2e73,
+                                                      1e78)},
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -48,13 +103,13 @@ def mask_wall_clock(text: str) -> str:
 
 
 def run_digest(root: Path, args: list[str], out: Path | None = None,
-               command: tuple[str, ...] = CLI) -> dict:
+               command: tuple[str, ...] = CLI, cwd: Path | None = None) -> dict:
     """Exit code and sha256 of stdout, stderr and each artifact in `out`
     of `python *command *args` (by default `cpdq-lab *args`) run from
-    `root`."""
+    `cwd`, by default `root`."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([sys.executable, *command, *args],
-                          cwd=root, env=env, capture_output=True, timeout=600)
+    proc = subprocess.run([sys.executable, *command, *args], cwd=cwd or root,
+                          env=env, capture_output=True, timeout=600)
     artifacts = {}
     if out is not None and out.exists():
         artifacts = {p.name: _sha256(p.read_bytes())
@@ -74,6 +129,13 @@ def digest(root: Path) -> dict:
             out = Path(tmp) / path.stem
             rel = (SCENARIOS / path.name).as_posix()
             runs[rel] = run_digest(root, ["run", rel, "--out", str(out)], out)
+        (Path(tmp) / "edge").mkdir()
+        for name, cfg in EDGE.items():
+            rel = f"edge/{name}.json"
+            (Path(tmp) / rel).write_text(json.dumps(cfg))
+            out = Path(tmp) / "edge" / name
+            runs[rel] = run_digest(root, ["run", rel, "--out", str(out)], out,
+                                   cwd=Path(tmp))
     return runs
 
 
