@@ -93,9 +93,9 @@ class GridProblem:
 
     Checks that the grid lies inside an infinite well (V = 0 between walls
     that the ends represent) and that coeff = 2 f^2/m is finite; `sample`
-    (V and V' on the grid) and `kinetic` (coeff/h^2, from an h^2 that is a
-    positive finite double) are checked finite on their first read.  Each
-    ValueError's message is the line the CLI prints for the rule.
+    (V and V' on the grid, finite) and `kinetic` (coeff/h^2, from an h^2
+    that is a positive finite double, itself one) are checked on their
+    first read.  Each ValueError's message is the line the CLI prints.
     """
 
     potential: Potential
@@ -129,9 +129,12 @@ class GridProblem:
         if not 0.0 < h2 < math.inf:
             raise ValueError(f"grid: grid spacing h = {h!r} has no positive "
                              f"finite square")
-        if not self.coeff / h2 < math.inf:
+        kinetic = self.coeff / h2
+        if not kinetic < math.inf:
             raise ValueError("constants: 2 f^2/mass overflows on the grid")
-        return self.coeff / h2
+        if not kinetic > 0.0:
+            raise ValueError("constants: 2 f^2/mass underflows on the grid")
+        return kinetic
 
     def check_n_states(self, n_states: int) -> None:
         """ValueError where n_states exceeds the grid's interior."""

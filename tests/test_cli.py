@@ -1236,6 +1236,12 @@ GRID = {"x_min": -4, "x_max": 4, "n": 100}
      lambda c: quantum.solve_tise(Potential("infinite_well"),
                                   Grid1D(0.0, 1.0, 200), 1,
                                   dataclasses.replace(c, f=1e160))),
+    # 2 f^2/mass underflows to 0: the operator would have no kinetic term
+    ({"kind": "tise", "constants": {"f": 1e-170},
+      "params": dict(TISE_WELL, n_states=2)},
+     lambda c: quantum.solve_tise(Potential("infinite_well"),
+                                  Grid1D(0.0, 1.0, 200), 2,
+                                  dataclasses.replace(c, f=1e-170))),
     ({"kind": "variational", "params": dict(TISE_WELL, grid=WELL_OVERRUN)},
      lambda c: quantum.variational_ground_state(
          Potential("infinite_well"), Grid1D(**WELL_OVERRUN), c)),
@@ -1262,7 +1268,8 @@ GRID = {"x_min": -4, "x_max": 4, "n": 100}
          Potential("harmonic", omega=2.0), 1.0, 0.0,
          IntegratorConfig(1.0, 10), c)),
 ], ids=["tise_v_overflow", "variational_v_overflow", "tise_linear_overflow",
-        "tise_kinetic_coefficient", "variational_grid_past_well",
+        "tise_kinetic_coefficient", "tise_kinetic_underflow",
+        "variational_grid_past_well",
         "tise_spacing", "trajectory_v_overflow_at_q0",
         "trajectory_q0_outside_well", "trajectory_unstable_step"])
 def test_library_raises_the_cli_line(tmp_path, capsys, cfg, call):
