@@ -118,7 +118,8 @@ def _build_trajectory(params: dict, consts: Constants) -> None:
 
 def _build_grid(params: dict, consts: Constants,
                 operator: bool = True) -> GridProblem:
-    """params' GridProblem, its sample and, with operator, kinetic read."""
+    """Put params' GridProblem in params and read its sample and, with
+    operator, its kinetic term, which checks them."""
     grid = _model("grid: ", Grid1D, **params["grid"])
     problem = params["problem"] = GridProblem(params["potential"], grid,
                                               consts)

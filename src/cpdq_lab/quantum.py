@@ -510,7 +510,7 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
     """
     check_args(_VARIATIONAL_ARGS, locals())
     problem = GridProblem(pot, grid, consts)
-    problem.kinetic  # raises where the operator is out of the double range
+    problem.kinetic  # raises where h^2 or 2 f^2/(m h^2) is out of range
     v_int = problem.sample[0][1:-1]
     from scipy.fft import dst
 
