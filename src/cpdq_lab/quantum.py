@@ -332,7 +332,7 @@ def solve_tise(pot: Potential, grid: Grid1D, n_states: int,
     if not np.isfinite(diag).all():
         raise ValueError("array must not contain infs or NaNs")
     # dstebz is wrong below sqrt(tiny) and from sqrt(huge)/2 on, dstein
-    # NaN from about 1e149: as LAPACK's dstevx does, scale into range
+    # NaN from about 1e149 at N = 1998: scale into range as dstevx does
     top = max(np.abs(diag).max(), kinetic)
     scale = 1.0
     if not 2.0**-400 <= top <= 2.0**400:
