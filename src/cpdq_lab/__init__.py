@@ -43,6 +43,7 @@ from .quantum import (
     EigenSolution,
     FisherMetrics,
     Grid1D,
+    GridProblem,
     VariationalResult,
     WaveFunction,
     WkbProfile,

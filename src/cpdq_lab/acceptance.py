@@ -15,6 +15,7 @@ import numpy as np
 
 from . import (
     Grid1D,
+    GridProblem,
     IntegratorConfig,
     PistonConfig,
     Potential,
@@ -27,7 +28,6 @@ from . import (
     cr_bound_check,
     custom_variation,
     dispersion_checks,
-    eval_potential,
     extended_quantities,
     first_order_dL,
     fisher_metrics,
@@ -239,7 +239,8 @@ def criterion_5_variational() -> list[Check]:
             ("harmonic", Potential("harmonic"), Grid1D(-10.0, 10.0, 2000)),
             ("well", Potential("infinite_well", width=1.0), Grid1D(0.0, 1.0, 2000))):
         sol = solve_tise(pot, grid, 1, consts)
-        res = variational_ground_state(pot, grid, consts, max_iters=5000)
+        res = variational_ground_state(GridProblem(pot, grid, consts),
+                                       max_iters=5000)
         rel = abs(res.energy - sol.energies[0]) / abs(sol.energies[0])
         checks.append(_le(f"variational/{name}_rel_err", rel, 1e-4))
         checks.append(_le(f"variational/{name}_iterations", res.iterations, 5000))
@@ -250,10 +251,8 @@ def criterion_6_appendix_a() -> list[Check]:
     consts = natural_units()
 
     def residual(pot, energy, grid):
-        v, dv = eval_potential(pot, grid.x)
-        return appendix_a_consistency(
-            local_wkb_profile(v, dv, energy, consts), dv, grid.h, consts,
-            admitted_block(v, energy))
+        profile = local_wkb_profile(GridProblem(pot, grid, consts), energy)
+        return appendix_a_consistency(profile, admitted_block(profile))
 
     harm = residual(Potential("harmonic"), 10.0, Grid1D(-4.2, 4.2, 8401))
     lin = residual(Potential("linear", f0=1.0), 5.0, Grid1D(-4.5, 5.0, 9501))
@@ -370,7 +369,7 @@ def regime_fixture_metrics(name: str, consts):
         grid = Grid1D(-3.0, 3.0, 4001)
         sol = solve_tise(pot, grid, 1, consts)
         return wkb_regime_metrics(local_wkb_profile(
-            *eval_potential(pot, grid.x), float(sol.energies[0]), consts))
+            GridProblem(pot, grid, consts), float(sol.energies[0])))
     if name == "slow_piston":
         rec = piston_simulate(PistonConfig(l0=1.0, v0=1.0, u=0.01, l_end=2.0),
                               consts)

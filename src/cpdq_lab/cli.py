@@ -29,17 +29,17 @@ from . import __version__
 from ._csv import write_csv
 from ._schema import _NUMBER, _POSITIVE, _schema_errors, field_schemas
 from .acceptance import Check, REGIME_EXPECTED, regime_fixture_metrics, run_criteria
-from .core import Constants, Potential, natural_units, si_units
+from .core import MAX_SIZE, Constants, Potential, natural_units, si_units
 from .dynamics import (IntegratorConfig, TrajectoryProblem, cpdq_diagnostics,
                        energy_budget, integrate_hamilton)
 from .info import (LN2, _RATE_BOUNDS_ARGS, _REGIME_ARGS, _REGIME_METRICS,
                    info_ledger, rate_bounds, regime_classify)
-from .quantum import (_ADMITTED_ARGS, _DISPERSION_ARGS, _TISE_ARGS,
-                      _VARIATIONAL_ARGS, Grid1D, GridProblem, _dot,
+from .quantum import (_ADMITTED_ARGS, _DISPERSION_ARGS, _MAX_ITERS,
+                      _TISE_ARGS, _VARIATIONAL_ARGS, Grid1D, GridProblem, _dot,
                       admitted_block, appendix_a_consistency,
                       bohm_adiabaticity_report, dispersion_checks,
                       local_wkb_profile, solve_tise, variational_ground_state)
-from .thermo import (MAX_EVENTS, _SCAN_ARGS, PistonConfig, adiabatic_scan,
+from .thermo import (_SCAN_ARGS, PistonConfig, adiabatic_scan,
                      extended_quantities, heat_theorem_residual,
                      piston_simulate, scan_configs)
 
@@ -134,18 +134,18 @@ def _build_tise(params: dict, consts: Constants) -> None:
     if len(expected) > params["n_states"] or 0 in expected:
         raise ScenarioError("expected_energies takes at most n_states "
                             "values, none of them zero")
-    if params["n_states"] * params["grid"]["n"] > MAX_EVENTS:
-        raise ScenarioError(f"n_states * grid n exceeds {MAX_EVENTS}")
+    if params["n_states"] * params["grid"]["n"] > MAX_SIZE:
+        raise ScenarioError(f"n_states * grid n exceeds {MAX_SIZE}")
     _build_grid(params, consts).check_n_states(params["n_states"])
     params["n_states"] = int(params["n_states"])
 
 
 def _build_wkb(params: dict, consts: Constants) -> None:
     # the Bohm report's eigensolve forms the operator
-    problem = _build_grid(params, consts,
-                          params.get("with_bohm_report", False))
-    params["seg"] = _model("wkb: ", admitted_block, problem.sample[0],
-                           params["energy"],
+    problem = _build_grid(params, consts, params.get("with_bohm_report", False))
+    profile = params["profile"] = _model("wkb: ", local_wkb_profile, problem,
+                                         params["energy"])
+    params["seg"] = _model("wkb: ", admitted_block, profile,
                            **_given(params, "kinetic_fraction"))
 
 
@@ -305,11 +305,11 @@ def _run_tise(params, consts):
 
 
 def _run_variational(params, consts):
-    pot, grid = params["potential"], params["problem"].grid
-    max_iters = params.get("max_iters", 5000)
-    res = variational_ground_state(pot, grid, consts, max_iters=max_iters,
+    problem, grid = params["problem"], params["problem"].grid
+    max_iters = params.get("max_iters", _MAX_ITERS)
+    res = variational_ground_state(problem, max_iters=max_iters,
                                    **_given(params, "tol"))
-    sol = solve_tise(pot, grid, 1, consts)
+    sol = solve_tise(problem.potential, grid, 1, consts)
     rel = abs(res.energy - sol.energies[0]) / abs(sol.energies[0])
     checks = [
         Check("variational_vs_eigensolver_rel", rel, 1e-4),
@@ -320,10 +320,8 @@ def _run_variational(params, consts):
 
 
 def _run_wkb(params, consts):
-    problem, seg = params["problem"], params["seg"]
-    grid, (v, dv) = problem.grid, problem.sample
-    profile = local_wkb_profile(v, dv, params["energy"], consts)
-    residual = appendix_a_consistency(profile, dv, grid.h, consts, seg)
+    profile, grid = params["profile"], params["problem"].grid
+    residual = appendix_a_consistency(profile, params["seg"])
     checks = [Check("force_recovery_max_rel_residual", residual, 1e-3)]
     artifacts = {"profile.csv": (
         ["x", "k", "delta_x", "validity"],
@@ -331,8 +329,7 @@ def _run_wkb(params, consts):
          profile.validity_metric])}
     if params.get("with_bohm_report"):
         sol = solve_tise(params["potential"], grid, 2, consts)
-        artifacts["bohm_report.json"] = bohm_adiabaticity_report(
-            profile, dv, sol, consts)
+        artifacts["bohm_report.json"] = bohm_adiabaticity_report(profile, sol)
     return checks, artifacts
 
 

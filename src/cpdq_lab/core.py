@@ -22,6 +22,8 @@ SI_K_BOLTZ = 1.380649e-23       # J/K
 SI_C = 2.99792458e8             # m/s
 SI_ELECTRON_MASS = 9.1093837015e-31  # kg
 
+MAX_SIZE = 10_000_000  # piston events, trajectory steps, tise n_states * n
+
 
 class DomainError(ValueError):
     """Coordinate outside a potential's domain."""

@@ -19,6 +19,7 @@ import numpy as np
 
 from ._schema import _POSITIVE, check_fields
 from .core import (
+    MAX_SIZE,
     Constants,
     DomainError,
     ModelViolationError,
@@ -27,7 +28,6 @@ from .core import (
     finite_potential,
     tderiv,
 )
-from .thermo import MAX_EVENTS
 from .variational import Trajectory
 
 
@@ -35,7 +35,7 @@ from .variational import Trajectory
 class IntegratorConfig:
     dt: float = field(metadata=_POSITIVE)
     n_steps: int = field(metadata={"type": "integer", "minimum": 4,
-                                   "maximum": MAX_EVENTS})
+                                   "maximum": MAX_SIZE})
 
     def __post_init__(self):
         check_fields(self)
@@ -192,9 +192,7 @@ def cpdq_diagnostics(traj: Trajectory) -> float:
     A self-consistency check: away from masked turning points the drift
     is round-off only.
     """
-    ok = ~traj.gap_mask
-    if not np.any(ok):
-        raise ValueError("record is fully masked; no defined uncertainty band")
+    ok = traj.defined_mask
     f = traj.consts.f
     return float((np.abs(traj.f_series[ok] - f) / f).max())
 

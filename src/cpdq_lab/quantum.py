@@ -225,6 +225,10 @@ class FisherMetrics:
 
 @dataclass(frozen=True)
 class WkbProfile:
+    """local_wkb_profile of a GridProblem at an energy."""
+
+    problem: GridProblem
+    energy: float
     k_of_x: np.ndarray
     delta_x_of_x: np.ndarray
     validity_metric: np.ndarray
@@ -470,10 +474,11 @@ def _kinetic_step(exp_t: np.ndarray):
 
 _VARIATIONAL_ARGS = {"max_iters": {"type": "integer", "minimum": 2},
                      "tol": _POSITIVE}
+_MAX_ITERS = 5000
 
 
-def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
-                             max_iters: int = 5000, tol: float = 1e-10,
+def variational_ground_state(problem: GridProblem,
+                             max_iters: int = _MAX_ITERS, tol: float = 1e-10,
                              psi0: WaveFunction | None = None) -> VariationalResult:
     """Minimize the energy functional: the fixed point of imaginary-time descent.
 
@@ -509,14 +514,12 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
     minimum agrees with the finite-difference eigensolver to O(h^2).
     """
     check_args(_VARIATIONAL_ARGS, locals())
-    problem = GridProblem(pot, grid, consts)
     problem.kinetic  # raises where h^2 or 2 f^2/(m h^2) is out of range
     v_int = problem.sample[0][1:-1]
     from scipy.fft import dst
 
-    x = grid.x
-    h = grid.h
-    coeff = problem.coeff
+    grid, coeff = problem.grid, problem.coeff
+    x, h = grid.x, grid.h
     n_int = grid.n - 2
     k_modes = np.pi * np.arange(1, n_int + 1) / (h * (grid.n - 1))
     exp_v = np.exp(-0.5 * _TAU * v_int)
@@ -596,54 +599,48 @@ def variational_ground_state(pot: Potential, grid: Grid1D, consts: Constants,
         m += 1
 
 
-def local_wkb_profile(v: np.ndarray, dv: np.ndarray, energy: float,
-                      consts: Constants) -> WkbProfile:
+def local_wkb_profile(problem: GridProblem, energy: float) -> WkbProfile:
     """Local wavenumber, uncertainty scale, and semiclassical validity.
 
-    v and dv are V and V' sampled on the grid (GridProblem.sample).
-    k(x) = sqrt((E - V)/(2 f^2/m)), delta_x = 1/(2k); the validity metric
-    |V'| * delta_x / (2 (E - V)) is the fractional potential change across
-    one uncertainty interval and must stay small for a trajectory picture
-    to hold.  Classically forbidden points are NaN-masked.
+    k(x) = sqrt((E - V)/(2 f^2/m)) from problem's sample and coeff, and
+    delta_x = 1/(2k); the validity metric |V'| * delta_x / (2 (E - V)) is
+    the fractional potential change across one uncertainty interval and
+    must stay small for a trajectory picture to hold.  Classically
+    forbidden points are NaN-masked.  ValueError if E - V overflows, if no
+    point is allowed, or if an allowed k^2 is not positive and finite.
     """
-    allowed = _allowed(v, energy)
-    four_c = 2.0 * consts.f**2 / consts.mass
-    with np.errstate(invalid="ignore", divide="ignore"):
-        k = np.where(allowed, np.sqrt(np.maximum(energy - v, 0.0) / four_c), np.nan)
-        delta_x = 1.0 / (2.0 * k)
-        validity = np.abs(dv) * delta_x / (2.0 * (energy - v))
-        validity = np.where(allowed, validity, np.nan)
-    return WkbProfile(k_of_x=k, delta_x_of_x=delta_x,
-                      validity_metric=validity, allowed_mask=allowed)
-
-
-def _allowed(v: np.ndarray, energy: float) -> np.ndarray:
-    """Mask of the classically allowed points, E - V > 0; raises
-    ValueError if E - V overflows or if there are none."""
-    with np.errstate(over="ignore"):
+    v, dv = problem.sample
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         gap = energy - v
+        allowed = gap > 0
+        k = np.sqrt(np.where(allowed, gap, np.nan) / problem.coeff)
+        delta_x = 1.0 / (2.0 * k)
+        validity = np.where(allowed, np.abs(dv) * delta_x / (2.0 * gap), np.nan)
     if np.isinf(gap).any():
         raise ValueError("E - V overflows on the grid")
-    allowed = gap > 0
     if not np.any(allowed):
         raise ValueError("no classically allowed region at this energy")
-    return allowed
+    if not ((k > 0) & (k < math.inf))[allowed].all():
+        raise ValueError("k^2 = (E - V)/(2 f^2/mass) is not positive and "
+                         "finite on the grid")
+    return WkbProfile(problem, energy, k, delta_x, validity, allowed)
 
 
 _ADMITTED_ARGS = {"kinetic_fraction": _FRACTION}
 
 
-def admitted_block(v: np.ndarray, energy: float,
+def admitted_block(profile: WkbProfile,
                    kinetic_fraction: float = 0.1) -> np.ndarray:
-    """Indices of the largest contiguous block of classically allowed points
-    of the sampled potential v where E - V >= kinetic_fraction*E (for E <= 0
-    the second test alone would admit forbidden points).
+    """Indices of the largest contiguous block of the profile's allowed
+    points where E - V >= kinetic_fraction*E (for E <= 0 the second test
+    alone would admit forbidden points).
 
-    Raises ValueError if E - V overflows, if no point is allowed, or if
-    the block is shorter than the 5 points the difference stencils need.
+    Raises ValueError if the block is shorter than the 5 points the
+    difference stencils need.
     """
     check_args(_ADMITTED_ARGS, locals())
-    admitted = _allowed(v, energy) & ((energy - v) >= kinetic_fraction * energy)
+    energy, v = profile.energy, profile.problem.sample[0]
+    admitted = profile.allowed_mask & ((energy - v) >= kinetic_fraction * energy)
     idx = np.flatnonzero(admitted)
     breaks = np.flatnonzero(np.diff(idx) > 1)
     seg = max(np.split(idx, breaks + 1), key=len)
@@ -652,21 +649,22 @@ def admitted_block(v: np.ndarray, energy: float,
     return seg
 
 
-def appendix_a_consistency(profile: WkbProfile, dv: np.ndarray, h: float,
-                           consts: Constants, seg: np.ndarray) -> float:
+def appendix_a_consistency(profile: WkbProfile, seg: np.ndarray) -> float:
     """Recover the force from the uncertainty profile and compare to -V'.
 
     From the profile's delta_x(x) = 1/(2k) take p = f/delta_x, apply the
     uncertainty form of the equation of motion pdot = -p*xdot*(d ln
     delta_x/dx) with the logarithmic slope from divided differences, at
-    grid spacing h, of the sampled delta_x series, and compare against
-    -V'(x) from dv, V' sampled on the grid.  Returns the max relative
-    residual over seg, the admitted block (admitted_block), whose
-    contiguity keeps the difference stencil clean.
+    the grid spacing, of the sampled delta_x series, and compare against
+    -V'(x) from its problem's sample.  Returns the max relative residual
+    over seg, the admitted block (admitted_block), whose contiguity keeps
+    the difference stencil clean.
     """
+    consts, dv = profile.problem.consts, profile.problem.sample[1]
     dx_series = profile.delta_x_of_x[seg]
     p_series = consts.f / dx_series
-    slope = np.gradient(np.log(dx_series), h, edge_order=2)
+    slope = np.gradient(np.log(dx_series), profile.problem.grid.h,
+                        edge_order=2)
     pdot_pred = -(p_series**2 / consts.mass) * slope
     residual = np.abs(pdot_pred + dv[seg])
     force_scale = np.abs(dv[seg]).max()
@@ -714,15 +712,15 @@ def dispersion_checks(k: float, m0: float, consts: Constants) -> DispersionResul
                             omega_nr=omega_nr, nr_residual=nr_residual)
 
 
-def bohm_adiabaticity_report(profile: WkbProfile, dv: np.ndarray,
-                             sol: EigenSolution, consts: Constants) -> dict:
+def bohm_adiabaticity_report(profile: WkbProfile, sol: EigenSolution) -> dict:
     """Level-spacing form of the adiabatic criterion, reported not asserted.
 
     Estimates h * max|dV/dt| / (Delta E)^2 with dV/dt taken along the
-    classical motion of the profile's energy (V' sampled on its grid) and
-    Delta E the lowest level spacing of the eigensolution sol, which
-    holds at least two states.
+    classical motion of the profile's energy (V' from its problem's
+    sample) and Delta E the lowest level spacing of the eigensolution sol,
+    which holds at least two states.
     """
+    consts, dv = profile.problem.consts, profile.problem.sample[1]
     ok = profile.allowed_mask
     p_local = 2.0 * consts.f * profile.k_of_x[ok]
     dv_dt = np.abs(dv[ok]) * p_local / consts.mass

@@ -41,10 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._schema import _FRACTION, _NUMBER, _POSITIVE, check_args, check_fields
-from .core import Constants, ModelViolationError
+from .core import MAX_SIZE, Constants, ModelViolationError
 
-# Largest event log a run may record (start, hits, jump and stop rows).
-MAX_EVENTS = 10_000_000
 # Hits whose rows piston_simulate computes at once
 _BLOCK = 1 << 16
 
@@ -94,9 +92,9 @@ def _leg(tag: WallEvent, t0: float, s0: float, box: float, u: float,
     """The leg whose hits j >= j_first are those falling before t_stop."""
     leg = _Leg(tag, t0, s0, box, u, v0, j_first, j_first - 1)
     tau, size = t_stop - t0, leg.size(t_stop)
-    if not (size > 0 and s0 + v0 * tau < MAX_EVENTS * size):
+    if not (size > 0 and s0 + v0 * tau < MAX_SIZE * size):
         raise ModelViolationError(
-            f"more than {MAX_EVENTS} wall collisions before t = {t_stop:g}")
+            f"more than {MAX_SIZE} wall collisions before t = {t_stop:g}")
 
     def before(j):
         # hits past speed exhaustion (v0 <= j*u) never happen
@@ -123,7 +121,7 @@ class PistonConfig:
     Each mode rejects the other's key: t_jump for constant_speed, a
     nonzero u for sudden_jump.  The particle starts at the fixed wall
     moving right at speed v0; its mass is that of the run's constants.
-    A config whose record would exceed MAX_EVENTS rows, or whose wall
+    A config whose record would exceed MAX_SIZE rows, or whose wall
     brings the particle to rest, is rejected here, before anything is
     allocated.
     """
@@ -163,9 +161,9 @@ class PistonConfig:
                 raise ValueError("sudden_jump needs l_end > l0 (expansion)")
             if not 0.0 < self.jump_time < self.stop_time:
                 raise ValueError("need 0 < t_jump < t_end")
-        if self.n_events > MAX_EVENTS:
+        if self.n_events > MAX_SIZE:
             raise ModelViolationError(
-                f"{self.n_events} events exceed the {MAX_EVENTS}-event cap")
+                f"{self.n_events} events exceed the {MAX_SIZE}-event cap")
         if self.mode == "constant_speed" and self.u > 0.0:
             # the k-th right-wall hit leaves speed |v0 - 2*k*u|; zero
             # speed means f = 0 and S = -inf
@@ -260,6 +258,13 @@ class PistonRecord:
     def right_wall_indices(self) -> np.ndarray:
         return np.flatnonzero(self.event == WallEvent.RIGHT)
 
+    def cycle_walls(self) -> np.ndarray:
+        """right_wall_indices, the round trips' ends; ValueError below two."""
+        rw = self.right_wall_indices()
+        if len(rw) < 2:
+            raise ValueError("need at least two right-wall collisions")
+        return rw
+
     def total_delta_s(self) -> float:
         """Entropy change from the initial to the final recorded state."""
         return float(self.entropy[-1] - self.entropy[0])
@@ -314,9 +319,7 @@ def _last_right_hit(leg: _Leg) -> np.ndarray:
 def _cycles(rec: PistonRecord):
     """(i, j, dE, dS, dVol, midpoint theta, midpoint P) of the round trips
     between successive right-wall collisions i -> j."""
-    rw = rec.right_wall_indices()
-    if len(rw) < 2:
-        raise ValueError("need at least two right-wall collisions")
+    rw = rec.cycle_walls()
     i, j = rw[:-1], rw[1:]
     return (i, j, rec.kinetic[j] - rec.kinetic[i],
             rec.entropy[j] - rec.entropy[i], rec.box_l[j] - rec.box_l[i],

@@ -91,6 +91,13 @@ class Trajectory:
     def gap_mask(self) -> np.ndarray:
         return self._band[1]
 
+    @property
+    def defined_mask(self) -> np.ndarray:
+        """~gap_mask; ValueError where every sample is masked."""
+        if self.gap_mask.all():
+            raise ValueError("record is fully masked; no defined uncertainty band")
+        return ~self.gap_mask
+
     @cached_property
     def f_series(self) -> np.ndarray:
         return np.abs(self.p) * self.delta_q_series

@@ -231,6 +231,24 @@ class TestValidation:
                  "with_bohm_report": True},
          "grid: grid spacing h = 3.174603174603175e-172 has no positive "
          "finite square"),
+        # 2 f^2/mass = 2e-320 is finite, (E - V)/(2 f^2/mass) is not
+        (("wkb", "natural", {"f": 1e-160}),
+         {"potential": {"kind": "harmonic"}, "energy": 10,
+          "grid": {"x_min": -4.2, "x_max": 4.2, "n": 841}},
+         "wkb: k^2 = (E - V)/(2 f^2/mass) is not positive and finite on "
+         "the grid"),
+        # 2 f^2/mass = 2e306: E - V = 1e-20 over it underflows to 0
+        (("wkb", "natural", {"f": 1e153}),
+         {"potential": {"kind": "free"}, "energy": 1e-20,
+          "grid": {"x_min": -1, "x_max": 1, "n": 64}},
+         "wkb: k^2 = (E - V)/(2 f^2/mass) is not positive and finite on "
+         "the grid"),
+        # 2 f^2/mass underflows to 0
+        (("wkb", "natural", {"f": 1e-170}),
+         {"potential": {"kind": "harmonic"}, "energy": 10,
+          "grid": {"x_min": -4, "x_max": 4, "n": 64}},
+         "wkb: k^2 = (E - V)/(2 f^2/mass) is not positive and finite on "
+         "the grid"),
     ], ids=["tise_too_many_energies", "tise_zero_energy", "piston_no_l0",
             "piston_l_end_unreachable", "piston_collapsing_box",
             "piston_scan_with_run_keys", "piston_jump_after_end",
@@ -252,20 +270,24 @@ class TestValidation:
             "tise_spacing_square_overflows",
             "variational_spacing_square_overflows",
             "tise_spacing_square_underflows", "wkb_e_minus_v_overflows",
-            "wkb_e_minus_v_overflows_below", "wkb_bohm_spacing_underflows"])
+            "wkb_e_minus_v_overflows_below", "wkb_bohm_spacing_underflows",
+            "wkb_k_squared_overflows", "wkb_k_squared_underflows",
+            "wkb_kinetic_coefficient_underflows"])
     def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch, kind,
                                   params, named):
-        # kind names the scenario kind, or is (kind, units)
-        kind, units = kind if isinstance(kind, tuple) else (kind, "natural")
+        # kind names the scenario kind, or is (kind, units) or
+        # (kind, units, constants); validation builds a wkb run's profile
+        kind, units, *constants = (kind if isinstance(kind, tuple)
+                                   else (kind, "natural"))
         def never(*args, **kwargs):
             raise AssertionError("computed a rejected config")
         for name in ("solve_tise", "piston_simulate", "adiabatic_scan",
-                     "variational_ground_state", "local_wkb_profile",
-                     "appendix_a_consistency", "bohm_adiabaticity_report",
-                     "integrate_hamilton"):
+                     "variational_ground_state", "appendix_a_consistency",
+                     "bohm_adiabaticity_report", "integrate_hamilton"):
             monkeypatch.setattr(cli, name, never)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": kind, "units": units,
+                                   "constants": dict(*constants),
                                    "params": params}))
         out = tmp_path / "o"
         assert cli.main(["run", str(bad), "--out", str(out)]) \
@@ -413,7 +435,12 @@ class TestValidation:
         v, dv = run_params["problem"].sample
         assert np.array_equal(v, -2.0 * grid.x)
         assert np.array_equal(dv, np.full(64, -2.0))
-        assert np.array_equal(run_params["seg"], admitted_block(v, 5.0))
+        # and builds the run's one profile from them
+        profile = run_params["profile"]
+        assert profile.problem is run_params["problem"]
+        assert profile.energy == 5.0
+        assert np.array_equal(profile.k_of_x, np.sqrt((5.0 - v) / 0.5))
+        assert np.array_equal(run_params["seg"], admitted_block(profile))
         # the config itself is left as parsed
         assert params["grid"] == {"x_min": -2.0, "x_max": 2.0, "n": 64}
 
@@ -1097,9 +1124,10 @@ def test_variational_solver_loads_scipy_fft_only():
     it loads only the transforms."""
     proc = fresh_python("-c", """
 import sys
-from cpdq_lab import Grid1D, Potential, natural_units, variational_ground_state
-variational_ground_state(Potential("harmonic"), Grid1D(-6.0, 6.0, 200),
-                         natural_units())
+from cpdq_lab import (Grid1D, GridProblem, Potential, natural_units,
+                      variational_ground_state)
+variational_ground_state(GridProblem(Potential("harmonic"),
+                                     Grid1D(-6.0, 6.0, 200), natural_units()))
 print(sorted(m for m in ("scipy.linalg", "scipy.fft") if m in sys.modules))
 """)
     assert proc.returncode == 0, proc.stderr
@@ -1224,8 +1252,8 @@ GRID = {"x_min": -4, "x_max": 4, "n": 100}
     ({"kind": "variational", "params": {"potential": {"kind": "harmonic",
                                                       "omega": 1e200},
                                         "grid": GRID}},
-     lambda c: quantum.variational_ground_state(
-         Potential("harmonic", omega=1e200), Grid1D(**GRID), c)),
+     lambda c: quantum.variational_ground_state(GridProblem(
+         Potential("harmonic", omega=1e200), Grid1D(**GRID), c))),
     ({"kind": "tise", "params": {"potential": {"kind": "linear", "f0": 1e308},
                                  "grid": {"x_min": -10, "x_max": 10, "n": 100},
                                  "n_states": 2}},
@@ -1243,13 +1271,19 @@ GRID = {"x_min": -4, "x_max": 4, "n": 100}
                                   Grid1D(0.0, 1.0, 200), 2,
                                   dataclasses.replace(c, f=1e-170))),
     ({"kind": "variational", "params": dict(TISE_WELL, grid=WELL_OVERRUN)},
-     lambda c: quantum.variational_ground_state(
-         Potential("infinite_well"), Grid1D(**WELL_OVERRUN), c)),
+     lambda c: quantum.variational_ground_state(GridProblem(
+         Potential("infinite_well"), Grid1D(**WELL_OVERRUN), c))),
     ({"kind": "tise", "params": {"potential": {"kind": "harmonic"},
                                  "n_states": 1, "grid": {
                                      "x_min": 0, "x_max": 1e-170, "n": 64}}},
      lambda c: quantum.solve_tise(Potential("harmonic"),
                                   Grid1D(0, 1e-170, 64), 1, c)),
+    ({"kind": "wkb", "constants": {"f": 1e200}, "params": {
+        "potential": {"kind": "harmonic"}, "energy": 10,
+        "grid": {"x_min": -4.2, "x_max": 4.2, "n": 841}}},
+     lambda c: quantum.local_wkb_profile(GridProblem(
+         Potential("harmonic"), Grid1D(-4.2, 4.2, 841),
+         dataclasses.replace(c, f=1e200)), 10.0)),
     ({"kind": "trajectory", "params": {
         "potential": {"kind": "linear", "f0": 1e308}, "q0": -10.0,
         "p0": 0.0, "dt": 0.01, "n_steps": 10}},
@@ -1270,7 +1304,8 @@ GRID = {"x_min": -4, "x_max": 4, "n": 100}
 ], ids=["tise_v_overflow", "variational_v_overflow", "tise_linear_overflow",
         "tise_kinetic_coefficient", "tise_kinetic_underflow",
         "variational_grid_past_well",
-        "tise_spacing", "trajectory_v_overflow_at_q0",
+        "tise_spacing", "wkb_kinetic_coefficient",
+        "trajectory_v_overflow_at_q0",
         "trajectory_q0_outside_well", "trajectory_unstable_step"])
 def test_library_raises_the_cli_line(tmp_path, capsys, cfg, call):
     """A library call that breaks a problem model's rule raises the

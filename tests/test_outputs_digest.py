@@ -86,18 +86,22 @@ def test_digest_runs_the_edge_configs(monkeypatch):
     # each runs from edge/<name>.json, so its message is the same line on
     # every checkout and in every temporary directory
     monkeypatch.setattr(outputs_digest, "SCENARIOS", Path("no-scenarios"))
-    names = ["q0_outside_well", "tise_well_f_1e-81"]
+    names = ["q0_outside_well", "tise_well_f_1e-81", "wkb_k_squared"]
     monkeypatch.setattr(outputs_digest, "EDGE",
                         {k: outputs_digest.EDGE[k] for k in names})
     runs = outputs_digest.digest(ROOT)
     assert sorted(runs) == [f"edge/{k}.json" for k in names] + [
         "params_schemas", "schema"]
-    rejected = runs["edge/q0_outside_well.json"]
-    line = (b"error: invalid scenario edge/q0_outside_well.json: q0 lies "
-            b"outside the potential's domain\n")
-    assert rejected == {"exit": 2, "stderr": hashlib.sha256(line).hexdigest(),
-                        "stdout": hashlib.sha256(b"").hexdigest(),
-                        "artifacts": {}}
+    for name, message in (
+            ("q0_outside_well", b"q0 lies outside the potential's domain"),
+            # 2 f^2/mass = 2e-320: (E - V)/(2 f^2/mass) overflows
+            ("wkb_k_squared", b"wkb: k^2 = (E - V)/(2 f^2/mass) is not "
+                              b"positive and finite on the grid")):
+        line = (b"error: invalid scenario edge/" + name.encode()
+                + b".json: " + message + b"\n")
+        assert runs[f"edge/{name}.json"] == {
+            "exit": 2, "stderr": hashlib.sha256(line).hexdigest(),
+            "stdout": hashlib.sha256(b"").hexdigest(), "artifacts": {}}
     well = runs["edge/tise_well_f_1e-81.json"]
     assert well["exit"] == 0
     assert sorted(well["artifacts"]) == ["energies.csv", "report.json",

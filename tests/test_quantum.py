@@ -505,12 +505,17 @@ class TestKineticStep:
         assert calls == []
 
 
+def ground_state(pot, grid, consts, **kwargs):
+    """variational_ground_state on the GridProblem of (pot, grid, consts)."""
+    return variational_ground_state(GridProblem(pot, grid, consts), **kwargs)
+
+
 class TestVariational:
     @pytest.mark.parametrize("n", [64, 128])
     def test_matches_dense_propagator(self, consts, n):
         # N + 1 = 63 and 127: a fast and a Bluestein DST-I length
         grid, top, energy = dense_ground_on(n, consts)
-        res = variational_ground_state(Potential("harmonic"), grid, consts)
+        res = ground_state(Potential("harmonic"), grid, consts)
         inner = res.psi.values.real[1:-1]
         assert np.max(np.abs(inner / np.linalg.norm(inner) - top)) <= 1e-8
         assert res.energy == pytest.approx(energy, rel=1e-12)
@@ -519,18 +524,18 @@ class TestVariational:
         # the sine-basis kinetic operator has sin(pi x / width) as its
         # ground state: E = c (pi / width)^2 with c = 2 f^2 / m
         width = 1.5
-        res = variational_ground_state(Potential("infinite_well", width=width),
-                                       Grid1D(0.0, width, 500), consts)
+        res = ground_state(Potential("infinite_well", width=width),
+                           Grid1D(0.0, width, 500), consts)
         c = 2.0 * consts.f**2 / consts.mass
         assert res.energy == pytest.approx(c * (math.pi / width) ** 2,
                                            rel=1e-8)
 
     def test_restarts_reach_the_same_fixed_point(self, consts, monkeypatch):
         grid = Grid1D(-10.0, 10.0, 2000)
-        full = variational_ground_state(Potential("harmonic"), grid, consts)
+        full = ground_state(Potential("harmonic"), grid, consts)
         assert full.iterations > quantum._LANCZOS_BASIS
         monkeypatch.setattr(quantum, "_LANCZOS_BASIS", 8)
-        short = variational_ground_state(Potential("harmonic"), grid, consts)
+        short = ground_state(Potential("harmonic"), grid, consts)
         assert short.iterations > 2 * 8
         for res in (full, short):
             assert abs(res.energy - 0.5) <= 1e-9
@@ -540,10 +545,10 @@ class TestVariational:
     def test_thick_restart_matches_an_unrestarted_run(self, consts,
                                                       monkeypatch):
         grid = Grid1D(-10.0, 10.0, 2000)
-        thick = variational_ground_state(Potential("harmonic"), grid, consts)
+        thick = ground_state(Potential("harmonic"), grid, consts)
         assert thick.iterations > quantum._LANCZOS_BASIS
         monkeypatch.setattr(quantum, "_LANCZOS_BASIS", 100)
-        whole = variational_ground_state(Potential("harmonic"), grid, consts)
+        whole = ground_state(Potential("harmonic"), grid, consts)
         assert whole.iterations < 100
         assert thick.energy == pytest.approx(whole.energy, rel=1e-12)
         assert np.max(np.abs(thick.psi.values - whole.psi.values)) \
@@ -552,11 +557,11 @@ class TestVariational:
     def test_application_counts(self, consts):
         # an explicit restart from the top Ritz vector alone took 84 on the
         # oscillator; the well converges before the basis fills
-        osc = variational_ground_state(Potential("harmonic"),
-                                       Grid1D(-10.0, 10.0, 2000), consts)
+        osc = ground_state(Potential("harmonic"), Grid1D(-10.0, 10.0, 2000),
+                           consts)
         assert osc.iterations <= 50
-        well = variational_ground_state(Potential("infinite_well", width=1.0),
-                                        Grid1D(0.0, 1.0, 2000), consts)
+        well = ground_state(Potential("infinite_well", width=1.0),
+                            Grid1D(0.0, 1.0, 2000), consts)
         assert well.iterations == 7
 
     @pytest.mark.parametrize("pot,grid", [
@@ -568,24 +573,24 @@ class TestVariational:
         """Products summed or computed in 500-long pieces, so that every
         product past a piece takes the multi-piece branches of _dot and
         _dot_wide, agree with the default single pieces to rounding."""
-        whole = variational_ground_state(pot, grid, consts)
+        whole = ground_state(pot, grid, consts)
         monkeypatch.setattr(quantum, "_DOT_CHUNK", 500)
-        pieces = variational_ground_state(pot, grid, consts)
+        pieces = ground_state(pot, grid, consts)
         assert pieces.iterations == whole.iterations
         assert pieces.energy == pytest.approx(whole.energy, rel=1e-14, abs=0)
         assert np.max(np.abs(pieces.psi.values - whole.psi.values)) \
             <= 1e-13 * np.max(np.abs(whole.psi.values))
 
     def test_ground_state_has_no_negative_lobe(self, consts):
-        res = variational_ground_state(Potential("harmonic"),
-                                       Grid1D(-10.0, 10.0, 2000), consts)
+        res = ground_state(Potential("harmonic"),
+                           Grid1D(-10.0, 10.0, 2000), consts)
         psi = res.psi.values.real
         assert psi.min() >= -1e-8 * psi.max()
 
     def test_bitwise_repeatable(self, consts):
         grid = Grid1D(-10.0, 10.0, 2000)
-        a = variational_ground_state(Potential("harmonic"), grid, consts)
-        b = variational_ground_state(Potential("harmonic"), grid, consts)
+        a = ground_state(Potential("harmonic"), grid, consts)
+        b = ground_state(Potential("harmonic"), grid, consts)
         assert a.psi.values.tobytes() == b.psi.values.tobytes()
         assert (a.energy, a.iterations) == (b.energy, b.iterations)
 
@@ -594,23 +599,22 @@ class TestVariational:
         start = WaveFunction(grid=grid, values=np.pad(top, 1).astype(complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = variational_ground_state(Potential("harmonic"), grid,
-                                           consts, psi0=start)
+            res = ground_state(Potential("harmonic"), grid, consts,
+                               psi0=start)
         assert res.iterations <= 2
         assert res.energy == pytest.approx(energy, rel=1e-12)
 
     def test_underflowing_propagator_raises(self, consts):
         # tau V / 2 >= 625 at every grid point: applying P underflows to 0
         with pytest.raises(ConvergenceError, match="underflows") as info:
-            variational_ground_state(Potential("harmonic", omega=1e5),
-                                     Grid1D(-10.0, 10.0, 2000), consts)
+            ground_state(Potential("harmonic", omega=1e5),
+                         Grid1D(-10.0, 10.0, 2000), consts)
         assert info.value.iterations == 1
 
     def test_fewer_than_two_applications_rejected(self, consts):
         with pytest.raises(ValueError, match="max_iters"):
-            variational_ground_state(Potential("harmonic"),
-                                     Grid1D(-10.0, 10.0, 200), consts,
-                                     max_iters=1)
+            ground_state(Potential("harmonic"), Grid1D(-10.0, 10.0, 200),
+                         consts, max_iters=1)
 
     @pytest.mark.parametrize("pot", [
         Potential("harmonic"), Potential("infinite_well", width=1e-170)],
@@ -625,7 +629,7 @@ class TestVariational:
                                match=re.escape(f"grid spacing h = {grid.h!r}"
                                                f" has no positive finite "
                                                f"square")):
-                variational_ground_state(pot, grid, consts)
+                ground_state(pot, grid, consts)
 
     def test_grid_past_the_well_rejected(self, consts, monkeypatch):
         def no_transform(*args, **kwargs):
@@ -633,35 +637,35 @@ class TestVariational:
         for name in ("dst", "idst", "rfft", "irfft"):
             monkeypatch.setattr(scipy.fft, name, no_transform)
         with pytest.raises(ValueError, match="inside the well"):
-            variational_ground_state(Potential("infinite_well", width=1.0),
-                                     Grid1D(0.0, 2.0, 200), consts)
+            ground_state(Potential("infinite_well", width=1.0),
+                         Grid1D(0.0, 2.0, 200), consts)
 
     def test_harmonic(self, consts, harmonic_solution):
-        res = variational_ground_state(Potential("harmonic"),
-                                       Grid1D(-10.0, 10.0, 2000), consts)
+        res = ground_state(Potential("harmonic"),
+                           Grid1D(-10.0, 10.0, 2000), consts)
         assert res.energy == pytest.approx(harmonic_solution.energies[0],
                                            rel=1e-4)
         assert res.iterations <= 5000
 
     def test_well(self, consts, well_solution):
-        res = variational_ground_state(Potential("infinite_well", width=1.0),
-                                       Grid1D(0.0, 1.0, 2000), consts)
+        res = ground_state(Potential("infinite_well", width=1.0),
+                           Grid1D(0.0, 1.0, 2000), consts)
         assert res.energy == pytest.approx(well_solution.energies[0],
                                            rel=1e-4)
 
     def test_converged_state_is_fixed_point(self, consts):
         grid = Grid1D(-10.0, 10.0, 2000)
-        first = variational_ground_state(Potential("harmonic"), grid, consts)
-        again = variational_ground_state(Potential("harmonic"), grid, consts,
-                                         psi0=first.psi)
+        first = ground_state(Potential("harmonic"), grid, consts)
+        again = ground_state(Potential("harmonic"), grid, consts,
+                             psi0=first.psi)
         assert again.iterations <= 2
         assert again.energy == pytest.approx(first.energy, rel=1e-9)
 
     def test_nonconvergence_carries_iterate(self, consts):
         with pytest.raises(ConvergenceError) as info:
-            variational_ground_state(Potential("harmonic"),
-                                     Grid1D(-10.0, 10.0, 2000), consts,
-                                     max_iters=3, tol=1e-16)
+            ground_state(Potential("harmonic"),
+                         Grid1D(-10.0, 10.0, 2000), consts,
+                         max_iters=3, tol=1e-16)
         assert info.value.psi is not None
         assert info.value.iterations == 3
         assert math.isfinite(info.value.energy)
@@ -669,9 +673,9 @@ class TestVariational:
     def test_nonconvergence_after_a_restart_carries_iterate(self, consts):
         assert 40 > quantum._LANCZOS_BASIS
         with pytest.raises(ConvergenceError, match="cap") as info:
-            variational_ground_state(Potential("harmonic"),
-                                     Grid1D(-10.0, 10.0, 2000), consts,
-                                     max_iters=40, tol=1e-16)
+            ground_state(Potential("harmonic"),
+                         Grid1D(-10.0, 10.0, 2000), consts,
+                         max_iters=40, tol=1e-16)
         assert info.value.iterations == 40
         assert math.isfinite(info.value.energy)
         psi = info.value.psi
@@ -680,16 +684,15 @@ class TestVariational:
 
 
 def wkb_profile(pot, energy, grid, consts):
-    """local_wkb_profile from V and V' sampled once on the grid."""
-    return local_wkb_profile(*eval_potential(pot, grid.x), energy, consts)
+    """local_wkb_profile on the GridProblem of (pot, grid, consts)."""
+    return local_wkb_profile(GridProblem(pot, grid, consts), energy)
 
 
 def force_residual(pot, energy, grid, consts, kinetic_fraction=0.1):
     """appendix_a_consistency on the profile, as a wkb run composes it."""
-    v, dv = eval_potential(pot, grid.x)
-    return appendix_a_consistency(
-        local_wkb_profile(v, dv, energy, consts), dv, grid.h, consts,
-        admitted_block(v, energy, kinetic_fraction))
+    profile = wkb_profile(pot, energy, grid, consts)
+    return appendix_a_consistency(profile,
+                                  admitted_block(profile, kinetic_fraction))
 
 
 class TestWkb:
@@ -713,6 +716,24 @@ class TestWkb:
         assert np.all(np.isnan(prof.validity_metric[~prof.allowed_mask]))
         allowed_validity = prof.validity_metric[prof.allowed_mask]
         assert np.nanmax(allowed_validity) > 10.0  # blows up near turning
+
+    @pytest.mark.parametrize("kind,energy,f,named", [
+        # 2 f^2/m = 2e-320 is finite, E - V = 10 over it is not
+        ("harmonic", 10.0, 1e-160, "k^2 = (E - V)/(2 f^2/mass) is not "
+                                   "positive and finite"),
+        # 2 f^2/m itself is not, which the problem model rejects
+        ("harmonic", 10.0, 1e200, "constants: 2 f^2/mass overflows"),
+        # 2 f^2/m = 2e306 is finite, E - V = 1e-20 over it underflows to 0
+        ("free", 1e-20, 1e153, "k^2 = (E - V)/(2 f^2/mass) is not "
+                               "positive and finite")],
+        ids=["k2_overflows", "coefficient_overflows", "k2_underflows"])
+    def test_k_squared_out_of_range(self, consts, kind, energy, f, named):
+        pot = Potential(kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(named)):
+                wkb_profile(pot, energy, Grid1D(-4.2, 4.2, 841),
+                            replace(consts, f=f))
 
     def test_no_allowed_region(self, consts):
         with pytest.raises(ValueError):
@@ -785,10 +806,8 @@ class TestDispersion:
 
 def test_bohm_report_fields(consts):
     pot, grid = Potential("harmonic"), Grid1D(-6.0, 6.0, 2000)
-    v, dv = eval_potential(pot, grid.x)
-    rep = bohm_adiabaticity_report(
-        local_wkb_profile(v, dv, 10.0, consts), dv,
-        solve_tise(pot, grid, 2, consts), consts)
+    rep = bohm_adiabaticity_report(wkb_profile(pot, 10.0, grid, consts),
+                                   solve_tise(pot, grid, 2, consts))
     assert set(rep) == {"max_dv_dt", "level_spacing", "bohm_ratio"}
     assert rep["level_spacing"] == pytest.approx(1.0, rel=1e-3)
     # |V'| p / m = |q| sqrt(2E - q^2) peaks at q^2 = E with the value E

@@ -142,11 +142,14 @@ CALLS = {
     "quantum._TISE_ARGS": (quantum.solve_tise,
                            {**_HARMONIC, "n_states": 1}),
     "quantum._VARIATIONAL_ARGS": (quantum.variational_ground_state,
-                                  {**_HARMONIC, "max_iters": 5000,
-                                   "tol": 1e-10}),
+                                  {"problem": quantum.GridProblem(
+                                      *_HARMONIC.values()),
+                                   "max_iters": 5000, "tol": 1e-10}),
     "quantum._ADMITTED_ARGS": (quantum.admitted_block,
-                               {"v": np.linspace(-1.0, 1.0, 64) ** 2,
-                                "energy": 1.0, "kinetic_fraction": 0.1}),
+                               {"profile": quantum.local_wkb_profile(
+                                   quantum.GridProblem(*_HARMONIC.values()),
+                                   1.0),
+                                "kinetic_fraction": 0.1}),
     "quantum._DISPERSION_ARGS": (quantum.dispersion_checks,
                                  {"k": 2.0, "m0": 1.0,
                                   "consts": natural_units()}),

@@ -115,3 +115,20 @@ def test_wkb_run_samples_the_potential_once(tmp_path):
     names = [name for name, *_ in spans]
     assert names.count("quantum.local_wkb_profile") == 1
     assert names.count("quantum.appendix_a_consistency") == 1
+
+
+def test_variational_run_samples_the_potential_twice(tmp_path):
+    # validation samples V on the grid, and the descent reads that sample;
+    # the reference eigensolve samples V once more
+    path = Path(cli.__file__).parent / "scenarios" / "variational_harmonic.json"
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert cli.run_scenario(path, tmp_path / "out")[1] == 0
+    finally:
+        t.uninstall()
+    spans, counts = t.take()
+    assert counts["core.eval_potential_calls"] == 2
+    names = [name for name, *_ in spans]
+    assert names.count("quantum.variational_ground_state") == 1
+    assert names.count("quantum.solve_tise") == 1

@@ -50,7 +50,7 @@ def _tise_well(f: float) -> dict:
 
 
 # name -> config: one per exit-2 rule of the problem models, then the runs
-# that end at the wkb E - V and the eigensolver's range
+# that end at the wkb E - V and k^2 and the eigensolver's range
 EDGE = {
     "q0_outside_well": {"kind": "trajectory", "params": {
         "potential": {"kind": "infinite_well"}, "q0": 2, "p0": 1,
@@ -82,6 +82,9 @@ EDGE = {
     "wkb_e_minus_v_below": {"kind": "wkb", "params": {
         "potential": _LINEAR_MAX, "energy": -1e308,
         "grid": {"x_min": -1, "x_max": 1, "n": 64}}},
+    "wkb_k_squared": {"kind": "wkb", "constants": {"f": 1e-160}, "params": {
+        "potential": {"kind": "harmonic"}, "energy": 10,
+        "grid": {"x_min": -4.2, "x_max": 4.2, "n": 841}}},
     "wkb_bohm_spacing": {"kind": "wkb", "params": {
         "potential": {"kind": "linear"}, "energy": 1,
         "grid": {"x_min": -1e-170, "x_max": 1e-170, "n": 64},
