@@ -138,12 +138,13 @@ class Potential:
                 object.__setattr__(self, name, 1.0)
 
     def contains(self, q) -> np.ndarray | bool:
-        """Whether q lies in the domain; each wall has 1e-12 of slack."""
+        """Whether q lies in the domain; each wall has 1e-12*width of slack."""
         if self.kind is PotentialKind.INFINITE_WELL:
-            lo, hi = 0.0, self.width
+            slack = 1e-12 * self.width
+            lo, hi = -slack, self.width + slack
         else:
             lo, hi = -math.inf, math.inf
-        return (np.asarray(q) >= lo - 1e-12) & (np.asarray(q) <= hi + 1e-12)
+        return (np.asarray(q) >= lo) & (np.asarray(q) <= hi)
 
 
 def eval_potential(pot: Potential, q):
@@ -161,14 +162,24 @@ def eval_potential(pot: Potential, q):
         dv = np.full_like(q, -pot.f0)
     elif pot.kind is PotentialKind.HARMONIC:
         k = pot.m * pot.omega**2
-        v = 0.5 * k * q * q
+        v = 0.5 * k * q
+        v *= q
         dv = k * q
     elif pot.kind is PotentialKind.SOFT_WELL:
-        u = q / pot.a
-        th = np.tanh(u)
-        sech2 = 1.0 / np.cosh(u) ** 2
-        v = pot.v0 * th * th
-        dv = 2.0 * pot.v0 * th * sech2 / pot.a
+        # v0 th th and 2 v0 th sech2 / a, th = tanh(q/a), each product in
+        # its order, in v, dv and one scratch array; a 0-d q stays in numpy
+        # scalars (whose **2 is pow, not the array's square): out=None there
+        arrays = q.ndim > 0
+        dv = q / pot.a
+        sech2 = np.cosh(dv)
+        dv = np.tanh(dv, out=dv if arrays else None)
+        sech2 **= 2
+        sech2 = np.divide(1.0, sech2, out=sech2 if arrays else None)
+        v = pot.v0 * dv
+        v *= dv
+        dv *= 2.0 * pot.v0
+        dv *= sech2
+        dv /= pot.a
     else:  # pragma: no cover
         raise ValueError(f"unknown potential kind {pot.kind}")
     if q.ndim == 0:
@@ -193,10 +204,12 @@ def finite_potential(pot: Potential, q, where: str):
 
 def delta_q_series(p, consts: Constants) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized f/|p| with a gap mask where |p| <= p_floor (NaN there)."""
-    p = np.asarray(p, dtype=float)
-    gap = np.abs(p) <= consts.p_floor
+    dq = np.array(p, dtype=float)  # |p|, then f/|p|, in this one array
+    np.abs(dq, out=dq)
+    gap = dq <= consts.p_floor
     with np.errstate(divide="ignore", over="ignore"):
-        dq = np.where(gap, np.nan, consts.f / np.abs(p))
+        np.divide(consts.f, dq, out=dq)
+    np.copyto(dq, np.nan, where=gap)
     return dq, gap
 
 

@@ -194,7 +194,11 @@ def cpdq_diagnostics(traj: Trajectory) -> float:
     """
     ok = traj.defined_mask
     f = traj.consts.f
-    return float((np.abs(traj.f_series[ok] - f) / f).max())
+    drift = traj.f_series[ok]  # a copy: |f_i - f|/f in place
+    drift -= f
+    np.abs(drift, out=drift)
+    drift /= f
+    return float(drift.max())
 
 
 def newton_uncertainty_residual(traj: Trajectory) -> np.ndarray:
@@ -219,12 +223,10 @@ def newton_uncertainty_residual(traj: Trajectory) -> np.ndarray:
     return res
 
 
-def energy_budget(traj: Trajectory):
-    """Per-step work-energy residual dT + dV and the relative energy drift."""
-    d_kin = np.diff(traj.energy_t)
-    d_pot = np.diff(traj.energy_v)
-    residual = d_kin + d_pot
+def energy_budget(traj: Trajectory) -> float:
+    """Relative energy drift max|E - E0|/|E0| (over 1 where E0 = 0)."""
     e0 = traj.energy_e[0]
     scale = abs(e0) if e0 != 0 else 1.0
-    drift = float(np.max(np.abs(traj.energy_e - e0)) / scale)
-    return residual, drift
+    drift = traj.energy_e - e0
+    np.abs(drift, out=drift)
+    return float(np.max(drift) / scale)

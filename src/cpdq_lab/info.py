@@ -84,11 +84,19 @@ class RateBounds:
     accepted_factor_gap: float
 
 
-def _ledger_from_logs(log_dq: np.ndarray, log_p: np.ndarray) -> InfoLedger:
-    d_i_q = -np.diff(log_dq) / LN2
-    d_i_p = -np.diff(log_p) / LN2
+def _log_bits(x: np.ndarray) -> np.ndarray:
+    """-diff(ln x)/ln 2, the steps in bits; x is a fresh array, which the
+    log overwrites, and the steps are worked in diff's one array."""
+    d = np.diff(np.log(x, out=x))
+    np.negative(d, out=d)
+    d /= LN2
+    return d
+
+
+def _ledger(d_i_q: np.ndarray, d_i_p: np.ndarray) -> InfoLedger:
+    total = d_i_q + d_i_p
     return InfoLedger(d_i_q=d_i_q, d_i_p=d_i_p,
-                      i_cumulative=np.cumsum(d_i_q + d_i_p))
+                      i_cumulative=np.cumsum(total, out=total))
 
 
 def info_ledger(rec) -> InfoLedger:
@@ -100,10 +108,13 @@ def info_ledger(rec) -> InfoLedger:
     """
     if isinstance(rec, Trajectory):
         ok = rec.defined_mask
-        return _ledger_from_logs(np.log(rec.delta_q_series[ok]),
-                                 np.log(np.abs(rec.p[ok])))
+        # one masked copy at a time, each log taken in it
+        d_i_q = _log_bits(rec.delta_q_series[ok])
+        p = rec.p[ok]
+        return _ledger(d_i_q, _log_bits(np.abs(p, out=p)))
     if isinstance(rec, PistonRecord):
-        return _ledger_from_logs(np.log(rec.box_l), np.log(rec.momentum))
+        return _ledger(_log_bits(rec.box_l.copy()),
+                       _log_bits(rec.momentum.copy()))
     raise TypeError(f"no ledger for {type(rec).__name__}")
 
 
@@ -170,7 +181,7 @@ def piston_regime_metrics(rec: PistonRecord):
     per-crossing information steps.
     """
     rw = rec.cycle_walls()
-    steps = _ledger_from_logs(np.log(rec.box_l[rw]), np.log(rec.momentum[rw]))
+    steps = _ledger(_log_bits(rec.box_l[rw]), _log_bits(rec.momentum[rw]))
     return (float(np.mean(np.abs(steps.d_i_q + steps.d_i_p))),
             float(np.max(np.abs(steps.d_i_q))),
             float(np.max(np.abs(steps.d_i_p))))

@@ -69,7 +69,9 @@ class Trajectory:
 
     @cached_property
     def energy_t(self) -> np.ndarray:
-        return self.p**2 / (2.0 * self.consts.mass)
+        t = self.p**2
+        t /= 2.0 * self.consts.mass
+        return t
 
     @cached_property
     def energy_v(self) -> np.ndarray:
@@ -100,7 +102,9 @@ class Trajectory:
 
     @cached_property
     def f_series(self) -> np.ndarray:
-        return np.abs(self.p) * self.delta_q_series
+        f = np.abs(self.p)
+        f *= self.delta_q_series
+        return f
 
 
 @dataclass(frozen=True)

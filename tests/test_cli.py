@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 import warnings
 from importlib import resources
@@ -132,6 +133,11 @@ class TestValidation:
         ("variational", dict(TISE_WELL, grid=WELL_OVERRUN),
          "grid: grid must lie inside the well"),
         ("wkb", dict(TISE_WELL, energy=1.0, grid=WELL_OVERRUN),
+         "grid: grid must lie inside the well"),
+        # a grid 1.8e8 widths wide: the walls' slack is relative to the width
+        ("tise", {"potential": {"kind": "infinite_well", "width": 1e-20},
+                  "grid": {"x_min": -9e-13, "x_max": 9e-13, "n": 200},
+                  "n_states": 2},
          "grid: grid must lie inside the well"),
         ("tise", {"potential": {"kind": "harmonic"},
                   "grid": {"x_min": -5.0, "x_max": 5.0, "n": 64},
@@ -255,7 +261,8 @@ class TestValidation:
             "piston_one_right_hit", "piston_near_closure", "grid_reversed",
             "piston_scan_event_cap", "variational_one_application",
             "tise_grid_past_well", "variational_grid_past_well",
-            "wkb_grid_past_well", "tise_n_states_past_grid",
+            "wkb_grid_past_well", "tise_grid_past_tiny_well",
+            "tise_n_states_past_grid",
             "trajectory_q0_outside_well", "piston_scan_stops_particle",
             "piston_stops_particle", "trajectory_too_many_steps",
             "tise_grid_too_large", "tise_states_too_large",
@@ -477,6 +484,29 @@ EXTRA_SCENARIOS = {"trajectory_infinite_well.json": {
 
 
 class TestRun:
+    @pytest.mark.parametrize("params", [
+        None,
+        {"potential": {"kind": "soft_well"}, "q0": 0.5, "p0": 0.0},
+        {"potential": {"kind": "infinite_well"}, "q0": 0.3, "p0": 1.7},
+    ], ids=["harmonic_pzie", "soft_well", "infinite_well"])
+    def test_trajectory_peak_is_its_columns(self, tmp_path, params):
+        # a run holds t, q, p, the five derived series and the gap mask;
+        # its checks reduce them with at most one column-sized temporary
+        path = scenario_path("harmonic_pzie.json")
+        n_steps = json.loads(path.read_text())["params"]["n_steps"]
+        if params is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({"kind": "trajectory", "params": {
+                **params, "dt": 1e-3, "n_steps": n_steps}}))
+        tracemalloc.start()
+        try:
+            _, code = cli.run_scenario(path, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_OK
+        assert peak < 8 * 8 * (n_steps + 1) + 2e6
+
     @pytest.mark.parametrize("name",
                              RUNNABLE_SCENARIOS + sorted(EXTRA_SCENARIOS))
     def test_bundled_scenarios_pass(self, tmp_path, monkeypatch, name):

@@ -86,13 +86,16 @@ def test_digest_runs_the_edge_configs(monkeypatch):
     # each runs from edge/<name>.json, so its message is the same line on
     # every checkout and in every temporary directory
     monkeypatch.setattr(outputs_digest, "SCENARIOS", Path("no-scenarios"))
-    names = ["q0_outside_well", "tise_well_f_1e-81", "wkb_k_squared"]
+    names = ["grid_past_tiny_well", "q0_outside_well", "tise_well_f_1e-81",
+             "wkb_k_squared"]
     monkeypatch.setattr(outputs_digest, "EDGE",
                         {k: outputs_digest.EDGE[k] for k in names})
     runs = outputs_digest.digest(ROOT)
     assert sorted(runs) == [f"edge/{k}.json" for k in names] + [
         "params_schemas", "schema"]
     for name, message in (
+            # the grid spans 1.8e8 widths of the well
+            ("grid_past_tiny_well", b"grid: grid must lie inside the well"),
             ("q0_outside_well", b"q0 lies outside the potential's domain"),
             # 2 f^2/mass = 2e-320: (E - V)/(2 f^2/mass) overflows
             ("wkb_k_squared", b"wkb: k^2 = (E - V)/(2 f^2/mass) is not "

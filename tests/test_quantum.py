@@ -73,6 +73,11 @@ class TestEigensolver:
         for grid in (Grid1D(0.0, 2.0, 200), Grid1D(-2e-12, 1.0, 64)):
             with pytest.raises(ValueError, match="inside the well"):
                 solve_tise(well, grid, 1, consts)
+        # each wall's slack is 1e-12 widths, not 1e-12
+        tiny = Potential("infinite_well", width=1e-20)
+        GridProblem(tiny, Grid1D(-1e-33, 1e-20 + 1e-33, 64), consts)
+        with pytest.raises(ValueError, match="inside the well"):
+            GridProblem(tiny, Grid1D(-9e-13, 9e-13, 200), consts)
 
     def test_free_particle_large_box_limit(self, consts):
         pot = Potential("free")

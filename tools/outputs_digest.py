@@ -64,6 +64,9 @@ EDGE = {
     "grid_past_well": {"kind": "variational", "params": {
         "potential": {"kind": "infinite_well"},
         "grid": {"x_min": 0, "x_max": 2, "n": 200}}},
+    "grid_past_tiny_well": {"kind": "tise", "params": {
+        "potential": {"kind": "infinite_well", "width": 1e-20},
+        "grid": {"x_min": -9e-13, "x_max": 9e-13, "n": 200}, "n_states": 2}},
     "overflow_on_grid": {"kind": "tise", "params": {
         "potential": {"kind": "harmonic", "omega": 1e200}, "n_states": 1,
         "grid": {"x_min": -4, "x_max": 4, "n": 100}}},
